@@ -1,7 +1,7 @@
 """Multichannel sample container shared by the sampling, estimation, and IO layers."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,17 +14,11 @@ MIN_SAMPLES = 32
 class ChannelMatrix:
     """Channels-by-samples real matrix with channel names.
 
-    ``data`` has shape (n_channels, n_samples); rows are channels.  When the
-    matrix was produced by standardizing raw input, ``offsets`` and
-    ``scales`` record the original per-channel mean and standard deviation
-    so the transform is invertible.
+    ``data`` has shape (n_channels, n_samples); rows are channels.
     """
 
     names: tuple[str, ...]
     data: np.ndarray
-    sample_rate_hz: float | None = None
-    offsets: tuple[float, ...] | None = None
-    scales: tuple[float, ...] | None = None
 
     def __post_init__(self):
         arr = np.array(self.data, dtype=np.float64, copy=True)
@@ -44,8 +38,6 @@ class ChannelMatrix:
             )
         if not np.isfinite(arr).all():
             raise DegenerateInputError("channel data contains non-finite entries")
-        if self.sample_rate_hz is not None and not self.sample_rate_hz > 0:
-            raise ConfigurationError("sample_rate_hz must be positive")
         arr.setflags(write=False)
         object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "data", arr)
@@ -70,14 +62,10 @@ class ChannelMatrix:
         except ValueError:
             raise ConfigurationError(f"unknown channel {key!r}") from None
 
-    def channel(self, key: str | int) -> np.ndarray:
-        return self.data[self.index_of(key)]
-
     def standardized(self) -> "ChannelMatrix":
         """Return a copy with zero-mean, unit-variance rows.
 
-        Records the original offsets/scales; a constant channel cannot be
-        standardized and raises.
+        A constant channel cannot be standardized and raises.
         """
         means = self.data.mean(axis=1)
         stds = self.data.std(axis=1)
@@ -87,10 +75,4 @@ class ChannelMatrix:
                     f"channel {name!r} is constant and cannot be standardized"
                 )
         out = (self.data - means[:, None]) / stds[:, None]
-        return ChannelMatrix(
-            names=self.names,
-            data=out,
-            sample_rate_hz=self.sample_rate_hz,
-            offsets=tuple(float(m) for m in means),
-            scales=tuple(float(s) for s in stds),
-        )
+        return ChannelMatrix(names=self.names, data=out)

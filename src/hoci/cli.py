@@ -49,6 +49,7 @@ from .gaussian import (
 )
 from .pipeline import (
     CommonInfoReport,
+    _lag_range_samples,
     derive_sci_seed,
     lag_max_correlation_samples,
     run_estimate,
@@ -498,6 +499,8 @@ def _cmd_lagscan(args) -> int:
     matrix = ingest_csv(args.input, transpose=args.transpose)
     ref = matrix.index_of(args.ref_channel)
     rate = args.sample_rate_hz
+    if rate is not None and not rate > 0:
+        raise ConfigurationError(f"--sample-rate-hz must be positive, got {rate}")
     if args.lag_min_samples is not None or args.lag_max_samples is not None:
         if args.lag_min_samples is None or args.lag_max_samples is None:
             raise ConfigurationError(
@@ -510,13 +513,9 @@ def _cmd_lagscan(args) -> int:
                 "lag bounds in milliseconds need --sample-rate-hz "
                 "(or use --lag-min-samples/--lag-max-samples)"
             )
-        lag_min = math.ceil(args.lag_min_ms / 1000.0 * rate - 1e-9)
-        lag_max = math.floor(args.lag_max_ms / 1000.0 * rate + 1e-9)
-        if lag_min > lag_max:
-            raise ParameterDomainError(
-                f"no integer lag lies in [{args.lag_min_ms}, {args.lag_max_ms}] ms "
-                f"at {rate} Hz"
-            )
+        lag_min, lag_max = _lag_range_samples(
+            args.lag_min_ms / 1000.0, args.lag_max_ms / 1000.0, rate
+        )
     lines = [
         f"# tool: hoci {__version__}",
         f"# ref_channel: {matrix.names[ref]}",

@@ -4,10 +4,11 @@ Given n channels, the second-order estimate is the minimum pairwise MI.
 Higher orders are lower-bounded through tuned noise-injection variables: a
 T built for pair (i, j) carries exactly the pair's shared information, so
 min over k of MI(T_{i,j}; x_k) bounds the third-order quantity and min over
-disjoint pairs of MI(T_{i,j}; T_{k,m}) the fourth.  The module also provides
-the average variant (mean instead of min), the closed-form scaling
-approximation, lag-scanned correlation for time-aligned references, and
-region-restricted minima.
+disjoint pairs of MI(T_{i,j}; T_{k,m}) the fourth.  ``run_estimate`` is the
+one estimation path: it scans the pairs, tunes the surrogates and scans the
+triples and disjoint pairs once, and reads every level and average off those
+candidate lists.  The module also provides the closed-form scaling
+approximation and lag-scanned correlation for time-aligned references.
 
 Conventions used throughout:
 
@@ -43,7 +44,14 @@ from .errors import (
     PipelineError,
 )
 from .estimators import EstimatorConfig, bidirectional_te_mi, mi_estimate
-from .sci import BisectionConfig, SciDescriptor, build_sci, _check_seed
+from .sci import (
+    SLACK_BITS_AT_REFERENCE,
+    BisectionConfig,
+    SciDescriptor,
+    build_sci,
+    chain_slack_bits,
+    _check_seed,
+)
 
 __all__ = [
     "ChannelMatrix",
@@ -52,30 +60,14 @@ __all__ = [
     "LevelEstimate",
     "SciExclusion",
     "approx_rtilde",
-    "average_rbar",
     "chain_slack_bits",
     "derive_sci_seed",
-    "estimate_r2",
-    "estimate_r3_lower",
-    "estimate_r4_lower",
     "lag_max_correlation",
     "lag_max_correlation_samples",
-    "region_min",
     "run_estimate",
 ]
 
-# statistical slack for chain checks: 0.02 bits at 1e5 samples, ~ N^(-1/2)
-SLACK_BITS_AT_REFERENCE = 0.02
-REFERENCE_SAMPLES = 10**5
-
 _ALL_NCI_REASON = "no channel pair shares information above the tuning resolution"
-
-
-def chain_slack_bits(num_samples: int) -> float:
-    """Statistical slack for ordering checks between estimated levels."""
-    if num_samples < 1:
-        raise ParameterDomainError("num_samples must be positive")
-    return SLACK_BITS_AT_REFERENCE * math.sqrt(REFERENCE_SAMPLES / num_samples)
 
 
 def derive_sci_seed(run_seed: int, i: int, j: int, order: int) -> int:
@@ -147,29 +139,6 @@ def _pair_value(
         ) from err
 
 
-def _pairwise_values(
-    channels: ChannelMatrix, cfg: EstimatorConfig, time_series: bool
-) -> list[tuple[tuple[int, int], float]]:
-    return [
-        ((a, b), _pair_value(channels, a, b, cfg, time_series))
-        for a, b in combinations(range(channels.n_channels), 2)
-    ]
-
-
-def estimate_r2(
-    channels: ChannelMatrix,
-    cfg: EstimatorConfig = EstimatorConfig(),
-    *,
-    time_series: bool = False,
-) -> LevelEstimate:
-    """Minimum pairwise MI over all unordered channel pairs."""
-    if channels.n_channels < 2:
-        raise ParameterDomainError("estimate_r2 needs at least 2 channels")
-    values = _pairwise_values(channels, cfg, time_series)
-    (a, b), best = min(values, key=lambda item: item[1])
-    return LevelEstimate(bits=best, channels=(channels.names[a], channels.names[b]))
-
-
 def _build_all_scis(
     channels: ChannelMatrix,
     cfg: EstimatorConfig,
@@ -209,113 +178,29 @@ def _build_all_scis(
     return built, exclusions
 
 
-def _no_candidates(exclusions: list[SciExclusion], what: str) -> LevelEstimate:
+def _level(
+    candidates: list[tuple[tuple[int, ...], float]],
+    names: tuple[str, ...],
+    exclusions: list[SciExclusion],
+    what: str,
+) -> LevelEstimate:
+    """The minimum candidate, witnessed by its channels.
+
+    With no candidates the level is the all-NCI zero when some pair was a
+    no-common-information signal; otherwise every construction failed and
+    the run errors instead of silently reporting 0.
+    """
+    if candidates:
+        idx, best = min(candidates, key=lambda item: item[1])
+        return LevelEstimate(bits=best, channels=tuple(names[i] for i in idx))
     if any(e.code == NoCommonInformationError.code for e in exclusions):
         return LevelEstimate(bits=0.0, channels=None, reason=_ALL_NCI_REASON)
     detail = "; ".join(f"({e.pair[0]},{e.pair[1]}): {e.message}" for e in exclusions)
     raise PipelineError(f"every construction needed for {what} failed: {detail}")
 
 
-def _r3_candidates(
-    channels: ChannelMatrix,
-    built: dict[tuple[int, int], tuple[SciDescriptor, np.ndarray]],
-    cfg: EstimatorConfig,
-) -> list[tuple[tuple[int, int, int], float]]:
-    out = []
-    for (i, j), (_, t) in built.items():
-        for k in range(channels.n_channels):
-            if k in (i, j):
-                continue
-            out.append(((i, j, k), mi_estimate(t, channels.data[k], cfg)))
-    return out
-
-
-def _r3_from(
-    channels: ChannelMatrix,
-    built: dict[tuple[int, int], tuple[SciDescriptor, np.ndarray]],
-    exclusions: list[SciExclusion],
-    cfg: EstimatorConfig,
-) -> LevelEstimate:
-    candidates = _r3_candidates(channels, built, cfg)
-    if not candidates:
-        return _no_candidates(exclusions, "the third-order bound")
-    (i, j, k), best = min(candidates, key=lambda item: item[1])
-    return LevelEstimate(
-        bits=best,
-        channels=(channels.names[i], channels.names[j], channels.names[k]),
-    )
-
-
-def _r4_from(
-    channels: ChannelMatrix,
-    built: dict[tuple[int, int], tuple[SciDescriptor, np.ndarray]],
-    exclusions: list[SciExclusion],
-    cfg: EstimatorConfig,
-) -> LevelEstimate:
-    entries = list(built.items())
-    candidates = []
-    for (pa, (_, ta)), (pb, (_, tb)) in combinations(entries, 2):
-        if set(pa) & set(pb):
-            continue
-        candidates.append(((pa, pb), mi_estimate(ta, tb, cfg)))
-    if not candidates:
-        return _no_candidates(exclusions, "the fourth-order bound")
-    ((i, j), (k, m)), best = min(candidates, key=lambda item: item[1])
-    names = channels.names
-    return LevelEstimate(bits=best, channels=(names[i], names[j], names[k], names[m]))
-
-
-def estimate_r3_lower(
-    channels: ChannelMatrix,
-    cfg: EstimatorConfig = EstimatorConfig(),
-    bis: BisectionConfig = BisectionConfig(),
-    seed: int = 0,
-) -> LevelEstimate:
-    """Third-order lower bound: min over k of MI(T_{i,j}; x_k), k outside the pair."""
-    if channels.n_channels < 3:
-        raise ParameterDomainError("estimate_r3_lower needs at least 3 channels")
-    built, exclusions = _build_all_scis(channels, cfg, bis, seed)
-    return _r3_from(channels, built, exclusions, cfg)
-
-
-def estimate_r4_lower(
-    channels: ChannelMatrix,
-    cfg: EstimatorConfig = EstimatorConfig(),
-    bis: BisectionConfig = BisectionConfig(),
-    seed: int = 0,
-) -> LevelEstimate:
-    """Fourth-order lower bound: min over disjoint pairs of MI(T_{i,j}; T_{k,m})."""
-    if channels.n_channels < 4:
-        raise ParameterDomainError("estimate_r4_lower needs at least 4 channels")
-    built, exclusions = _build_all_scis(channels, cfg, bis, seed)
-    return _r4_from(channels, built, exclusions, cfg)
-
-
-def average_rbar(
-    channels: ChannelMatrix,
-    cfg: EstimatorConfig = EstimatorConfig(),
-    bis: BisectionConfig = BisectionConfig(),
-    seed: int = 0,
-    level: int = 2,
-    *,
-    time_series: bool = False,
-) -> float:
-    """Mean instead of min: level 2 averages pairwise MI, level 3 averages
-    MI(T_{i,j}; x_k) over every construction and outside channel."""
-    if level == 2:
-        if channels.n_channels < 2:
-            raise ParameterDomainError("level-2 average needs at least 2 channels")
-        values = [v for _, v in _pairwise_values(channels, cfg, time_series)]
-        return float(sum(values) / len(values))
-    if level == 3:
-        if channels.n_channels < 3:
-            raise ParameterDomainError("level-3 average needs at least 3 channels")
-        built, exclusions = _build_all_scis(channels, cfg, bis, seed)
-        candidates = _r3_candidates(channels, built, cfg)
-        if not candidates:
-            return _no_candidates(exclusions, "the level-3 average").bits
-        return float(sum(v for _, v in candidates) / len(candidates))
-    raise ParameterDomainError(f"level must be 2 or 3, got {level}")
+def _mean(candidates: list[tuple[tuple[int, ...], float]]) -> float:
+    return float(sum(v for _, v in candidates) / len(candidates)) if candidates else 0.0
 
 
 def approx_rtilde(r2_hat: float, n_vars: int, level: int) -> float:
@@ -370,6 +255,21 @@ def lag_max_correlation_samples(
     return LagCorrelation(abs_corr=best[0], lag_samples=best[1])
 
 
+def _lag_range_samples(lag_min_s: float, lag_max_s: float, rate_hz: float) -> tuple[int, int]:
+    """Integer lags whose real time lies in [lag_min_s, lag_max_s]; none is a domain error."""
+    if not (0 <= lag_min_s <= lag_max_s and math.isfinite(lag_max_s)):
+        raise ParameterDomainError(
+            f"need 0 <= lag_min_s <= lag_max_s, got [{lag_min_s}, {lag_max_s}]"
+        )
+    lag_min = math.ceil(lag_min_s * rate_hz - 1e-9)
+    lag_max = math.floor(lag_max_s * rate_hz + 1e-9)
+    if lag_min > lag_max:
+        raise ParameterDomainError(
+            f"no integer lag lies in [{lag_min_s}, {lag_max_s}] s at {rate_hz} Hz"
+        )
+    return lag_min, lag_max
+
+
 def lag_max_correlation(
     x,
     y,
@@ -384,82 +284,12 @@ def lag_max_correlation(
     """
     if sample_rate_hz is None or not sample_rate_hz > 0:
         raise ConfigurationError("a positive sample_rate_hz is required for lags in seconds")
-    if not (0 <= lag_min_s <= lag_max_s and math.isfinite(lag_max_s)):
-        raise ParameterDomainError(
-            f"need 0 <= lag_min_s <= lag_max_s, got [{lag_min_s}, {lag_max_s}]"
-        )
-    lag_min = math.ceil(lag_min_s * sample_rate_hz - 1e-9)
-    lag_max = math.floor(lag_max_s * sample_rate_hz + 1e-9)
-    if lag_min > lag_max:
-        raise ParameterDomainError(
-            f"no integer lag lies in [{lag_min_s}, {lag_max_s}] s at "
-            f"{sample_rate_hz} Hz"
-        )
+    lag_min, lag_max = _lag_range_samples(lag_min_s, lag_max_s, sample_rate_hz)
     res = lag_max_correlation_samples(x, y, lag_min, lag_max)
     return LagCorrelation(
         abs_corr=res.abs_corr,
         lag_samples=res.lag_samples,
         lag_seconds=res.lag_samples / sample_rate_hz,
-    )
-
-
-def region_min(
-    channels: ChannelMatrix,
-    region,
-    reference,
-    mode: str = "r2",
-    cfg: EstimatorConfig = EstimatorConfig(),
-    bis: BisectionConfig = BisectionConfig(),
-    seed: int = 0,
-) -> float:
-    """Minimum over a channel subset against an external reference column.
-
-    r2 mode: min over region channels of MI(channel; reference).  r3 mode:
-    for each region channel z, tune T_z = reference + noise to match
-    MI(x_z; reference), then take the min of MI(T_z; x_phi) over region
-    channels phi (phi = z allowed; the trivial MI(T_z; reference) is not a
-    candidate).
-    """
-    indices = []
-    for key in region:
-        idx = channels.index_of(key)
-        if idx not in indices:
-            indices.append(idx)
-    if not indices:
-        raise ConfigurationError("region must name at least one channel")
-    ref = np.asarray(reference, dtype=np.float64)
-    if ref.ndim != 1 or ref.size != channels.n_samples:
-        raise DegenerateInputError(
-            f"reference must be a column of {channels.n_samples} samples"
-        )
-    if not np.isfinite(ref).all():
-        raise DegenerateInputError("reference contains non-finite values")
-
-    if mode == "r2":
-        return min(mi_estimate(channels.data[z], ref, cfg) for z in indices)
-    if mode != "r3":
-        raise ConfigurationError(f"mode must be 'r2' or 'r3', got {mode!r}")
-
-    candidates = []
-    nci_seen = False
-    failures = []
-    for z in indices:
-        zeta_seed = derive_sci_seed(seed, z, channels.n_channels, 2)
-        try:
-            _, t = build_sci(channels.data[z], ref, cfg, bis, zeta_seed, partner_channel=z)
-        except NoCommonInformationError:
-            nci_seen = True
-            continue
-        except ConvergenceError as err:
-            failures.append(f"{channels.names[z]}: {err}")
-            continue
-        candidates.extend(mi_estimate(t, channels.data[phi], cfg) for phi in indices)
-    if candidates:
-        return min(candidates)
-    if nci_seen:
-        return 0.0
-    raise PipelineError(
-        "every region construction failed: " + "; ".join(failures)
     )
 
 
@@ -485,32 +315,37 @@ def run_estimate(
         )
     _check_seed(seed)
 
-    pair_values = _pairwise_values(channels, cfg, time_series)
-    (a, b), r2_bits = min(pair_values, key=lambda item: item[1])
-    r2 = LevelEstimate(bits=r2_bits, channels=(channels.names[a], channels.names[b]))
-    rbar = {2: float(sum(v for _, v in pair_values) / len(pair_values))}
+    n = channels.n_channels
+    names = channels.names
+    pairs = [
+        ((a, b), _pair_value(channels, a, b, cfg, time_series))
+        for a, b in combinations(range(n), 2)
+    ]
+    r2 = _level(pairs, names, [], "the pairwise minimum")
+    rbar = {2: _mean(pairs)}
 
     r3 = r4 = None
     descriptors: tuple[SciDescriptor, ...] = ()
     exclusions: list[SciExclusion] = []
     if order >= 3:
         built, exclusions = _build_all_scis(channels, cfg, bis, seed)
-        candidates = _r3_candidates(channels, built, cfg)
-        if candidates:
-            (i, j, k), best = min(candidates, key=lambda item: item[1])
-            r3 = LevelEstimate(
-                bits=best,
-                channels=(channels.names[i], channels.names[j], channels.names[k]),
-            )
-            rbar[3] = float(sum(v for _, v in candidates) / len(candidates))
-        else:
-            r3 = _no_candidates(exclusions, "the third-order bound")
-            rbar[3] = 0.0
         descriptors = tuple(desc for desc, _ in built.values())
+        triples = [
+            ((i, j, k), mi_estimate(t, channels.data[k], cfg))
+            for (i, j), (_, t) in built.items()
+            for k in range(n)
+            if k not in (i, j)
+        ]
+        r3 = _level(triples, names, exclusions, "the third-order bound")
+        rbar[3] = _mean(triples)
         if order >= 4:
-            r4 = _r4_from(channels, built, exclusions, cfg)
+            quads = [
+                ((*pa, *pb), mi_estimate(ta, tb, cfg))
+                for (pa, (_, ta)), (pb, (_, tb)) in combinations(built.items(), 2)
+                if not set(pa) & set(pb)
+            ]
+            r4 = _level(quads, names, exclusions, "the fourth-order bound")
 
-    n = channels.n_channels
     rtilde = {}
     if n > 2:
         rtilde = {lvl: approx_rtilde(r2.bits, n, lvl) for lvl in range(2, order + 1)}

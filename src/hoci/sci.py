@@ -4,9 +4,9 @@ An SCI for a channel pair (i, j) is T = x_j + Z with Z independent Gaussian
 noise whose variance v is tuned until the estimated MI between T and x_j
 matches the estimated MI between x_i and x_j.  Because I(x_j + Z; x_j) is
 strictly decreasing in v, the tuning is a bracketed bisection in
-log-variance.  Higher orders iterate the same construction on the previous
-T.  For the closed-form Gaussian observation model the tuned variance has
-an analytic value, delta*delta1/delta_rho^2, used for validation.
+log-variance.  For the closed-form Gaussian observation model the tuned
+variance has an analytic value, delta*delta1/delta_rho^2, used for
+validation.
 
 The injected noise is made exactly orthogonal to the carrier column (in
 sample), so the estimated MI is an exact, quantization-free function of v
@@ -40,7 +40,8 @@ from .gaussian import GaussianEnsembleSpec, delta_quantities
 # bracket can straddle the target with a lucky midpoint while the variance
 # is still far off
 _BRACKET_REL_TOL = 1.005
-DEFAULT_DELTA_BITS = 0.02
+# statistical slack for chain and SCI checks: 0.02 bits at 1e5 samples, ~ N^(-1/2)
+SLACK_BITS_AT_REFERENCE = 0.02
 REFERENCE_SAMPLES = 10**5
 
 
@@ -118,6 +119,13 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
+def chain_slack_bits(num_samples: int) -> float:
+    """Statistical slack for ordering checks between estimated levels."""
+    if num_samples < 1:
+        raise ParameterDomainError("num_samples must be positive")
+    return SLACK_BITS_AT_REFERENCE * math.sqrt(REFERENCE_SAMPLES / num_samples)
+
+
 def analytic_sci_variance(spec: GaussianEnsembleSpec) -> float:
     """Tuned noise variance for the observation model: delta*delta1/delta_rho^2.
 
@@ -132,18 +140,6 @@ def analytic_sci_variance(spec: GaussianEnsembleSpec) -> float:
     if spec.rho == 1.0:
         raise ParameterDomainError("SCI variance degenerates to 0 at rho = 1")
     return d.delta * d.delta1 / d.delta_rho**2
-
-
-def analytic_sci_variance_stage2(spec: GaussianEnsembleSpec) -> float:
-    """Second-stage estimation-error variance: delta1*delta2/(delta*delta_rho^2)."""
-    d = delta_quantities(spec)
-    if d.delta_rho == 0.0:
-        raise NoCommonInformationError(
-            "observations share no information at delta_rho = 0", target_bits=0.0
-        )
-    if spec.rho == 1.0:
-        raise ParameterDomainError("SCI variance degenerates to 0 at rho = 1")
-    return d.delta1 * d.delta2 / (d.delta * d.delta_rho**2)
 
 
 def _orthogonal_unit_noise(carrier: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -280,41 +276,6 @@ def build_sci(
     return desc, t
 
 
-def build_sci_higher(
-    t_base,
-    base_descriptor: SciDescriptor,
-    x_k,
-    cfg: EstimatorConfig = EstimatorConfig(),
-    bis: BisectionConfig = BisectionConfig(),
-    seed: int = 0,
-    *,
-    partner_channel: int | None = None,
-) -> tuple[SciDescriptor, np.ndarray]:
-    """Raise a tuned SCI one order: T_new = t_base + noise matching x_k's MI.
-
-    The target is MI(x_k; t_base); success means |MI(T_new; t_base) - target|
-    < epsilon.  The descriptor's order is the base's plus one.
-    """
-    tb = np.asarray(t_base, dtype=np.float64)
-    xk = np.asarray(x_k, dtype=np.float64)
-    if tb.shape != xk.shape or tb.ndim != 1:
-        raise DegenerateInputError(
-            f"t_base and x_k must be equal-length columns, got {tb.shape} and {xk.shape}"
-        )
-    target = _target_mi(xk, tb, cfg, bis.epsilon)
-    v, residual, iterations, t = _tune(tb, target, cfg, bis, seed)
-    desc = SciDescriptor(
-        base_channel=base_descriptor.base_channel,
-        partner_channel=partner_channel,
-        noise_variance=v,
-        seed=int(seed),
-        residual=residual,
-        iterations=iterations,
-        order=base_descriptor.order + 1,
-    )
-    return desc, t
-
-
 def verify_sci(
     t,
     channels: ChannelMatrix,
@@ -327,8 +288,8 @@ def verify_sci(
 
     For every channel g: MI(T; x_g) must not exceed
     min(MI(x_i; x_g), MI(x_j; x_g)) by more than the statistical slack
-    ``delta_bits`` (default 0.02 bits at 1e5 samples, scaled as the inverse
-    square root of the sample count).  Self-pairs on the bound side carry
+    ``delta_bits`` (default ``chain_slack_bits`` of the sample count: 0.02
+    bits at 1e5 samples, scaled as the inverse square root).  Self-pairs on the bound side carry
     divergent MI and never bind.  Report-only: violations are recorded, not
     raised.
     """
@@ -340,7 +301,7 @@ def verify_sci(
             f"T must be a column of {channels.n_samples} samples, got shape {ta.shape}"
         )
     if delta_bits is None:
-        delta_bits = DEFAULT_DELTA_BITS * math.sqrt(REFERENCE_SAMPLES / channels.n_samples)
+        delta_bits = chain_slack_bits(channels.n_samples)
 
     def bound_side(a: int, g: int) -> float:
         if a == g:

@@ -478,6 +478,24 @@ class TestLagscanCommand:
         assert rc == 1
         assert stderr_code(capsys) == "configuration"
 
+    @pytest.mark.parametrize("rate", ["0", "-100", "nan"])
+    def test_non_positive_rate_rejected(self, lag_csv, tmp_path, capsys, rate):
+        out = tmp_path / "scan.csv"
+        rc = main(
+            [
+                "lagscan",
+                "--input", lag_csv,
+                "--ref-channel", "stim",
+                "--lag-min-samples", "19",
+                "--lag-max-samples", "30",
+                "--sample-rate-hz", rate,
+                "--out", str(out),
+            ]
+        )
+        assert rc == 1
+        assert stderr_code(capsys) == "configuration"
+        assert not out.exists()
+
 
 class TestReportSerialization:
     @staticmethod

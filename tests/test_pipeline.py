@@ -1,6 +1,5 @@
 """End-to-end estimation pipeline: level estimates against closed forms,
-averages and scaling approximations, lag scans, region minima, and the
-report invariants."""
+averages and scaling approximations, lag scans, and the report invariants."""
 
 import math
 
@@ -8,26 +7,22 @@ import numpy as np
 import pytest
 
 from hoci import (
+    BisectionConfig,
     ChannelMatrix,
     ConfigurationError,
     DegenerateInputError,
     EstimatorConfig,
     GaussianEnsembleSpec,
     ParameterDomainError,
+    PipelineError,
     approx_rtilde,
-    average_rbar,
     build_ensemble,
     chain_slack_bits,
     derive_sci_seed,
-    estimate_r2,
-    estimate_r3_lower,
-    estimate_r4_lower,
     lag_max_correlation,
     lag_max_correlation_samples,
-    mi_estimate,
     mi_xi_xj,
     r3_lower,
-    region_min,
     run_estimate,
     sample_channels,
     sample_ensemble,
@@ -48,6 +43,16 @@ def independent3():
     rng = np.random.default_rng(17)
     data = rng.standard_normal((3, 20_000))
     return ChannelMatrix(names=("a", "b", "c"), data=data)
+
+
+@pytest.fixture(scope="module")
+def report4(gaussian4):
+    return run_estimate(gaussian4, seed=0, order=4)
+
+
+@pytest.fixture(scope="module")
+def independent_report(independent3):
+    return run_estimate(independent3, seed=0, order=3)
 
 
 class TestSeedsAndSlack:
@@ -71,8 +76,8 @@ class TestSeedsAndSlack:
 
 
 class TestLevelEstimates:
-    def test_r2_matches_closed_form(self, gaussian4):
-        est = estimate_r2(gaussian4)
+    def test_r2_matches_closed_form(self, report4, gaussian4):
+        est = report4.r2_hat
         assert est.bits == pytest.approx(R2_113, abs=0.01)
         assert len(est.channels) == 2
         assert set(est.channels) <= set(gaussian4.names)
@@ -90,30 +95,29 @@ class TestLevelEstimates:
                 ]
             ),
         )
-        est = estimate_r2(cm)
+        est = run_estimate(cm, order=2).r2_hat
         assert "c" in est.channels
         assert est.bits < 0.01
 
-    def test_r3_matches_closed_form(self, gaussian4):
-        est = estimate_r3_lower(gaussian4, seed=0)
+    def test_r3_matches_closed_form(self, report4):
+        est = report4.r3_hat_lower
         assert est.bits == pytest.approx(R3_113, abs=max(0.15 * R3_113, 0.02))
         assert len(est.channels) == 3
 
-    def test_r4_below_r3(self, gaussian4):
-        r3 = estimate_r3_lower(gaussian4, seed=0)
-        r4 = estimate_r4_lower(gaussian4, seed=0)
+    def test_r4_below_r3(self, report4):
+        r3, r4 = report4.r3_hat_lower, report4.r4_hat_lower
         assert r4.bits <= r3.bits + 0.02
         assert len(r4.channels) == 4
 
     def test_channel_count_requirements(self, independent3):
         two = ChannelMatrix(names=("a", "b"), data=independent3.data[:2])
         with pytest.raises(ParameterDomainError):
-            estimate_r3_lower(two)
+            run_estimate(two, order=3)
         with pytest.raises(ParameterDomainError):
-            estimate_r4_lower(independent3)
+            run_estimate(independent3, order=4)
 
-    def test_independent_channels_report_zero_with_reason(self, independent3):
-        est = estimate_r3_lower(independent3, seed=0)
+    def test_independent_channels_report_zero_with_reason(self, independent_report):
+        est = independent_report.r3_hat_lower
         assert est.bits == 0.0
         assert est.channels is None
         assert est.reason is not None
@@ -137,22 +141,17 @@ class TestDiscreteEndToEnd:
 
 
 class TestAveragesAndScaling:
-    def test_rbar_level2_close_to_min_when_exchangeable(self, gaussian4):
-        rbar = average_rbar(gaussian4, level=2)
-        r2 = estimate_r2(gaussian4).bits
+    def test_rbar_level2_close_to_min_when_exchangeable(self, report4):
+        rbar = report4.rbar[2]
+        r2 = report4.r2_hat.bits
         assert rbar >= r2  # the mean dominates the min
         assert rbar == pytest.approx(r2, abs=0.02)
 
-    def test_rbar_level3(self, gaussian4):
-        rbar = average_rbar(gaussian4, level=3, seed=0)
-        assert rbar == pytest.approx(R3_113, abs=0.02)
+    def test_rbar_level3(self, report4):
+        assert report4.rbar[3] == pytest.approx(R3_113, abs=0.02)
 
-    def test_rbar_level3_zero_for_independent(self, independent3):
-        assert average_rbar(independent3, level=3, seed=0) == 0.0
-
-    def test_rbar_level_validation(self, gaussian4):
-        with pytest.raises(ParameterDomainError):
-            average_rbar(gaussian4, level=4)
+    def test_rbar_level3_zero_for_independent(self, independent_report):
+        assert independent_report.rbar[3] == 0.0
 
     def test_rtilde_scaling_values(self):
         assert approx_rtilde(2.0, 4, 2) == 2.0
@@ -215,51 +214,6 @@ class TestLagScan:
             lag_max_correlation_samples(x, x, 0, 999)
 
 
-@pytest.fixture(scope="module")
-def region():
-    rng = np.random.default_rng(14)
-    n = 50_000
-    s = rng.standard_normal(n)
-    data = np.array([s + 0.5 * rng.standard_normal(n) for _ in range(3)])
-    return ChannelMatrix(names=("z1", "z2", "z3"), data=data), s
-
-
-class TestRegionMin:
-    def test_single_channel_equals_plain_estimate(self, region):
-        cm, ref = region
-        got = region_min(cm, ["z2"], ref, mode="r2")
-        assert got == mi_estimate(cm.data[1], ref, EstimatorConfig())
-
-    def test_r3_mode_below_r2_mode(self, region):
-        cm, ref = region
-        r2v = region_min(cm, ["z1", "z2", "z3"], ref, mode="r2")
-        r3v = region_min(cm, ["z1", "z2", "z3"], ref, mode="r3", seed=0)
-        assert 0.0 < r3v <= r2v + 0.02
-
-    def test_independent_reference(self, region):
-        cm, _ = region
-        indep = np.random.default_rng(99).standard_normal(cm.n_samples)
-        assert region_min(cm, ["z1", "z2"], indep, mode="r2") < 0.01
-        assert region_min(cm, ["z1", "z2"], indep, mode="r3", seed=0) == 0.0
-
-    def test_duplicate_region_entries_collapse(self, region):
-        cm, ref = region
-        a = region_min(cm, ["z1", "z1", 0], ref, mode="r2")
-        b = region_min(cm, ["z1"], ref, mode="r2")
-        assert a == b
-
-    def test_validation(self, region):
-        cm, ref = region
-        with pytest.raises(ConfigurationError):
-            region_min(cm, ["nope"], ref, mode="r2")
-        with pytest.raises(ConfigurationError):
-            region_min(cm, [], ref, mode="r2")
-        with pytest.raises(ConfigurationError):
-            region_min(cm, ["z1"], ref, mode="r5")
-        with pytest.raises(DegenerateInputError):
-            region_min(cm, ["z1"], ref[:-1], mode="r2")
-
-
 class TestRunEstimate:
     def test_full_report_structure(self, gaussian4):
         rep = run_estimate(gaussian4, seed=0, order=4)
@@ -313,6 +267,16 @@ class TestRunEstimate:
             run_estimate(independent3, order=4)
         with pytest.raises(ConfigurationError):
             run_estimate(gaussian4, seed=-2)
+
+    def test_every_construction_failing_raises(self):
+        m = sample_ensemble(GaussianEnsembleSpec(1.0, 1.0, 0.3, n=3), 20_000, seed=3)
+        with pytest.raises(PipelineError) as exc:
+            run_estimate(m, bis=BisectionConfig(max_iterations=10), seed=0, order=3)
+        assert exc.value.code == "pipeline"
+        for i in m.names:
+            for j in m.names:
+                if i != j:
+                    assert f"({i},{j})" in str(exc.value)
 
 
 class TestAgainstClosedFormsAcrossParameters:

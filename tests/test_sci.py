@@ -1,5 +1,5 @@
-"""Noise-injection construction: analytic variances, the bisection tuner,
-higher-order stacking, and the defining-inequality verifier."""
+"""Noise-injection construction: analytic variances, the bisection tuner, and
+the defining-inequality verifier."""
 
 import math
 
@@ -16,10 +16,9 @@ from hoci import (
     NoCommonInformationError,
     ParameterDomainError,
     analytic_sci_variance,
-    analytic_sci_variance_stage2,
     build_sci,
-    build_sci_higher,
     mi_estimate,
+    mmse_coefficients,
     sample_ensemble,
     verify_sci,
 )
@@ -36,10 +35,10 @@ class TestAnalyticVariances:
     def test_known_values(self):
         assert analytic_sci_variance(GaussianEnsembleSpec(1.0, 1.0, 0.0)) == 6.0
         assert analytic_sci_variance(GaussianEnsembleSpec(1.0, 5.0, 0.0)) == 210.0
-        assert analytic_sci_variance_stage2(GaussianEnsembleSpec(1.0, 1.0, 0.0)) == 7.5
-        assert analytic_sci_variance_stage2(
+        assert mmse_coefficients(GaussianEnsembleSpec(1.0, 1.0, 0.0)).sigma_eps_k2 == 7.5
+        assert mmse_coefficients(
             GaussianEnsembleSpec(1.0, 5.0, 0.0)
-        ) == 215.83333333333334
+        ).sigma_eps_k2 == 215.83333333333334
 
     def test_no_common_information_at_zero_delta_rho(self):
         with pytest.raises(NoCommonInformationError):
@@ -143,37 +142,6 @@ class TestBuildSci:
             for v in np.logspace(-2, 3, 12)
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
-
-
-class TestBuildSciHigher:
-    def test_stacked_variance_matches_two_stage_analysis(self, ensemble_unit):
-        m = ensemble_unit
-        base_desc, t_base = build_sci(
-            m.data[1], m.data[0], seed=5, base_channel=0, partner_channel=1
-        )
-        desc, t2 = build_sci_higher(
-            t_base, base_desc, m.data[2], seed=6, partner_channel=2
-        )
-        total = base_desc.noise_variance + desc.noise_variance
-        assert total == pytest.approx(126.0, rel=0.15)
-        assert desc.order == 3
-        assert desc.base_channel == 0
-        assert desc.partner_channel == 2
-        assert desc.residual < 1e-3
-        assert t2.shape == t_base.shape
-
-    def test_no_common_information_with_unrelated_channel(self, ensemble_unit):
-        m = ensemble_unit
-        base_desc, t_base = build_sci(m.data[1], m.data[0], seed=5)
-        indep = np.random.default_rng(1).standard_normal(m.n_samples)
-        with pytest.raises(NoCommonInformationError):
-            build_sci_higher(t_base, base_desc, indep, seed=7)
-
-    def test_shape_validation(self, ensemble_unit):
-        m = ensemble_unit
-        base_desc, t_base = build_sci(m.data[1], m.data[0], seed=5)
-        with pytest.raises(DegenerateInputError):
-            build_sci_higher(t_base, base_desc, m.data[2][:-1], seed=7)
 
 
 @pytest.fixture(scope="module")

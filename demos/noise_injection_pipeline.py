@@ -62,7 +62,7 @@ def one_surrogate(channels: ChannelMatrix) -> None:
         f"  tuned noise variance {descriptor.noise_variance:.3f} "
         f"(analytic {analytic_sci_variance(SPEC):.3f})"
     )
-    print(f"  residual {descriptor.residual:.2e} bits after {descriptor.iterations} bisection steps")
+    print(f"  residual {descriptor.residual:.2e} bits after {descriptor.iterations} tuning steps")
     print(f"  I(T; x2) = {mi_estimate(t, x2):.4f} bits, matching I(x1; x2) = {mi_estimate(x1, x2):.4f}")
     print(f"  I(T; x3) = {mi_estimate(t, channels.data[2]):.4f} bits (closed-form R3 {r3_lower(SPEC):.4f})")
     check = verify_sci(t, channels, 0, 1)

@@ -36,6 +36,7 @@ from .errors import ConfigurationError, DegenerateInputError
 _METHODS = ("gaussian_logdet", "binned", "knn")
 _LN2 = math.log(2.0)
 _JITTER_SCALE = 1e-10
+_DIVERGENT_ONE_MINUS_R2 = 4.0 * float(np.finfo(np.float64).eps)
 MIN_LENGTH = 10
 
 
@@ -105,19 +106,25 @@ def _content_jitter(raw: np.ndarray) -> np.ndarray:
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    xc = x - x.mean()
-    yc = y - y.mean()
+    # sum/size is the same pairwise reduction and division as mean(), and the
+    # scalar min/max clamp is np.clip's; both skip numpy's per-call overhead.
+    # The argument order lets a NaN through, as np.clip does.
+    xc = x - x.sum() / x.size
+    yc = y - y.sum() / y.size
     nx = float(np.sqrt(xc @ xc))
     ny = float(np.sqrt(yc @ yc))
     if nx == 0.0 or ny == 0.0:
         raise DegenerateInputError("correlation undefined for a constant column")
-    return float(np.clip((xc @ yc) / (nx * ny), -1.0, 1.0))
+    return max(min(float((xc @ yc) / (nx * ny)), 1.0), -1.0)
 
 
 def _gaussian_mi(x: np.ndarray, y: np.ndarray) -> float:
     r = _pearson(x, y)
     one_minus = (1.0 - r) * (1.0 + r)
-    if one_minus <= 0.0:
+    # identical columns leave r up to 2 ulps short of 1, so 1 - r^2 lands
+    # within a few eps of 0 instead of on it; a real dependence that close
+    # to exact is below the resolution of a float64 correlation
+    if one_minus <= _DIVERGENT_ONE_MINUS_R2:
         return math.inf
     return -0.5 * math.log2(one_minus)
 
@@ -157,27 +164,28 @@ def _knn_mi(x: np.ndarray, y: np.ndarray, k: int) -> float:
     )
 
 
-def _finish(raw: float, self_pair: bool) -> MiEstimate:
-    clamped = raw < 0.0
-    return MiEstimate(
-        bits=0.0 if clamped else raw,
-        raw_bits=raw,
-        clamped=clamped,
-        self_pair=self_pair,
-    )
+def _clamp(raw: float) -> float:
+    return 0.0 if raw < 0.0 else raw
+
+
+def _raw_mi(xa: np.ndarray, ya: np.ndarray, cfg: EstimatorConfig) -> float:
+    if cfg.method == "gaussian_logdet":
+        return _gaussian_mi(xa, ya)
+    if cfg.method == "binned":
+        return _binned_mi(xa, ya, cfg.bins)
+    return _knn_mi(xa, ya, cfg.k)
 
 
 def mi_estimate_full(x, y, cfg: EstimatorConfig = EstimatorConfig()) -> MiEstimate:
     """Pairwise MI estimate with diagnostics; see mi_estimate."""
     xa, ya = _pair(x, y)
-    self_pair = bool(np.array_equal(xa, ya))
-    if cfg.method == "gaussian_logdet":
-        raw = _gaussian_mi(xa, ya)
-    elif cfg.method == "binned":
-        raw = _binned_mi(xa, ya, cfg.bins)
-    else:
-        raw = _knn_mi(xa, ya, cfg.k)
-    return _finish(raw, self_pair)
+    raw = _raw_mi(xa, ya, cfg)
+    return MiEstimate(
+        bits=_clamp(raw),
+        raw_bits=raw,
+        clamped=raw < 0.0,
+        self_pair=bool(np.array_equal(xa, ya)),
+    )
 
 
 def mi_estimate(x, y, cfg: EstimatorConfig = EstimatorConfig()) -> float:
@@ -185,9 +193,11 @@ def mi_estimate(x, y, cfg: EstimatorConfig = EstimatorConfig()) -> float:
 
     Nonnegative; identical non-constant columns give a divergent (inf)
     parametric estimate or a large positive knn estimate, flagged as a
-    self-pair in the full result.
+    self-pair in the full result.  Equal to ``mi_estimate_full(...).bits``
+    without the self-pair comparison.
     """
-    return mi_estimate_full(x, y, cfg).bits
+    xa, ya = _pair(x, y)
+    return _clamp(_raw_mi(xa, ya, cfg))
 
 
 def _block(values, name: str) -> np.ndarray:
@@ -271,7 +281,7 @@ def mi_estimate_joint(x_block, y, cfg: EstimatorConfig = EstimatorConfig()) -> f
         raw = _binned_joint(xb, ya, cfg.bins)
     else:
         raw = _knn_joint(xb, ya, cfg.k)
-    return _finish(raw, False).bits
+    return _clamp(raw)
 
 
 def _lag_block(a: np.ndarray, lag: int) -> np.ndarray:

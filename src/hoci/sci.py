@@ -2,17 +2,20 @@
 
 An SCI for a channel pair (i, j) is T = x_j + Z with Z independent Gaussian
 noise whose variance v is tuned until the estimated MI between T and x_j
-matches the estimated MI between x_i and x_j.  Because I(x_j + Z; x_j) is
-strictly decreasing in v, the tuning is a bracketed bisection in
-log-variance.  For the closed-form Gaussian observation model the tuned
-variance has an analytic value, delta*delta1/delta_rho^2, used for
-validation.
+matches the estimated MI between x_i and x_j.
 
 The injected noise is made exactly orthogonal to the carrier column (in
-sample), so the estimated MI is an exact, quantization-free function of v
-under the parametric estimator; this keeps the bisection's fixed point
-sharp.  Noise is seeded per descriptor, so rebuilding with the same inputs
-and seed reproduces T bit for bit.
+sample), centred and of unit variance, so under the parametric
+``gaussian_logdet`` estimator MI(T; x_j) = 1/2 log2(1 + var(x_j)/v) exactly.
+That estimator's tuning therefore solves v in closed form,
+v = var(x_j) / (2^(2 I) - 1), and spends one estimator call to check it.
+The ``binned`` and ``knn`` estimators have no such form: since I(x_j + Z;
+x_j) is strictly decreasing in v, they tune by a bracketed bisection in
+log-variance.  For the Gaussian observation model the tuned variance also
+has a population value, delta*delta1/delta_rho^2
+(``analytic_sci_variance``), used for validation.  Noise is seeded per
+descriptor, so rebuilding with the same inputs and seed reproduces T bit
+for bit.
 
 A target MI at or below epsilon is reported as a no-common-information
 signal rather than a failure: there is nothing for the construction to
@@ -40,6 +43,7 @@ from .gaussian import GaussianEnsembleSpec, delta_quantities
 # bracket can straddle the target with a lucky midpoint while the variance
 # is still far off
 _BRACKET_REL_TOL = 1.005
+_LN2 = math.log(2.0)
 # statistical slack for chain and SCI checks: 0.02 bits at 1e5 samples, ~ N^(-1/2)
 SLACK_BITS_AT_REFERENCE = 0.02
 REFERENCE_SAMPLES = 10**5
@@ -165,19 +169,27 @@ def _tune(
     bis: BisectionConfig,
     seed: int,
 ) -> tuple[float, float, int, np.ndarray]:
-    """Bisection core: find v with |MI(carrier + sqrt(v) e; carrier) - target| < epsilon.
+    """Find v with |MI(carrier + sqrt(v) e; carrier) - target| < epsilon.
 
-    Returns (variance, residual, iterations, T).  MI(v) is strictly
-    decreasing, so after bracketing [lo, hi] with MI(lo) >= target >= MI(hi)
-    a log-space bisection converges; success additionally requires the
-    bracket to have collapsed (hi/lo < _BRACKET_REL_TOL) so the variance
-    itself, not just the residual, is pinned down.
+    Returns (variance, residual, iterations, T); ``iterations`` counts
+    estimator calls.  Under ``gaussian_logdet`` with no ``initial_variance``
+    the estimate is exactly 1/2 log2(1 + var(carrier)/v), because e is
+    centred, unit-variance and sample-orthogonal to the carrier; v is then
+    solved in closed form and checked with one call.  The bracket-width test
+    below does not apply to it: v is fixed analytically, not by a midpoint.
+
+    Otherwise (binned, knn, an explicit start, or a closed-form check that
+    misses epsilon) a bisection runs: MI(v) is strictly decreasing, so after
+    bracketing [lo, hi] with MI(lo) >= target >= MI(hi) a log-space
+    bisection converges; success additionally requires the bracket to have
+    collapsed (hi/lo < _BRACKET_REL_TOL) so the variance itself, not just
+    the residual, is pinned down.
     """
     rng = np.random.default_rng(_check_seed(seed))
     e = _orthogonal_unit_noise(carrier, rng)
     iterations = 0
 
-    def g(v: float) -> float:
+    def g(v: float) -> tuple[float, np.ndarray]:
         nonlocal iterations
         iterations += 1
         if iterations > bis.max_iterations:
@@ -185,34 +197,42 @@ def _tune(
                 f"SCI tuning exceeded {bis.max_iterations} iterations "
                 f"(target {target:.6g} bits unreachable on this data)"
             )
-        return mi_estimate(carrier + math.sqrt(v) * e, carrier, cfg)
+        t = carrier + math.sqrt(v) * e
+        return mi_estimate(t, carrier, cfg), t
 
     v0 = bis.initial_variance
     if v0 is None:
-        v0 = 1e-3 * float(carrier.var())
-        if v0 <= 0.0:
+        var = float(carrier.var())
+        if var <= 0.0:
             raise DegenerateInputError("carrier column is constant")
+        if cfg.method == "gaussian_logdet":
+            v = var / math.expm1(2.0 * target * _LN2)
+            gv, t = g(v)
+            residual = abs(gv - target)
+            if residual < bis.epsilon:
+                return v, residual, iterations, t
+        v0 = 1e-3 * var
 
-    if g(v0) >= target:
+    if g(v0)[0] >= target:
         lo, hi = v0, v0 * bis.bracket_growth
-        while g(hi) > target:
+        while g(hi)[0] > target:
             lo = hi
             hi *= bis.bracket_growth
     else:
         lo, hi = v0 / bis.bracket_growth, v0
-        while g(lo) < target:
+        while g(lo)[0] < target:
             hi = lo
             lo /= bis.bracket_growth
 
     best_res = None
     while True:
         mid = math.sqrt(lo * hi)
-        gm = g(mid)
+        gm, t = g(mid)
         residual = abs(gm - target)
         if best_res is None or residual < best_res:
             best_res = residual
         if residual < bis.epsilon and hi / lo < _BRACKET_REL_TOL:
-            return mid, residual, iterations, carrier + math.sqrt(mid) * e
+            return mid, residual, iterations, t
         if mid == lo or mid == hi:
             raise ConvergenceError(
                 f"SCI bracket collapsed at v={mid:.6g} with residual "

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hoci import (
+    ChannelMatrix,
     ConfigurationError,
     DegenerateInputError,
     EstimatorConfig,
@@ -19,6 +20,7 @@ from hoci import (
     mi_xi_xj,
     sample_ensemble,
 )
+from hoci.estimators import _pearson
 
 GAUSSIAN = EstimatorConfig()
 KNN = EstimatorConfig(method="knn", k=4)
@@ -76,11 +78,17 @@ class TestExactIdentities:
         assert est.bits > 2.0 or math.isinf(est.bits)
 
     def test_gaussian_self_pair_saturates(self):
-        # whether the sample correlation rounds to 1 exactly depends on the
-        # data, so the guarantee is only "divergent or far above any real MI"
-        x = np.random.default_rng(3).standard_normal(1000)
-        bits = mi_estimate(x, x, GAUSSIAN)
-        assert math.isinf(bits) or bits > 20.0
+        # the sample correlation of a column with itself can round to 1 - 2 ulp;
+        # that must still read as divergent, not as ~25 finite bits
+        for seed in range(200):
+            x = np.random.default_rng(seed).standard_normal(1000)
+            assert math.isinf(mi_estimate(x, x, GAUSSIAN)), seed
+
+    def test_gaussian_near_identical_columns_stay_finite(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(20_000)
+        bits = mi_estimate(x, x + 1e-7 * rng.standard_normal(x.size), GAUSSIAN)
+        assert 20.0 < bits < math.inf
 
     def test_negative_raw_estimates_clamp_to_zero(self):
         rng = np.random.default_rng(1)  # known to give a negative knn raw value
@@ -89,6 +97,73 @@ class TestExactIdentities:
         assert est.raw_bits < 0.0
         assert est.clamped
         assert est.bits == 0.0
+
+
+def _pearson_reference(x, y):
+    # the np.mean / np.clip form that _pearson replaced; results must match bit for bit
+    xc = x - x.mean()
+    yc = y - y.mean()
+    nx = float(np.sqrt(xc @ xc))
+    ny = float(np.sqrt(yc @ yc))
+    return float(np.clip((xc @ yc) / (nx * ny), -1.0, 1.0))
+
+
+def _binned_negative_raw_pair():
+    # an exact product distribution: the plug-in sum rounds slightly below 0
+    rng = np.random.default_rng(0)
+    a, b = rng.integers(1, 6, size=3), rng.integers(1, 6, size=4)
+    xs = np.repeat(np.arange(3.0), a)
+    ys = np.repeat(rng.uniform(0.0, 10.0, 4), b)
+    gx, gy = np.meshgrid(xs, ys)
+    return gx.ravel(), gy.ravel()
+
+
+class TestLeanCall:
+    """mi_estimate skips the self-pair flag but must equal the full result."""
+
+    @pytest.mark.parametrize("cfg", [GAUSSIAN, BINNED, KNN])
+    def test_matches_full_estimate(self, cfg):
+        x, y = correlated_pair(0.4, 2000, seed=6)
+        rng = np.random.default_rng(1)
+        u, v = rng.standard_normal(1000), rng.standard_normal(1000)
+        for a, b in ((x, y), (y, x), (x, x), (u, v)):
+            assert mi_estimate(a, b, cfg) == mi_estimate_full(a, b, cfg).bits
+
+    @pytest.mark.parametrize(
+        "cfg,pair",
+        [
+            (KNN, lambda: tuple(np.random.default_rng(1).standard_normal((2, 1000)))),
+            (EstimatorConfig(method="binned", bins=2), _binned_negative_raw_pair),
+        ],
+    )
+    def test_clamped_estimate_matches_full(self, cfg, pair):
+        x, y = pair()
+        est = mi_estimate_full(x, y, cfg)
+        assert est.raw_bits < 0.0 and est.clamped
+        assert mi_estimate(x, y, cfg) == est.bits == 0.0
+
+    def test_pearson_matches_reference_form(self):
+        rng = np.random.default_rng(12)
+        cm = ChannelMatrix(names=("a", "b", "c"), data=rng.standard_normal((5000, 3)).T)
+        assert not cm.data[0].flags.c_contiguous
+        x, y = correlated_pair(0.7, 3000, seed=13)
+        cases = [
+            (x, y),
+            (x + 1e4, 3.0 * y - 250.0),
+            (x, -x + 1e-3 * y),
+            (x, -x),
+            (x, x),
+            (cm.data[0], cm.data[1]),
+            (cm.data[2], cm.data[0] + cm.data[2]),
+        ]
+        for seed in range(200):
+            r = np.random.default_rng(seed)
+            n = int(r.integers(10, 500))
+            a = r.standard_normal(n) * r.uniform(0.1, 100.0) + r.uniform(-1e3, 1e3)
+            cases.append((a, r.uniform(-1.0, 1.0) * a + r.standard_normal(n)))
+        for a, b in cases:
+            got, want = _pearson(a, b), _pearson_reference(a, b)
+            assert got == want and type(got) is type(want)
 
 
 class TestStatisticalAccuracy:

@@ -2,6 +2,7 @@
 averages and scaling approximations, lag scans, and the report invariants."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -271,12 +272,66 @@ class TestRunEstimate:
     def test_every_construction_failing_raises(self):
         m = sample_ensemble(GaussianEnsembleSpec(1.0, 1.0, 0.3, n=3), 20_000, seed=3)
         with pytest.raises(PipelineError) as exc:
-            run_estimate(m, bis=BisectionConfig(max_iterations=10), seed=0, order=3)
+            run_estimate(
+                m,
+                EstimatorConfig(method="binned"),
+                BisectionConfig(max_iterations=10),
+                seed=0,
+                order=3,
+            )
         assert exc.value.code == "pipeline"
         for i in m.names:
             for j in m.names:
                 if i != j:
                     assert f"({i},{j})" in str(exc.value)
+
+    def test_identical_channels_are_excluded_not_reported(self):
+        x = np.random.default_rng(192).standard_normal(20_000)
+        m = ChannelMatrix(names=("a", "b", "c"), data=np.array([x, x, x]))
+        with pytest.raises(PipelineError) as exc:
+            run_estimate(m, seed=0, order=3)
+        message = str(exc.value)
+        for i in m.names:
+            for j in m.names:
+                if i != j:
+                    assert f"({i},{j}): target MI is divergent" in message
+        assert message.count("divergent") == 6
+
+    def test_estimator_calls_match_the_report(self, monkeypatch):
+        # the identity a traced benchmark run rebuilds from the report: an
+        # engine that skips or adds estimator calls breaks it
+        import hoci.pipeline
+        import hoci.sci
+
+        spec = GaussianEnsembleSpec(1.0, 1.0, 0.3, n=4)
+        data = sample_ensemble(spec, 20_000, seed=6).data
+        noise = np.random.default_rng(7).standard_normal(20_000)
+        m = ChannelMatrix(names=("a", "b", "c", "d", "e"), data=np.vstack([data, noise]))
+        calls = []
+        for module, name in (
+            (hoci.pipeline, "mi_estimate"),
+            (hoci.sci, "mi_estimate"),
+            (hoci.sci, "mi_estimate_full"),
+        ):
+            fn = getattr(module, name)
+
+            def counted(*args, _fn=fn, **kwargs):
+                calls.append(_fn)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        rep = run_estimate(m, seed=0, order=4)
+        n = m.n_channels
+        pairs = [{d.base_channel, d.partner_channel} for d in rep.sci_descriptors]
+        expected = (
+            math.comb(n, 2)
+            + sum(d.iterations + 1 for d in rep.sci_descriptors)
+            + len(rep.exclusions)
+            + (n - 2) * len(rep.sci_descriptors)
+            + sum(1 for a, b in combinations(pairs, 2) if not a & b)
+        )
+        assert len(rep.sci_descriptors) == 12 and len(rep.exclusions) == 8
+        assert len(calls) == expected
 
 
 class TestAgainstClosedFormsAcrossParameters:

@@ -144,6 +144,60 @@ class TestBuildSci:
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
+class TestClosedFormTuning:
+    """Under gaussian_logdet the variance is solved, then checked with one call."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        import hoci.sci
+
+        calls = []
+        for name in ("mi_estimate", "mi_estimate_full"):
+            fn = getattr(hoci.sci, name)
+
+            def counted(*args, _fn=fn, **kwargs):
+                calls.append(_fn)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(hoci.sci, name, counted)
+        return calls
+
+    def test_one_call_solves_the_variance(self, ensemble_unit, monkeypatch):
+        m = ensemble_unit
+        target = mi_estimate(m.data[1], m.data[0])
+        calls = self._counting(monkeypatch)
+        desc, _ = build_sci(m.data[1], m.data[0], seed=5)
+        assert len(calls) == 2  # the target, then the check
+        assert desc.iterations == 1
+        assert desc.residual < 1e-9
+        expected = float(np.var(m.data[0])) / math.expm1(2.0 * target * math.log(2.0))
+        assert desc.noise_variance == pytest.approx(expected, rel=1e-12)
+
+    def test_missed_check_falls_back_to_bisection(self, ensemble_unit, monkeypatch):
+        import hoci.sci
+
+        m = ensemble_unit
+        closed, _ = build_sci(m.data[1], m.data[0], seed=5)
+        real = hoci.sci.mi_estimate
+        calls = []
+
+        def first_call_off(t, carrier, cfg):
+            calls.append(None)
+            return real(t, carrier, cfg) + (1.0 if len(calls) == 1 else 0.0)
+
+        monkeypatch.setattr(hoci.sci, "mi_estimate", first_call_off)
+        desc, _ = build_sci(m.data[1], m.data[0], seed=5)
+        assert desc.iterations == len(calls) > 1
+        assert desc.residual < 1e-3
+        assert desc.noise_variance == pytest.approx(closed.noise_variance, rel=0.01)
+
+    def test_binned_still_bisects(self, ensemble_unit):
+        m = ensemble_unit
+        desc, _ = build_sci(m.data[1], m.data[0], EstimatorConfig(method="binned"), seed=5)
+        assert desc.iterations > 1
+        assert desc.residual < 1e-3
+
+
 @pytest.fixture(scope="module")
 def built():
     spec = GaussianEnsembleSpec(1.0, 5.0, 0.0, n=3)

@@ -1,4 +1,9 @@
-"""Multichannel sample container shared by the sampling, estimation, and IO layers."""
+"""Multichannel sample container shared by the sampling, estimation, and IO layers.
+
+Channel names are validated here, in ``check_names``, for every producer:
+``ChannelMatrix`` calls it on construction, and CSV ingest calls it on the
+header before any cell is parsed.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -8,6 +13,23 @@ import numpy as np
 from .errors import ConfigurationError, DegenerateInputError
 
 MIN_SAMPLES = 32
+
+
+def check_names(names, where: str = "row") -> None:
+    """Reject empty and repeated channel names, naming their 1-based positions.
+
+    ``where`` labels a position in the message ("row", "column").
+    """
+    for pos, name in enumerate(names, start=1):
+        if not name:
+            raise DegenerateInputError(f"{where} {pos} has an empty channel name")
+    seen: dict[str, int] = {}
+    for pos, name in enumerate(names, start=1):
+        if name in seen:
+            raise DegenerateInputError(
+                f"duplicate channel name {name!r} ({where}s {seen[name]} and {pos})"
+            )
+        seen[name] = pos
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,10 +50,7 @@ class ChannelMatrix:
             raise DegenerateInputError(
                 f"{len(self.names)} names for {arr.shape[0]} channel rows"
             )
-        if len(set(self.names)) != len(self.names):
-            raise DegenerateInputError("duplicate channel names")
-        if any(not n for n in self.names):
-            raise DegenerateInputError("empty channel name")
+        check_names(self.names)
         if arr.shape[1] < MIN_SAMPLES:
             raise DegenerateInputError(
                 f"need at least {MIN_SAMPLES} samples per channel, got {arr.shape[1]}"

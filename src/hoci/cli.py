@@ -25,11 +25,12 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
-from .channels import MIN_SAMPLES, ChannelMatrix
+from .channels import ChannelMatrix, check_names
 from .discrete import verify_theorem5
 from .errors import (
     ConfigurationError,
@@ -64,31 +65,22 @@ _TUPLE_KEYS = {2: "pair", 3: "triple", 4: "quadruple"}
 
 # ---------------------------------------------------------------- ingestion
 
-def _parse_cell(cell: str, row_num: int, col_name: str) -> float:
-    try:
-        value = float(cell)
-    except ValueError:
-        raise IngestionError(
-            f"row {row_num}, column {col_name!r}: non-numeric cell {cell.strip()!r}"
-        ) from None
-    if not math.isfinite(value):
-        raise IngestionError(
-            f"row {row_num}, column {col_name!r}: non-finite cell {cell.strip()!r}"
-        )
-    return value
-
-
-def _check_names(names: list[str], where: str) -> None:
-    for pos, name in enumerate(names, start=1):
-        if not name:
-            raise IngestionError(f"{where} {pos} has an empty channel name")
-    seen: dict[str, int] = {}
-    for pos, name in enumerate(names, start=1):
-        if name in seen:
-            raise IngestionError(
-                f"duplicate channel name {name!r} ({where}s {seen[name]} and {pos})"
-            )
-        seen[name] = pos
+def _raise_first_bad_cell(rows, names, width: int, transpose: bool) -> None:
+    """Walk the rows in file order and raise at the first ragged row or bad cell."""
+    unit = "samples" if transpose else "cells"
+    for pos, (num, cells) in enumerate(rows):
+        if len(cells) != width:
+            raise IngestionError(f"row {num} has {len(cells)} {unit}; expected {width}")
+        for col, cell in enumerate(cells):
+            try:
+                kind = None if math.isfinite(float(cell)) else "non-finite"
+            except ValueError:
+                kind = "non-numeric"
+            if kind:
+                name = names[pos] if transpose else names[col]
+                raise IngestionError(
+                    f"row {num}, column {name!r}: {kind} cell {cell.strip()!r}"
+                )
 
 
 def ingest_csv(path: str, transpose: bool = False) -> ChannelMatrix:
@@ -116,41 +108,27 @@ def ingest_csv(path: str, transpose: bool = False) -> ChannelMatrix:
 
     if transpose:
         names = [row[0].strip() for _, row in numbered]
-        _check_names(names, "row")
-        width = len(numbered[0][1]) - 1
-        channels = []
-        for (num, row), name in zip(numbered, names):
-            if len(row) - 1 != width:
-                raise IngestionError(
-                    f"row {num} has {len(row) - 1} samples; expected {width}"
-                )
-            channels.append(
-                [_parse_cell(c, num, name) for c in row[1:]]
-            )
-        data = np.array(channels)
+        rows = [(num, row[1:]) for num, row in numbered]
+        width = len(rows[0][1])
     else:
-        header_num, header = numbered[0]
-        names = [c.strip() for c in header]
-        _check_names(names, "column")
-        samples = []
-        for num, row in numbered[1:]:
-            if len(row) != len(names):
-                raise IngestionError(
-                    f"row {num} has {len(row)} cells; expected {len(names)}"
-                )
-            samples.append(
-                [_parse_cell(c, num, names[col]) for col, c in enumerate(row)]
-            )
-        data = np.array(samples).T if samples else np.empty((len(names), 0))
-
-    if data.shape[1] < MIN_SAMPLES:
-        raise IngestionError(
-            f"{path} has {data.shape[1]} samples per channel; need at least {MIN_SAMPLES}"
-        )
+        names = [c.strip() for c in numbered[0][1]]
+        rows = numbered[1:]
+        width = len(names)
     try:
-        return ChannelMatrix(names=tuple(names), data=data).standardized()
+        check_names(names, "row" if transpose else "column")
+        # one conversion for the whole body; ragged rows fail it too
+        try:
+            data = np.array([cells for _, cells in rows], dtype=np.float64)
+            data = data.reshape(len(rows), width)
+            if not np.isfinite(data).all():
+                raise ValueError("non-finite cell")
+        except ValueError as err:
+            _raise_first_bad_cell(rows, names, width, transpose)
+            raise IngestionError(f"{path}: {err}") from None
+        matrix = ChannelMatrix(names=tuple(names), data=data if transpose else data.T)
+        return matrix.standardized()
     except DegenerateInputError as err:
-        raise IngestionError(str(err)) from err
+        raise IngestionError(f"{path}: {err}") from err
 
 
 # ------------------------------------------------------------------ output
@@ -201,31 +179,6 @@ def _level_doc(estimate) -> dict | None:
     }
 
 
-def _descriptor_doc(desc) -> dict:
-    return {
-        "base_channel": desc.base_channel,
-        "partner_channel": desc.partner_channel,
-        "noise_variance": desc.noise_variance,
-        "seed": desc.seed,
-        "residual": desc.residual,
-        "iterations": desc.iterations,
-        "order": desc.order,
-    }
-
-
-def _estimator_doc(cfg: EstimatorConfig) -> dict:
-    return {"method": cfg.method, "k": cfg.k, "bins": cfg.bins, "ts_lag": cfg.ts_lag}
-
-
-def _bisection_doc(bis: BisectionConfig) -> dict:
-    return {
-        "epsilon": bis.epsilon,
-        "max_iterations": bis.max_iterations,
-        "bracket_growth": bis.bracket_growth,
-        "initial_variance": bis.initial_variance,
-    }
-
-
 def emit_report(report: CommonInfoReport, path: str) -> None:
     """Write a full estimation report as deterministic, stable-key-order JSON."""
     doc = {
@@ -235,8 +188,8 @@ def emit_report(report: CommonInfoReport, path: str) -> None:
         "config": {
             "order": report.order,
             "time_series": report.time_series,
-            "estimator": _estimator_doc(report.estimator),
-            "bisection": _bisection_doc(report.bisection),
+            "estimator": asdict(report.estimator),
+            "bisection": asdict(report.bisection),
         },
         "channels": list(report.channel_names),
         "num_samples": report.num_samples,
@@ -246,7 +199,7 @@ def emit_report(report: CommonInfoReport, path: str) -> None:
         "rbar": {str(k): v for k, v in sorted(report.rbar.items())},
         "rtilde": {str(k): v for k, v in sorted(report.rtilde.items())},
         "chain": {"slack_bits": report.chain_slack_bits, "ok": report.chain_ok},
-        "sci": [_descriptor_doc(d) for d in report.sci_descriptors],
+        "sci": [asdict(d) for d in report.sci_descriptors],
         "exclusions": [
             {"pair": list(e.pair), "code": e.code, "message": e.message}
             for e in report.exclusions
@@ -401,6 +354,8 @@ def _cmd_discrete(args) -> int:
             raise ConfigurationError(
                 f"--pmf has {len(pmf)} entries but --alphabet is {args.alphabet}"
             )
+    elif args.alphabet < 2:
+        raise ParameterDomainError(f"--alphabet must be at least 2, got {args.alphabet}")
     else:
         pmf = [1.0 / args.alphabet] * args.alphabet
     result = verify_theorem5(args.n, pmf)
@@ -409,17 +364,7 @@ def _cmd_discrete(args) -> int:
         "version": __version__,
         "config": {"n": args.n, "alphabet": args.alphabet, "pmf": pmf},
         "entropy_bits": result.entropy_bits,
-        "levels": [
-            {
-                "level": lv.level,
-                "expected_bits": lv.expected_bits,
-                "min_mask_mi_bits": lv.min_mask_mi_bits,
-                "exact_match": lv.exact_match,
-                "enumeration_bits": lv.enumeration_bits,
-                "enumeration_abs_err": lv.enumeration_abs_err,
-            }
-            for lv in result.levels
-        ],
+        "levels": [asdict(lv) for lv in result.levels],
         "passed": result.passed,
     }
     _write_json(doc, args.out)
@@ -466,12 +411,12 @@ def _cmd_sci(args) -> int:
         "seed": seed,
         "config": {
             "pair": [matrix.names[i], matrix.names[j]],
-            "estimator": _estimator_doc(cfg),
-            "bisection": _bisection_doc(bis),
+            "estimator": asdict(cfg),
+            "bisection": asdict(bis),
         },
         "channels": list(matrix.names),
         "num_samples": matrix.n_samples,
-        "descriptor": _descriptor_doc(desc),
+        "descriptor": asdict(desc),
         "verification": {
             "delta_bits": verification.delta_bits,
             "passed": verification.passed,

@@ -113,7 +113,8 @@ def mask_mi(ensemble: DiscreteEnsemble, mask_a: int, mask_b: int) -> float:
 def enumerate_mask_mi(ensemble: DiscreteEnsemble, mask_a: int, mask_b: int) -> float:
     """Independent oracle: MI from the full joint pmf over both tuples.
 
-    Enumerates all alphabet_size^n outcomes; refuses oversized requests.
+    Enumerates all alphabet_size^n outcomes into a dense
+    A^|a| x A^|b| joint table; refuses requests where either exceeds the cap.
     """
     a = _check_mask(ensemble, mask_a)
     b = _check_mask(ensemble, mask_b)
@@ -122,6 +123,11 @@ def enumerate_mask_mi(ensemble: DiscreteEnsemble, mask_a: int, mask_b: int) -> f
     if states > ENUMERATION_CAP:
         raise CapacityError(
             f"enumeration over {A}^{n} = {states} states exceeds cap {ENUMERATION_CAP}"
+        )
+    wa, wb = a.bit_count(), b.bit_count()
+    if A ** (wa + wb) > ENUMERATION_CAP:
+        raise CapacityError(
+            f"joint table of {A}^{wa} x {A}^{wb} cells exceeds cap {ENUMERATION_CAP}"
         )
     # outcome table: row per state, column per symbol
     grid = np.indices((A,) * n).reshape(n, states)
@@ -200,12 +206,13 @@ def verify_theorem5(
     For each l in [2, n], the minimum MI between a level-(l-1) mask and an
     original mask must equal (n-l) H(Z) exactly on the weight-shortcut path,
     and match the joint-pmf enumeration within ``enumeration_tol`` when the
-    state space fits under the cap.  (l = n is included: the information
-    common to all n variables is zero by construction.)
+    largest joint table, A^(2n-2) cells for two original masks, fits under
+    the cap.  (l = n is included: the information common to all n variables
+    is zero by construction.)
     """
     ens = build_ensemble(n, base_pmf)
     h = ens.entropy_bits
-    can_enumerate = ens.alphabet_size**ens.n <= enumeration_cap
+    can_enumerate = ens.alphabet_size ** (2 * ens.n - 2) <= enumeration_cap
     levels = []
     for ell in range(2, ens.n + 1):
         prev = build_t_level(ens, ell - 1)

@@ -43,6 +43,10 @@ from .gaussian import GaussianEnsembleSpec, delta_quantities
 # bracket can straddle the target with a lucky midpoint while the variance
 # is still far off
 _BRACKET_REL_TOL = 1.005
+# the bisection starts at this fraction of the carrier variance and grows or
+# shrinks the bracket by this factor until it straddles the target
+_START_VARIANCE_FRACTION = 1e-3
+_BRACKET_GROWTH = 2.0
 _LN2 = math.log(2.0)
 # statistical slack for chain and SCI checks: 0.02 bits at 1e5 samples, ~ N^(-1/2)
 SLACK_BITS_AT_REFERENCE = 0.02
@@ -55,8 +59,6 @@ class BisectionConfig:
 
     epsilon: float = 1e-3
     max_iterations: int = 60
-    bracket_growth: float = 2.0
-    initial_variance: float | None = None  # None: 1e-3 * carrier variance
 
     def __post_init__(self):
         if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
@@ -64,14 +66,6 @@ class BisectionConfig:
         if not (isinstance(self.max_iterations, (int, np.integer)) and self.max_iterations >= 10):
             raise ConfigurationError(
                 f"max_iterations must be an integer >= 10, got {self.max_iterations}"
-            )
-        if not (self.bracket_growth > 1.0 and math.isfinite(self.bracket_growth)):
-            raise ConfigurationError(
-                f"bracket_growth must exceed 1, got {self.bracket_growth}"
-            )
-        if self.initial_variance is not None and not self.initial_variance > 0:
-            raise ConfigurationError(
-                f"initial_variance must be positive, got {self.initial_variance}"
             )
 
 
@@ -172,18 +166,18 @@ def _tune(
     """Find v with |MI(carrier + sqrt(v) e; carrier) - target| < epsilon.
 
     Returns (variance, residual, iterations, T); ``iterations`` counts
-    estimator calls.  Under ``gaussian_logdet`` with no ``initial_variance``
-    the estimate is exactly 1/2 log2(1 + var(carrier)/v), because e is
-    centred, unit-variance and sample-orthogonal to the carrier; v is then
-    solved in closed form and checked with one call.  The bracket-width test
-    below does not apply to it: v is fixed analytically, not by a midpoint.
+    estimator calls.  Under ``gaussian_logdet`` the estimate is exactly
+    1/2 log2(1 + var(carrier)/v), because e is centred, unit-variance and
+    sample-orthogonal to the carrier; v is then solved in closed form and
+    checked with one call.  The bracket-width test below does not apply to
+    it: v is fixed analytically, not by a midpoint.
 
-    Otherwise (binned, knn, an explicit start, or a closed-form check that
-    misses epsilon) a bisection runs: MI(v) is strictly decreasing, so after
-    bracketing [lo, hi] with MI(lo) >= target >= MI(hi) a log-space
-    bisection converges; success additionally requires the bracket to have
-    collapsed (hi/lo < _BRACKET_REL_TOL) so the variance itself, not just
-    the residual, is pinned down.
+    Otherwise (binned, knn, or a closed-form check that misses epsilon) a
+    bisection runs from 1e-3 * var(carrier): MI(v) is strictly decreasing,
+    so after bracketing [lo, hi] with MI(lo) >= target >= MI(hi) a
+    log-space bisection converges; success additionally requires the
+    bracket to have collapsed (hi/lo < _BRACKET_REL_TOL) so the variance
+    itself, not just the residual, is pinned down.
     """
     rng = np.random.default_rng(_check_seed(seed))
     e = _orthogonal_unit_noise(carrier, rng)
@@ -200,29 +194,27 @@ def _tune(
         t = carrier + math.sqrt(v) * e
         return mi_estimate(t, carrier, cfg), t
 
-    v0 = bis.initial_variance
-    if v0 is None:
-        var = float(carrier.var())
-        if var <= 0.0:
-            raise DegenerateInputError("carrier column is constant")
-        if cfg.method == "gaussian_logdet":
-            v = var / math.expm1(2.0 * target * _LN2)
-            gv, t = g(v)
-            residual = abs(gv - target)
-            if residual < bis.epsilon:
-                return v, residual, iterations, t
-        v0 = 1e-3 * var
+    var = float(carrier.var())
+    if var <= 0.0:
+        raise DegenerateInputError("carrier column is constant")
+    if cfg.method == "gaussian_logdet":
+        v = var / math.expm1(2.0 * target * _LN2)
+        gv, t = g(v)
+        residual = abs(gv - target)
+        if residual < bis.epsilon:
+            return v, residual, iterations, t
+    v0 = _START_VARIANCE_FRACTION * var
 
     if g(v0)[0] >= target:
-        lo, hi = v0, v0 * bis.bracket_growth
+        lo, hi = v0, v0 * _BRACKET_GROWTH
         while g(hi)[0] > target:
             lo = hi
-            hi *= bis.bracket_growth
+            hi *= _BRACKET_GROWTH
     else:
-        lo, hi = v0 / bis.bracket_growth, v0
+        lo, hi = v0 / _BRACKET_GROWTH, v0
         while g(lo)[0] < target:
             hi = lo
-            lo /= bis.bracket_growth
+            lo /= _BRACKET_GROWTH
 
     best_res = None
     while True:

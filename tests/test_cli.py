@@ -143,6 +143,48 @@ class TestIngestion:
         with pytest.raises(IngestionError, match="v"):
             ingest_csv(write_csv(p, ("u", "v"), data))
 
+    def test_transposed_errors_name_row_and_channel(self, tmp_path):
+        data = np.random.default_rng(0).standard_normal((3, 40))
+        rows = [f"{name}," + ",".join(repr(float(v)) for v in row)
+                for name, row in zip("uvw", data)]
+        bad = list(rows)
+        bad[1] = bad[1].replace(repr(float(data[1, 5])), "oops", 1)
+        p = tmp_path / "bad_t.csv"
+        p.write_text("\n".join(bad) + "\n")
+        with pytest.raises(IngestionError, match=r"row 2, column 'v': non-numeric cell 'oops'"):
+            ingest_csv(str(p), transpose=True)
+        ragged = list(rows)
+        ragged[2] += ",1.0"
+        p.write_text("\n".join(ragged) + "\n")
+        with pytest.raises(IngestionError, match="row 3 has 41 samples; expected 40"):
+            ingest_csv(str(p), transpose=True)
+
+    def test_quoted_numeric_cells_parse(self, tmp_path):
+        data = np.random.default_rng(0).standard_normal((2, 40))
+        rows = ['"u","v"'] + [f'"{float(a)!r}",{float(b)!r}' for a, b in data.T]
+        p = tmp_path / "quoted.csv"
+        p.write_text("\n".join(rows) + "\n")
+        m = ingest_csv(str(p))
+        assert m.names == ("u", "v")
+        plain = ingest_csv(write_csv(tmp_path / "plain.csv", ("u", "v"), data))
+        assert np.array_equal(m.data, plain.data)
+
+    def test_first_bad_cell_in_file_order_is_reported(self, tmp_path):
+        data = np.random.default_rng(0).standard_normal((2, 40))
+        rows = ["u,v"] + [f"{float(data[0, t])!r},{float(data[1, t])!r}" for t in range(40)]
+        rows[3] = rows[3].split(",")[0] + ",inf"
+        rows[9] = "oops," + rows[9].split(",")[1]
+        p = tmp_path / "two_bad.csv"
+        p.write_text("\n".join(rows) + "\n")
+        with pytest.raises(IngestionError, match=r"row 4, column 'v': non-finite cell 'inf'"):
+            ingest_csv(str(p))
+
+    def test_header_only_file(self, tmp_path):
+        p = tmp_path / "header.csv"
+        p.write_text("u,v\n")
+        with pytest.raises(IngestionError, match="at least 32"):
+            ingest_csv(str(p))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestionError):
             ingest_csv(str(tmp_path / "nope.csv"))
@@ -287,6 +329,13 @@ class TestDiscreteCommand:
         )
         assert rc == 1
         assert stderr_code(capsys) == "configuration"
+
+    @pytest.mark.parametrize("alphabet", ["0", "1"])
+    def test_alphabet_below_two_is_parameter_domain(self, tmp_path, capsys, alphabet):
+        out = tmp_path / "disc.json"
+        rc = main(["discrete", "--n", "3", "--alphabet", alphabet, "--out", str(out)])
+        assert rc == 1
+        assert stderr_code(capsys) == "parameter_domain"
 
 
 class TestEstimateCommand:

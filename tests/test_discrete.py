@@ -129,6 +129,14 @@ class TestEnumerationOracle:
         with pytest.raises(CapacityError):
             enumerate_mask_mi(ens, a, b)
 
+    def test_joint_table_cap(self, monkeypatch):
+        # 2^5 states fit a cap of 100; the 2^4 x 2^4 joint table does not
+        monkeypatch.setattr("hoci.discrete.ENUMERATION_CAP", 100)
+        ens = build_ensemble(5, UNIFORM2)
+        a, b = ens.membership_masks[0], ens.membership_masks[1]
+        with pytest.raises(CapacityError):
+            enumerate_mask_mi(ens, a, b)
+
 
 class TestLevelSets:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -178,6 +186,13 @@ class TestVerification:
     def test_enumeration_skipped_over_cap(self):
         res = verify_theorem5(5, UNIFORM2, enumeration_cap=10)
         assert res.passed  # the exact shortcut still verifies
+        assert all(lv.enumeration_bits is None for lv in res.levels)
+        assert all(lv.enumeration_abs_err is None for lv in res.levels)
+
+    def test_enumeration_skipped_when_joint_table_exceeds_cap(self):
+        # 2^5 states fit under 100, the 2^8-cell joint table of two X_i does not
+        res = verify_theorem5(5, UNIFORM2, enumeration_cap=100)
+        assert res.passed
         assert all(lv.enumeration_bits is None for lv in res.levels)
         assert all(lv.enumeration_abs_err is None for lv in res.levels)
 

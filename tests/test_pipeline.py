@@ -349,3 +349,12 @@ class TestAgainstClosedFormsAcrossParameters:
             r3_true, abs=max(0.15 * r3_true, 0.02)
         )
         assert rep.chain_ok
+
+
+class TestChannelMatrix:
+    def test_names_checked_by_position(self):
+        data = np.random.default_rng(0).standard_normal((3, 40))
+        with pytest.raises(DegenerateInputError, match="row 2 has an empty channel name"):
+            ChannelMatrix(names=("a", "", "c"), data=data)
+        with pytest.raises(DegenerateInputError, match=r"duplicate channel name 'a' \(rows 1 and 3\)"):
+            ChannelMatrix(names=("a", "b", "a"), data=data)

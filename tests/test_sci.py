@@ -54,18 +54,12 @@ class TestBisectionConfig:
         bis = BisectionConfig()
         assert bis.epsilon == 1e-3
         assert bis.max_iterations == 60
-        assert bis.bracket_growth == 2.0
-        assert bis.initial_variance is None
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             BisectionConfig(epsilon=0.0)
         with pytest.raises(ConfigurationError):
             BisectionConfig(max_iterations=9)
-        with pytest.raises(ConfigurationError):
-            BisectionConfig(bracket_growth=1.0)
-        with pytest.raises(ConfigurationError):
-            BisectionConfig(initial_variance=0.0)
 
 
 class TestBuildSci:
@@ -98,14 +92,6 @@ class TestBuildSci:
         assert d1 == d2
         assert np.array_equal(t1, t2)
         assert not np.array_equal(t1, t3)
-
-    def test_initial_variance_override_converges_to_same_point(self, ensemble_unit):
-        m = ensemble_unit
-        d1, _ = build_sci(m.data[1], m.data[0], seed=5)
-        d2, _ = build_sci(
-            m.data[1], m.data[0], bis=BisectionConfig(initial_variance=50.0), seed=5
-        )
-        assert abs(d1.noise_variance - d2.noise_variance) <= 0.05 * d1.noise_variance
 
     def test_no_common_information_on_independent_columns(self):
         rng = np.random.default_rng(2)

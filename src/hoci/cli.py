@@ -444,8 +444,8 @@ def _cmd_lagscan(args) -> int:
     matrix = ingest_csv(args.input, transpose=args.transpose)
     ref = matrix.index_of(args.ref_channel)
     rate = args.sample_rate_hz
-    if rate is not None and not rate > 0:
-        raise ConfigurationError(f"--sample-rate-hz must be positive, got {rate}")
+    if rate is not None and not 0 < rate < math.inf:
+        raise ConfigurationError(f"--sample-rate-hz must be positive and finite, got {rate}")
     if args.lag_min_samples is not None or args.lag_max_samples is not None:
         if args.lag_min_samples is None or args.lag_max_samples is None:
             raise ConfigurationError(

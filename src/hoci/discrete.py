@@ -17,7 +17,6 @@ shortcut, capped by state-space size.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -27,6 +26,7 @@ from .channels import ChannelMatrix
 from .errors import CapacityError, ParameterDomainError
 
 ENUMERATION_CAP = 10**6
+ENUMERATION_TOL = 1e-10
 PMF_TOL = 1e-12
 
 # Default spacing factor between successive digit scales in sampled channels;
@@ -59,23 +59,12 @@ class DiscreteEnsemble:
     n: int
     alphabet_size: int
     base_pmf: tuple[float, ...]
+    entropy_bits: float
     membership_masks: tuple[int, ...]
-
-    @property
-    def entropy_bits(self) -> float:
-        return exact_entropy(self.base_pmf)
 
     def mask_string(self, mask: int) -> str:
         """Render a mask; character t is symbol t's membership flag."""
         return "".join("1" if (mask >> t) & 1 else "0" for t in range(self.n))
-
-
-@dataclass(frozen=True)
-class MaskSet:
-    """Deduplicated masks at one construction level (level 1 = the X_i themselves)."""
-
-    level: int
-    masks: frozenset[int]
 
 
 def build_ensemble(n: int, base_pmf) -> DiscreteEnsemble:
@@ -84,12 +73,12 @@ def build_ensemble(n: int, base_pmf) -> DiscreteEnsemble:
         raise ParameterDomainError(f"n must be an integer >= 3, got {n}")
     p = _validate_pmf(base_pmf)
     full = (1 << n) - 1
-    masks = tuple(full & ~(1 << i) for i in range(n))
     return DiscreteEnsemble(
         n=int(n),
         alphabet_size=int(p.size),
         base_pmf=tuple(float(v) for v in p),
-        membership_masks=masks,
+        entropy_bits=exact_entropy(p),
+        membership_masks=tuple(full & ~(1 << i) for i in range(n)),
     )
 
 
@@ -110,70 +99,78 @@ def mask_mi(ensemble: DiscreteEnsemble, mask_a: int, mask_b: int) -> float:
     return (a & b).bit_count() * ensemble.entropy_bits
 
 
+def _outcome_table(ensemble: DiscreteEnsemble) -> tuple[np.ndarray, np.ndarray]:
+    """All A^n outcomes: symbol values (row per symbol) and their probabilities."""
+    A, n = ensemble.alphabet_size, ensemble.n
+    grid = np.indices((A,) * n).reshape(n, A**n)
+    pmf = np.asarray(ensemble.base_pmf)
+    probs = np.ones(A**n)
+    for t in range(n):
+        probs *= pmf[grid[t]]
+    return grid, probs
+
+
+def _codes(grid: np.ndarray, A: int, mask: int) -> tuple[np.ndarray, int]:
+    """Each outcome's index among the A^|mask| values of the masked tuple, and
+    that count; symbol t's digit weighs A^rank, ranked from the lowest set bit."""
+    rows = [t for t in range(grid.shape[0]) if (mask >> t) & 1]
+    return A ** np.arange(len(rows)) @ grid[rows], A ** len(rows)
+
+
+def _joint_mi(probs: np.ndarray, a: tuple[np.ndarray, int], b: tuple[np.ndarray, int]) -> float:
+    """MI from the dense A^|a| x A^|b| joint table of two ``_codes`` results."""
+    (ca, na), (cb, nb) = a, b
+    joint = np.bincount(ca * nb + cb, weights=probs, minlength=na * nb).reshape(na, nb)
+    nz = joint > 0.0
+    pj = joint[nz]
+    return float((pj * np.log2(pj / np.outer(joint.sum(axis=1), joint.sum(axis=0))[nz])).sum())
+
+
 def enumerate_mask_mi(ensemble: DiscreteEnsemble, mask_a: int, mask_b: int) -> float:
     """Independent oracle: MI from the full joint pmf over both tuples.
 
     Enumerates all alphabet_size^n outcomes into a dense
-    A^|a| x A^|b| joint table; refuses requests where either exceeds the cap.
+    A^|a| x A^|b| joint table; refuses requests where either exceeds
+    ``ENUMERATION_CAP``.
     """
     a = _check_mask(ensemble, mask_a)
     b = _check_mask(ensemble, mask_b)
     A, n = ensemble.alphabet_size, ensemble.n
-    states = A**n
-    if states > ENUMERATION_CAP:
+    if A**n > ENUMERATION_CAP:
         raise CapacityError(
-            f"enumeration over {A}^{n} = {states} states exceeds cap {ENUMERATION_CAP}"
+            f"enumeration over {A}^{n} = {A**n} states exceeds cap {ENUMERATION_CAP}"
         )
     wa, wb = a.bit_count(), b.bit_count()
     if A ** (wa + wb) > ENUMERATION_CAP:
         raise CapacityError(
             f"joint table of {A}^{wa} x {A}^{wb} cells exceeds cap {ENUMERATION_CAP}"
         )
-    # outcome table: row per state, column per symbol
-    grid = np.indices((A,) * n).reshape(n, states)
-    pmf = np.asarray(ensemble.base_pmf)
-    probs = np.ones(states)
-    for t in range(n):
-        probs *= pmf[grid[t]]
-
-    def codes(mask: int) -> np.ndarray:
-        c = np.zeros(states, dtype=np.int64)
-        for pos, t in enumerate(t for t in range(n) if (mask >> t) & 1):
-            c += grid[t] * (A**pos)
-        return c
-
-    ca, cb = codes(a), codes(b)
-    na, nb = int(ca.max()) + 1, int(cb.max()) + 1
-    joint = np.zeros((na, nb))
-    np.add.at(joint, (ca, cb), probs)
-    pa = joint.sum(axis=1, keepdims=True)
-    pb = joint.sum(axis=0, keepdims=True)
-    nzidx = joint > 0.0
-    return float((joint[nzidx] * np.log2(joint[nzidx] / (pa @ pb)[nzidx])).sum())
+    grid, probs = _outcome_table(ensemble)
+    return _joint_mi(probs, _codes(grid, A, a), _codes(grid, A, b))
 
 
-def build_t_level(ensemble: DiscreteEnsemble, level: int) -> MaskSet:
-    """Masks of the level-l construction.
+def _next_level(masks: frozenset[int], originals: tuple[int, ...]) -> frozenset[int]:
+    """One construction step: AND each mask with each original, keeping only
+    intersections that remove a symbol (an AND that changes nothing is not a
+    new overlap)."""
+    return frozenset(a & b for a in masks for b in originals if (a & b) != a)
 
-    Level 1 is the original masks; level l intersects each level-(l-1) mask
-    with each level-1 mask, keeping only intersections that actually remove a
-    symbol (an AND that changes nothing is not a new overlap), then
-    deduplicates.  For the canonical ensemble this yields all weight-(n-l)
-    masks, C(n, n-l) of them.
+
+def build_t_level(ensemble: DiscreteEnsemble, level: int) -> frozenset[int]:
+    """Deduplicated masks of the level-l construction.
+
+    Level 1 is the original masks; level l applies ``_next_level`` to level
+    l-1.  For the canonical ensemble this yields all weight-(n-l) masks,
+    C(n, n-l) of them.
     """
     if not 1 <= level <= ensemble.n - 1:
         raise ParameterDomainError(
             f"level must lie in [1, {ensemble.n - 1}], got {level}"
         )
-    current = set(ensemble.membership_masks)
+    masks = frozenset(ensemble.membership_masks)
     for _ in range(level - 1):
-        current = {
-            a & b
-            for a in current
-            for b in ensemble.membership_masks
-            if (a & b) != a
-        }
-    return MaskSet(level=level, masks=frozenset(current))
+        masks = _next_level(masks, ensemble.membership_masks)
+    return masks
 
 
 @dataclass(frozen=True)
@@ -195,33 +192,30 @@ class Theorem5Verification:
     passed: bool
 
 
-def verify_theorem5(
-    n: int,
-    base_pmf,
-    enumeration_tol: float = 1e-10,
-    enumeration_cap: int = ENUMERATION_CAP,
-) -> Theorem5Verification:
+def verify_theorem5(n: int, base_pmf) -> Theorem5Verification:
     """Check the construction's common-information values level by level.
 
     For each l in [2, n], the minimum MI between a level-(l-1) mask and an
     original mask must equal (n-l) H(Z) exactly on the weight-shortcut path,
-    and match the joint-pmf enumeration within ``enumeration_tol`` when the
+    and match the joint-pmf enumeration within ``ENUMERATION_TOL`` when the
     largest joint table, A^(2n-2) cells for two original masks, fits under
-    the cap.  (l = n is included: the information common to all n variables
-    is zero by construction.)
+    ``ENUMERATION_CAP``.  (l = n is included: the information common to all
+    n variables is zero by construction.)
     """
     ens = build_ensemble(n, base_pmf)
-    h = ens.entropy_bits
-    can_enumerate = ens.alphabet_size ** (2 * ens.n - 2) <= enumeration_cap
+    h, A, originals = ens.entropy_bits, ens.alphabet_size, ens.membership_masks
+    table = _outcome_table(ens) if A ** (2 * ens.n - 2) <= ENUMERATION_CAP else None
     levels = []
+    prev = frozenset(originals)
     for ell in range(2, ens.n + 1):
-        prev = build_t_level(ens, ell - 1)
-        pairs = [(a, b) for a in prev.masks for b in ens.membership_masks]
-        min_shortcut = min(mask_mi(ens, a, b) for a, b in pairs)
+        # weight * h is monotone in the weight, so this is the min of mask_mi
+        min_shortcut = min((a & b).bit_count() for a in prev for b in originals) * h
         expected = (ens.n - ell) * h
         enum_val = enum_err = None
-        if can_enumerate:
-            enum_val = min(enumerate_mask_mi(ens, a, b) for a, b in pairs)
+        if table is not None:
+            grid, probs = table
+            codes = {m: _codes(grid, A, m) for m in prev.union(originals)}  # once per mask
+            enum_val = min(_joint_mi(probs, codes[a], codes[b]) for a in prev for b in originals)
             enum_err = abs(enum_val - expected)
         levels.append(
             LevelVerification(
@@ -233,14 +227,15 @@ def verify_theorem5(
                 enumeration_abs_err=enum_err,
             )
         )
+        prev = _next_level(prev, originals)
     passed = all(
         lv.exact_match
-        and (lv.enumeration_abs_err is None or lv.enumeration_abs_err <= enumeration_tol)
+        and (lv.enumeration_abs_err is None or lv.enumeration_abs_err <= ENUMERATION_TOL)
         for lv in levels
     )
     return Theorem5Verification(
         n=ens.n,
-        alphabet_size=ens.alphabet_size,
+        alphabet_size=A,
         entropy_bits=h,
         levels=tuple(levels),
         passed=passed,
@@ -282,11 +277,6 @@ def sample_channels(
         rows.append(enc)
     names = tuple(f"x{i + 1}" for i in range(ensemble.n))
     return ChannelMatrix(names=names, data=np.array(rows))
-
-
-def canonical_level_size(n: int, level: int) -> int:
-    """Expected deduplicated mask count at a level: C(n, n - level)."""
-    return math.comb(n, n - level)
 
 
 def all_level_masks(n: int, level: int) -> frozenset[int]:

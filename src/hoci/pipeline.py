@@ -43,7 +43,7 @@ from .errors import (
     ParameterDomainError,
     PipelineError,
 )
-from .estimators import EstimatorConfig, bidirectional_te_mi, mi_estimate
+from .estimators import EstimatorConfig, _pearson, bidirectional_te_mi, mi_estimate
 from .sci import (
     SLACK_BITS_AT_REFERENCE,
     BisectionConfig,
@@ -218,15 +218,10 @@ def approx_rtilde(r2_hat: float, n_vars: int, level: int) -> float:
 
 
 def _abs_corr(x: np.ndarray, y: np.ndarray, lag: int) -> float:
-    xs = x[: x.size - lag] if lag else x
-    ys = y[lag:]
-    xc = xs - xs.mean()
-    yc = ys - ys.mean()
-    nx = float(np.sqrt(xc @ xc))
-    ny = float(np.sqrt(yc @ yc))
-    if nx == 0.0 or ny == 0.0:
-        raise DegenerateInputError(f"constant overlap at lag {lag} samples")
-    return min(1.0, abs(float((xc @ yc) / (nx * ny))))
+    try:
+        return abs(_pearson(x[: x.size - lag], y[lag:]))
+    except DegenerateInputError:
+        raise DegenerateInputError(f"constant overlap at lag {lag} samples") from None
 
 
 def lag_max_correlation_samples(
@@ -282,8 +277,10 @@ def lag_max_correlation(
     The scanned integer lags are those whose real time lies inside
     [lag_min_s, lag_max_s]; an empty set is a domain error.
     """
-    if sample_rate_hz is None or not sample_rate_hz > 0:
-        raise ConfigurationError("a positive sample_rate_hz is required for lags in seconds")
+    if sample_rate_hz is None or not 0 < sample_rate_hz < math.inf:
+        raise ConfigurationError(
+            "a positive, finite sample_rate_hz is required for lags in seconds"
+        )
     lag_min, lag_max = _lag_range_samples(lag_min_s, lag_max_s, sample_rate_hz)
     res = lag_max_correlation_samples(x, y, lag_min, lag_max)
     return LagCorrelation(

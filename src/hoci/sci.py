@@ -37,7 +37,7 @@ from .errors import (
     ParameterDomainError,
 )
 from .estimators import EstimatorConfig, mi_estimate, mi_estimate_full
-from .gaussian import GaussianEnsembleSpec, delta_quantities
+from .gaussian import GaussianEnsembleSpec, delta_quantities, mmse_coefficients
 
 # bisection also terminates on bracket width, not residual alone: a wide
 # bracket can straddle the target with a lucky midpoint while the variance
@@ -125,19 +125,17 @@ def chain_slack_bits(num_samples: int) -> float:
 
 
 def analytic_sci_variance(spec: GaussianEnsembleSpec) -> float:
-    """Tuned noise variance for the observation model: delta*delta1/delta_rho^2.
+    """Tuned noise variance for the observation model: the first-stage MMSE
+    error variance ``mmse_coefficients(spec).sigma_eps_j2``.
 
     Raises the no-common-information signal at delta_rho = 0, where the
     target MI is zero and the required variance diverges.
     """
-    d = delta_quantities(spec)
-    if d.delta_rho == 0.0:
+    if delta_quantities(spec).delta_rho == 0.0:
         raise NoCommonInformationError(
             "observations share no information at delta_rho = 0", target_bits=0.0
         )
-    if spec.rho == 1.0:
-        raise ParameterDomainError("SCI variance degenerates to 0 at rho = 1")
-    return d.delta * d.delta1 / d.delta_rho**2
+    return mmse_coefficients(spec).sigma_eps_j2
 
 
 def _orthogonal_unit_noise(carrier: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -527,7 +527,7 @@ class TestLagscanCommand:
         assert rc == 1
         assert stderr_code(capsys) == "configuration"
 
-    @pytest.mark.parametrize("rate", ["0", "-100", "nan"])
+    @pytest.mark.parametrize("rate", ["0", "-100", "nan", "inf"])
     def test_non_positive_rate_rejected(self, lag_csv, tmp_path, capsys, rate):
         out = tmp_path / "scan.csv"
         rc = main(
@@ -538,6 +538,23 @@ class TestLagscanCommand:
                 "--lag-min-samples", "19",
                 "--lag-max-samples", "30",
                 "--sample-rate-hz", rate,
+                "--out", str(out),
+            ]
+        )
+        assert rc == 1
+        assert stderr_code(capsys) == "configuration"
+        assert not out.exists()
+
+    def test_infinite_rate_rejected_in_ms_mode(self, lag_csv, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        rc = main(
+            [
+                "lagscan",
+                "--input", lag_csv,
+                "--ref-channel", "stim",
+                "--lag-min-ms", "190",
+                "--lag-max-ms", "300",
+                "--sample-rate-hz", "inf",
                 "--out", str(out),
             ]
         )

@@ -13,7 +13,6 @@ from hoci import (
     all_level_masks,
     build_ensemble,
     build_t_level,
-    canonical_level_size,
     enumerate_mask_mi,
     exact_entropy,
     mask_mi,
@@ -109,7 +108,7 @@ class TestEnumerationOracle:
 
     def test_agreement_on_intersections(self):
         ens = build_ensemble(4, SKEWED2)
-        pairs = build_t_level(ens, 2).masks
+        pairs = build_t_level(ens, 2)
         for a in pairs:
             for b in ens.membership_masks:
                 assert abs(
@@ -143,14 +142,13 @@ class TestLevelSets:
     def test_levels_are_all_masks_of_expected_weight(self, n):
         ens = build_ensemble(n, UNIFORM2)
         for level in range(1, n):
-            ms = build_t_level(ens, level)
-            assert ms.level == level
-            assert len(ms.masks) == canonical_level_size(n, level)
-            assert ms.masks == all_level_masks(n, level)
+            masks = build_t_level(ens, level)
+            assert len(masks) == math.comb(n, n - level)
+            assert masks == all_level_masks(n, level)
 
     def test_level_one_is_the_originals(self):
         ens = build_ensemble(5, UNIFORM2)
-        assert build_t_level(ens, 1).masks == frozenset(ens.membership_masks)
+        assert build_t_level(ens, 1) == frozenset(ens.membership_masks)
 
     def test_level_bounds(self):
         ens = build_ensemble(4, UNIFORM2)
@@ -160,8 +158,9 @@ class TestLevelSets:
             build_t_level(ens, 4)
 
     def test_canonical_sizes(self):
-        assert canonical_level_size(6, 2) == 15
-        assert canonical_level_size(6, 5) == 6
+        ens = build_ensemble(6, UNIFORM2)
+        assert len(build_t_level(ens, 2)) == 15
+        assert len(build_t_level(ens, 5)) == 6
         assert all_level_masks(4, 3) == frozenset({0b0001, 0b0010, 0b0100, 0b1000})
 
 
@@ -183,15 +182,17 @@ class TestVerification:
         assert res.levels[-1].level == n
         assert res.levels[-1].expected_bits == 0.0
 
-    def test_enumeration_skipped_over_cap(self):
-        res = verify_theorem5(5, UNIFORM2, enumeration_cap=10)
+    def test_enumeration_skipped_over_cap(self, monkeypatch):
+        monkeypatch.setattr("hoci.discrete.ENUMERATION_CAP", 10)
+        res = verify_theorem5(5, UNIFORM2)
         assert res.passed  # the exact shortcut still verifies
         assert all(lv.enumeration_bits is None for lv in res.levels)
         assert all(lv.enumeration_abs_err is None for lv in res.levels)
 
-    def test_enumeration_skipped_when_joint_table_exceeds_cap(self):
+    def test_enumeration_skipped_when_joint_table_exceeds_cap(self, monkeypatch):
         # 2^5 states fit under 100, the 2^8-cell joint table of two X_i does not
-        res = verify_theorem5(5, UNIFORM2, enumeration_cap=100)
+        monkeypatch.setattr("hoci.discrete.ENUMERATION_CAP", 100)
+        res = verify_theorem5(5, UNIFORM2)
         assert res.passed
         assert all(lv.enumeration_bits is None for lv in res.levels)
         assert all(lv.enumeration_abs_err is None for lv in res.levels)

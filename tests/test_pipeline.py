@@ -207,12 +207,20 @@ class TestLagScan:
         x = np.random.default_rng(0).standard_normal(1000)
         with pytest.raises(ConfigurationError):
             lag_max_correlation(x, x)  # no sample rate
+        with pytest.raises(ConfigurationError):
+            lag_max_correlation(x, x, sample_rate_hz=math.inf)
         with pytest.raises(ParameterDomainError):
             lag_max_correlation(x, x, 0.191, 0.199, sample_rate_hz=10.0)
         with pytest.raises(ParameterDomainError):
             lag_max_correlation_samples(x, x, 5, 4)
         with pytest.raises(DegenerateInputError):
             lag_max_correlation_samples(x, x, 0, 999)
+
+    def test_constant_overlap_names_the_lag(self):
+        x = np.random.default_rng(0).standard_normal(100)
+        y = np.concatenate([np.ones(10), x[10:]])
+        with pytest.raises(DegenerateInputError, match="constant overlap at lag 90 samples"):
+            lag_max_correlation_samples(y, x, 88, 90)
 
 
 class TestRunEstimate:

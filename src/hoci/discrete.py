@@ -17,6 +17,7 @@ shortcut, capped by state-space size.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -200,9 +201,17 @@ def verify_theorem5(n: int, base_pmf) -> Theorem5Verification:
     and match the joint-pmf enumeration within ``ENUMERATION_TOL`` when the
     largest joint table, A^(2n-2) cells for two original masks, fits under
     ``ENUMERATION_CAP``.  (l = n is included: the information common to all
-    n variables is zero by construction.)
+    n variables is zero by construction.)  The level walk holds up to
+    C(n, n // 2) masks at once; above ``ENUMERATION_CAP`` it is refused with
+    ``CapacityError`` before any level is built.
     """
     ens = build_ensemble(n, base_pmf)
+    half = ens.n // 2
+    widest = math.comb(ens.n, half)
+    if widest > ENUMERATION_CAP:
+        raise CapacityError(
+            f"level walk over C({ens.n}, {half}) = {widest} masks exceeds cap {ENUMERATION_CAP}"
+        )
     h, A, originals = ens.entropy_bits, ens.alphabet_size, ens.membership_masks
     table = _outcome_table(ens) if A ** (2 * ens.n - 2) <= ENUMERATION_CAP else None
     levels = []

@@ -5,7 +5,11 @@ Three methods, selected by :class:`EstimatorConfig`:
 * ``gaussian_logdet`` — parametric: -1/2 log2(1 - r^2) from the empirical
   correlation (log-det of the empirical correlation matrix in the block
   case).  Fast and low-variance; exact in law for jointly Gaussian data.
-* ``binned`` — equal-width histogram plug-in.  Only suitable for low
+* ``binned`` — equal-width histogram plug-in.  Each column is binned over
+  its own [min, max] with numpy's histogram edge rule (``bins + 1`` linspace
+  edges, the right edge in the last bin, a constant column widened by +-0.5),
+  and each call counts its cells with one ``np.bincount``; the counts equal
+  ``np.histogram2d``/``np.histogramdd``'s exactly.  Only suitable for low
   dimensions; the plug-in bias grows with the number of occupied cells.
 * ``knn`` — k-nearest-neighbor estimator with max-norm neighborhoods and
   the neighbor-count digamma correction, for non-Gaussian data.
@@ -129,8 +133,37 @@ def _gaussian_mi(x: np.ndarray, y: np.ndarray) -> float:
     return -0.5 * math.log2(one_minus)
 
 
+def _bin_index(a: np.ndarray, bins: int, name: str) -> np.ndarray:
+    """Each sample's bin among ``bins`` equal-width bins over [min, max].
+
+    The edges are numpy's, ``np.linspace(min, max, bins + 1)`` with a
+    constant column widened by +-0.5, and the result is numpy's
+    ``searchsorted(edges, a, 'right') - 1`` with the right edge folded into
+    the last bin.  The bin is found arithmetically and checked against the
+    edges; the few samples whose rounding missed (or whose edges coincide)
+    are placed by ``searchsorted`` itself.
+    """
+    lo, hi = float(a.min()), float(a.max())
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    width = hi - lo
+    if not math.isfinite(width):
+        raise DegenerateInputError(f"{name} has a range too wide for float64 ({lo!r} to {hi!r})")
+    if width == 0.0:  # +-0.5 vanished in rounding: every sample is on the right edge
+        return np.full(a.size, bins - 1, dtype=np.intp)
+    edges = np.linspace(lo, hi, bins + 1)
+    # (a - lo) <= width, so the quotient stays in [0, 1]
+    idx = np.minimum(((a - lo) / width * bins).astype(np.intp), bins - 1)
+    upper = np.append(edges[1:-1], np.inf)  # the last bin holds its right edge
+    missed = (a < edges[idx]) | (a >= upper[idx])
+    if missed.any():
+        idx[missed] = np.minimum(np.searchsorted(edges, a[missed], side="right") - 1, bins - 1)
+    return idx
+
+
 def _binned_mi(x: np.ndarray, y: np.ndarray, bins: int) -> float:
-    counts, _, _ = np.histogram2d(x, y, bins=bins)
+    cells = _bin_index(x, bins, "x") * bins + _bin_index(y, bins, "y")
+    counts = np.bincount(cells, minlength=bins * bins).reshape(bins, bins).astype(np.float64)
     p = counts / counts.sum()
     px = p.sum(axis=1, keepdims=True)
     py = p.sum(axis=0, keepdims=True)
@@ -228,14 +261,15 @@ def _gaussian_joint(xb: np.ndarray, y: np.ndarray) -> float:
 
 
 def _binned_joint(xb: np.ndarray, y: np.ndarray, bins: int) -> float:
-    def plugin_entropy(sample: np.ndarray) -> float:
-        counts, _ = np.histogramdd(sample, bins=bins)
-        p = counts.ravel() / counts.sum()
-        nz = p[p > 0.0]
+    def plugin_entropy(idx: list[np.ndarray]) -> float:
+        shape = (bins,) * len(idx)
+        counts = np.bincount(np.ravel_multi_index(idx, shape), minlength=bins ** len(idx))
+        nz = counts[counts > 0] / float(idx[0].size)  # occupied cells in C order
         return float(-(nz * np.log2(nz)).sum())
 
-    joint = np.column_stack([xb, y])
-    return plugin_entropy(xb) + plugin_entropy(y[:, None]) - plugin_entropy(joint)
+    bx = [_bin_index(xb[:, c], bins, f"block column {c}") for c in range(xb.shape[1])]
+    by = [_bin_index(y, bins, "y")]
+    return plugin_entropy(bx) + plugin_entropy(by) - plugin_entropy(bx + by)
 
 
 def _knn_joint(xb: np.ndarray, y: np.ndarray, k: int) -> float:

@@ -337,6 +337,13 @@ class TestDiscreteCommand:
         assert rc == 1
         assert stderr_code(capsys) == "parameter_domain"
 
+    def test_n_beyond_level_cap_is_capacity(self, tmp_path, capsys):
+        out = tmp_path / "disc.json"
+        rc = main(["discrete", "--n", "30", "--out", str(out)])
+        assert rc == 1
+        assert stderr_code(capsys) == "capacity"
+        assert not out.exists()
+
 
 class TestEstimateCommand:
     def test_report_structure(self, ensemble_csv, tmp_path):

@@ -198,6 +198,19 @@ class TestVerification:
         assert all(lv.enumeration_abs_err is None for lv in res.levels)
 
 
+    def test_level_walk_over_cap_refused(self, monkeypatch):
+        # the widest level holds C(n, n // 2) masks: C(6, 3) = 20, C(7, 3) = 35
+        monkeypatch.setattr("hoci.discrete.ENUMERATION_CAP", 20)
+        assert verify_theorem5(6, UNIFORM2).passed
+        with pytest.raises(CapacityError, match=r"C\(7, 3\) = 35"):
+            verify_theorem5(7, UNIFORM2)
+
+    def test_level_walk_cap_at_default(self):
+        # C(23, 11) = 1,352,078 masks exceed the default 10^6 for any alphabet
+        with pytest.raises(CapacityError):
+            verify_theorem5(23, UNIFORM3)
+
+
 class TestSampling:
     def test_deterministic(self):
         ens = build_ensemble(4, UNIFORM2)

@@ -20,7 +20,7 @@ from hoci import (
     mi_xi_xj,
     sample_ensemble,
 )
-from hoci.estimators import _pearson
+from hoci.estimators import _bin_index, _binned_mi, _pearson
 
 GAUSSIAN = EstimatorConfig()
 KNN = EstimatorConfig(method="knn", k=4)
@@ -164,6 +164,94 @@ class TestLeanCall:
         for a, b in cases:
             got, want = _pearson(a, b), _pearson_reference(a, b)
             assert got == want and type(got) is type(want)
+
+
+def _binned_mi_reference(x, y, bins):
+    # the np.histogram2d form that the bincount kernel replaced; equal bit for bit
+    counts, _, _ = np.histogram2d(x, y, bins=bins)
+    p = counts / counts.sum()
+    px = p.sum(axis=1, keepdims=True)
+    py = p.sum(axis=0, keepdims=True)
+    nz = p > 0.0
+    return float((p[nz] * np.log2(p[nz] / (px @ py)[nz])).sum())
+
+
+def _kernel_columns(kind, n, rng):
+    if kind == "place_value":  # discrete-construction codes, radix 8
+        z = rng.integers(0, 2, size=(3, n))
+        return (z * 8.0 ** np.arange(3)[:, None]).sum(axis=0)
+    if kind == "integer_grid":  # values land exactly on many edges
+        return rng.integers(0, 33, size=n).astype(np.float64)
+    if kind == "rounded_gaussian":
+        return np.round(4.0 * rng.standard_normal(n))
+    if kind == "constant":
+        return np.full(n, 2.75)
+    # coinciding edges: the linspace edges round onto the three sample values
+    return 1e17 + 16.0 * rng.integers(0, 3, size=n)
+
+
+class TestBinKernel:
+    """_bin_index + bincount must reproduce numpy's histogram counts exactly."""
+
+    KINDS = ["place_value", "integer_grid", "rounded_gaussian", "constant", "coinciding_edges"]
+
+    @staticmethod
+    def _counts2d(x, y, bins):
+        cells = _bin_index(x, bins, "x") * bins + _bin_index(y, bins, "y")
+        return np.bincount(cells, minlength=bins * bins).reshape(bins, bins).astype(np.float64)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("bins", [2, 16, 128, 257])
+    @pytest.mark.parametrize("n", [10, 50_000])
+    def test_counts_equal_histogram2d(self, kind, bins, n):
+        rng = np.random.default_rng([bins, n, len(kind)])
+        x = _kernel_columns(kind, n, rng)
+        for y in (_kernel_columns("place_value", n, rng), rng.standard_normal(n), x):
+            want, _, _ = np.histogram2d(x, y, bins=bins)
+            assert np.array_equal(self._counts2d(x, y, bins), want)
+            assert np.array_equal(self._counts2d(y, x, bins), want.T)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("bins", [2, 16])
+    def test_counts_equal_histogramdd(self, kind, bins):
+        rng = np.random.default_rng([bins, len(kind)])
+        n = 5_000
+        sample = np.column_stack(
+            [_kernel_columns(kind, n, rng), _kernel_columns("place_value", n, rng),
+             rng.standard_normal(n)]
+        )
+        want, _ = np.histogramdd(sample, bins=bins)
+        idx = [_bin_index(sample[:, c], bins, f"c{c}") for c in range(3)]
+        flat = np.ravel_multi_index(idx, (bins,) * 3)
+        assert np.array_equal(np.bincount(flat, minlength=bins**3).reshape((bins,) * 3), want)
+
+    def test_constant_beyond_half_unit_resolution(self):
+        # +-0.5 does not widen 1e20, so numpy puts every sample on the right edge
+        x = np.full(40, 1e20)
+        y = np.random.default_rng(2).standard_normal(40)
+        want, _, _ = np.histogram2d(x, y, bins=16)
+        assert np.array_equal(self._counts2d(x, y, 16), want)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("bins", [2, 16, 128])
+    def test_mi_equals_histogram2d_form(self, kind, bins):
+        rng = np.random.default_rng([7, bins, len(kind)])
+        x = _kernel_columns(kind, 20_000, rng)
+        for y in (x + rng.integers(0, 3, x.size), rng.standard_normal(x.size)):
+            assert _binned_mi(x, y, bins) == _binned_mi_reference(x, y, bins)
+
+    @pytest.mark.parametrize("where", ["x", "y", "block"])
+    def test_range_beyond_float64_is_degenerate(self, where):
+        wide = np.tile([-1.7e308, 1.7e308, 0.0, 1.0], 5)
+        other = np.arange(20.0)
+        cfg = EstimatorConfig(method="binned")
+        with pytest.raises(DegenerateInputError, match="range too wide"):
+            if where == "x":
+                mi_estimate(wide, other, cfg)
+            elif where == "y":
+                mi_estimate(other, wide, cfg)
+            else:
+                mi_estimate_joint(np.column_stack([other, wide]), other, cfg)
 
 
 class TestStatisticalAccuracy:

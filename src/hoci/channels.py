@@ -82,9 +82,13 @@ class ChannelMatrix:
             raise ConfigurationError(f"unknown channel {key!r}") from None
 
     def standardized(self) -> "ChannelMatrix":
-        """Return a copy with zero-mean, unit-variance rows.
+        """Return a copy with zero-mean, unit-variance, C-contiguous rows.
 
-        A constant channel cannot be standardized and raises.
+        The statistics are reduced in the stored memory order (the
+        constructor keeps the caller's layout, and the last bits of a
+        reduction follow it); only the result is copied row by row, so that
+        every estimator call reads a contiguous channel.  A constant channel
+        cannot be standardized and raises.
         """
         means = self.data.mean(axis=1)
         stds = self.data.std(axis=1)
@@ -94,4 +98,4 @@ class ChannelMatrix:
                     f"channel {name!r} is constant and cannot be standardized"
                 )
         out = (self.data - means[:, None]) / stds[:, None]
-        return ChannelMatrix(names=self.names, data=out)
+        return ChannelMatrix(names=self.names, data=np.ascontiguousarray(out))

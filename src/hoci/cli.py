@@ -65,22 +65,83 @@ _TUPLE_KEYS = {2: "pair", 3: "triple", 4: "quadruple"}
 
 # ---------------------------------------------------------------- ingestion
 
-def _raise_first_bad_cell(rows, names, width: int, transpose: bool) -> None:
-    """Walk the rows in file order and raise at the first ragged row or bad cell."""
+def _parses(cell: str) -> bool:
+    """Whether numpy's text parser reads ``cell`` as a float: Python's float
+    syntax on ASCII text, without digit-group underscores, after stripping
+    whitespace."""
+    text = cell.strip()
+    if not text.isascii() or "_" in text:
+        return False
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _raise_first_bad_cell(rows, names, width: int | None, transpose: bool) -> None:
+    """Walk the kept lines in file order and raise at the first ragged row or
+    bad cell.
+
+    ``rows`` holds (line number, line) pairs, each split here with
+    ``csv.reader``; a transposed line still carries its name cell, and its
+    ``width`` (None) is the first line's sample count.
+    """
     unit = "samples" if transpose else "cells"
-    for pos, (num, cells) in enumerate(rows):
+    for pos, (num, line) in enumerate(rows):
+        cells = next(csv.reader([line]))
+        if transpose:
+            cells = cells[1:]
+        if width is None:
+            width = len(cells)
         if len(cells) != width:
             raise IngestionError(f"row {num} has {len(cells)} {unit}; expected {width}")
         for col, cell in enumerate(cells):
-            try:
-                kind = None if math.isfinite(float(cell)) else "non-finite"
-            except ValueError:
+            if not _parses(cell):
                 kind = "non-numeric"
-            if kind:
-                name = names[pos] if transpose else names[col]
-                raise IngestionError(
-                    f"row {num}, column {name!r}: {kind} cell {cell.strip()!r}"
-                )
+            elif not math.isfinite(float(cell)):
+                kind = "non-finite"
+            else:
+                continue
+            name = names[pos] if transpose else names[col]
+            raise IngestionError(f"row {num}, column {name!r}: {kind} cell {cell.strip()!r}")
+
+
+def _data_lines(text: str) -> list[tuple[int, str]]:
+    """(1-based line number, line) of every line that holds data.
+
+    Skipped: blank lines, lines whose cells are all whitespace, and lines
+    whose first cell starts with ``#`` after leading whitespace.  Only a line
+    that opens with a quote or a comma is split with ``csv.reader`` to decide.
+    """
+    kept = []
+    for num, line in enumerate(text.split("\n"), start=1):
+        head = line.lstrip()[:1]
+        if head in ("", "#"):
+            continue
+        if head in ',"':
+            cells = next(csv.reader([line]))
+            if cells[0].lstrip().startswith("#") or all(not c.strip() for c in cells):
+                continue
+        kept.append((num, line))
+    return kept
+
+
+def _split_name(line: str) -> tuple[str, str]:
+    """Split a transposed line into its first cell, as ``csv.reader`` reads
+    it, and the text of the cells after it."""
+    if not line.startswith('"'):
+        name, _, rest = line.partition(",")
+        return name, rest
+    # a quoted name runs to its closing quote ("" is an escaped quote) and
+    # then to the next comma
+    q = 0
+    while (q := line.find('"', q + 1)) >= 0 and line.startswith('"', q + 1):
+        q += 1
+    stop = line.find(",", q + 1) if q >= 0 else -1
+    if stop < 0:
+        stop = len(line)
+    return next(csv.reader([line[:stop]]))[0], line[stop + 1 :]
 
 
 def ingest_csv(path: str, transpose: bool = False) -> ChannelMatrix:
@@ -89,43 +150,52 @@ def ingest_csv(path: str, transpose: bool = False) -> ChannelMatrix:
     Default orientation: first row is the header of channel names, each
     later row one time sample.  With ``transpose`` each row is one channel,
     its name in the first cell, with no header row.  Comment lines starting
-    with ``#`` and blank lines are skipped.  All shape and value problems
-    raise an ingestion error naming the offending row and column.
+    with ``#`` and blank lines are skipped.  The header is split with
+    ``csv.reader``; the whole body goes through one ``np.loadtxt`` call, so
+    numbers follow numpy's syntax (no digit-group underscores, ASCII digits
+    only).  All shape and value problems raise an ingestion error naming the
+    offending row and column.
     """
     try:
-        with open(path, newline="") as fh:
-            numbered = [
-                (num, row)
-                for num, row in enumerate(csv.reader(fh), start=1)
-                if row
-                and not all(c.strip() == "" for c in row)
-                and not row[0].lstrip().startswith("#")
-            ]
-    except OSError as err:
+        with open(path) as fh:
+            rows = _data_lines(fh.read())
+    except (OSError, UnicodeDecodeError) as err:
         raise IngestionError(f"cannot read {path}: {err}") from err
-    if not numbered:
+    if not rows:
         raise IngestionError(f"{path} contains no data rows")
 
     if transpose:
-        names = [row[0].strip() for _, row in numbered]
-        rows = [(num, row[1:]) for num, row in numbered]
-        width = len(rows[0][1])
+        names, body = zip(*(_split_name(line) for _, line in rows))
+        names = [name.strip() for name in names]
+        width = None
     else:
-        names = [c.strip() for c in numbered[0][1]]
-        rows = numbered[1:]
+        names = [c.strip() for c in next(csv.reader([rows[0][1]]))]
+        rows = rows[1:]
+        body = [line for _, line in rows]
         width = len(names)
     try:
         check_names(names, "row" if transpose else "column")
-        # one conversion for the whole body; ragged rows fail it too
+        # one parse for the whole body; ragged rows fail it too
         try:
-            data = np.array([cells for _, cells in rows], dtype=np.float64)
-            data = data.reshape(len(rows), width)
+            if not all(body):  # loadtxt would drop a line without cells
+                raise ValueError("a row has no cells")
+            if body:
+                data = np.loadtxt(
+                    body, delimiter=",", quotechar='"', comments=None, ndmin=2, dtype=np.float64
+                )
+            else:
+                data = np.empty((0, width))
+            if width is not None and data.shape[1] != width:
+                raise ValueError("row width differs from the header")
             if not np.isfinite(data).all():
                 raise ValueError("non-finite cell")
         except ValueError as err:
             _raise_first_bad_cell(rows, names, width, transpose)
             raise IngestionError(f"{path}: {err}") from None
-        matrix = ChannelMatrix(names=tuple(names), data=data if transpose else data.T)
+        # both orientations hand over the same layout (each time step
+        # contiguous), so they standardize to the same bits
+        channels = np.asfortranarray(data) if transpose else data.T
+        matrix = ChannelMatrix(names=tuple(names), data=channels)
         return matrix.standardized()
     except DegenerateInputError as err:
         raise IngestionError(f"{path}: {err}") from err

@@ -119,20 +119,28 @@ def _codes(grid: np.ndarray, A: int, mask: int) -> tuple[np.ndarray, int]:
 
 
 def _joint_mi(probs: np.ndarray, a: tuple[np.ndarray, int], b: tuple[np.ndarray, int]) -> float:
-    """MI from the dense A^|a| x A^|b| joint table of two ``_codes`` results."""
+    """MI from the joint pmf of two ``_codes`` results.
+
+    Only the occupied cells of the A^|a| x A^|b| table are built (at most
+    A^n of them, one per outcome), in C order; the marginals are summed
+    over the outcomes directly.
+    """
     (ca, na), (cb, nb) = a, b
-    joint = np.bincount(ca * nb + cb, weights=probs, minlength=na * nb).reshape(na, nb)
+    cells, inverse = np.unique(ca * nb + cb, return_inverse=True)
+    joint = np.bincount(inverse, weights=probs)
+    pa = np.bincount(ca, weights=probs, minlength=na)
+    pb = np.bincount(cb, weights=probs, minlength=nb)
     nz = joint > 0.0
-    pj = joint[nz]
-    return float((pj * np.log2(pj / np.outer(joint.sum(axis=1), joint.sum(axis=0))[nz])).sum())
+    pj, cells = joint[nz], cells[nz]
+    return float((pj * np.log2(pj / (pa[cells // nb] * pb[cells % nb]))).sum())
 
 
 def enumerate_mask_mi(ensemble: DiscreteEnsemble, mask_a: int, mask_b: int) -> float:
     """Independent oracle: MI from the full joint pmf over both tuples.
 
-    Enumerates all alphabet_size^n outcomes into a dense
-    A^|a| x A^|b| joint table; refuses requests where either exceeds
-    ``ENUMERATION_CAP``.
+    Enumerates all alphabet_size^n outcomes into the occupied cells of the
+    A^|a| x A^|b| joint table; refuses requests where the outcome count or
+    the table's size exceeds ``ENUMERATION_CAP``.
     """
     a = _check_mask(ensemble, mask_a)
     b = _check_mask(ensemble, mask_b)

@@ -8,9 +8,12 @@ Three methods, selected by :class:`EstimatorConfig`:
 * ``binned`` — equal-width histogram plug-in.  Each column is binned over
   its own [min, max] with numpy's histogram edge rule (``bins + 1`` linspace
   edges, the right edge in the last bin, a constant column widened by +-0.5),
-  and each call counts its cells with one ``np.bincount``; the counts equal
-  ``np.histogram2d``/``np.histogramdd``'s exactly.  Only suitable for low
-  dimensions; the plug-in bias grows with the number of occupied cells.
+  and a pairwise call counts its cells with one ``np.bincount``; the counts
+  equal ``np.histogram2d``/``np.histogramdd``'s exactly.  A block (the
+  lag-embedded time-series path) counts only its occupied cells, with
+  ``np.unique``, so its memory follows the sample count, not bins**width.
+  Only suitable for low dimensions; the plug-in bias grows with the number
+  of occupied cells.
 * ``knn`` — k-nearest-neighbor estimator with max-norm neighborhoods and
   the neighbor-count digamma correction, for non-Gaussian data.
 
@@ -262,9 +265,10 @@ def _gaussian_joint(xb: np.ndarray, y: np.ndarray) -> float:
 
 def _binned_joint(xb: np.ndarray, y: np.ndarray, bins: int) -> float:
     def plugin_entropy(idx: list[np.ndarray]) -> float:
-        shape = (bins,) * len(idx)
-        counts = np.bincount(np.ravel_multi_index(idx, shape), minlength=bins ** len(idx))
-        nz = counts[counts > 0] / float(idx[0].size)  # occupied cells in C order
+        # only the occupied cells are counted (a dense table has bins**width
+        # of them); np.unique returns them sorted, i.e. in C order
+        flat = np.ravel_multi_index(idx, (bins,) * len(idx))
+        nz = np.unique(flat, return_counts=True)[1] / float(idx[0].size)
         return float(-(nz * np.log2(nz)).sum())
 
     bx = [_bin_index(xb[:, c], bins, f"block column {c}") for c in range(xb.shape[1])]

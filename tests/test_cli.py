@@ -1,11 +1,13 @@
 """Command line layer: CSV ingestion, grid parsing, seed resolution, the
 five subcommands, report serialization, and error reporting."""
 
+import csv
 import filecmp
 import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from hoci import (
 )
 from hoci import (
     BisectionConfig,
+    ChannelMatrix,
     CommonInfoReport,
     EstimatorConfig,
     LevelEstimate,
@@ -194,6 +197,156 @@ class TestIngestion:
         p.write_text("# nothing\n\n")
         with pytest.raises(IngestionError, match="no data rows"):
             ingest_csv(str(p))
+
+
+def _reference_parse(path, transpose=False):
+    """The csv.reader + np.array parse that ingest_csv's loadtxt call
+    replaced: names, and a samples-by-channels float array."""
+    with open(path, newline="") as fh:
+        numbered = [
+            row
+            for row in csv.reader(fh)
+            if row
+            and not all(c.strip() == "" for c in row)
+            and not row[0].lstrip().startswith("#")
+        ]
+    if transpose:
+        names = [row[0].strip() for row in numbered]
+        return tuple(names), np.array([row[1:] for row in numbered], dtype=np.float64).T
+    names = [c.strip() for c in numbered[0]]
+    return tuple(names), np.array(numbered[1:], dtype=np.float64)
+
+
+def _reference_ingest(path, transpose=False):
+    names, samples = _reference_parse(path, transpose)
+    # standardized from the default orientation's layout
+    return ChannelMatrix(names=names, data=np.ascontiguousarray(samples).T).standardized()
+
+
+def _write_channels(path, names, cells, transpose, newline="\n", extra=()):
+    """Write a cell grid (channels x samples of strings) in either orientation;
+    ``extra`` holds (line index, text) pairs inserted afterwards."""
+    if transpose:
+        lines = [f"{name},{','.join(row)}" for name, row in zip(names, cells)]
+    else:
+        lines = [",".join(names)] + [",".join(col) for col in zip(*cells)]
+    for pos, text in extra:
+        lines.insert(pos, text)
+    path.write_bytes((newline.join(lines) + newline).encode())
+    return str(path)
+
+
+def _cells(n_channels, n_samples=40, seed=0):
+    data = np.random.default_rng(seed).standard_normal((n_channels, n_samples))
+    return [[repr(float(v)) for v in row] for row in data]
+
+
+class TestLoadtxtParse:
+    """ingest_csv's one-pass body parse reads what the csv.reader parse read."""
+
+    NAMES = ("u", "v", "w")
+
+    def _check(self, path, transpose):
+        m = ingest_csv(path, transpose=transpose)
+        ref = _reference_ingest(path, transpose)
+        assert m.names == ref.names
+        assert np.array_equal(m.data, ref.data)
+        return m
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_crlf_line_endings(self, tmp_path, transpose):
+        path = _write_channels(tmp_path / "crlf.csv", self.NAMES, _cells(3), transpose, "\r\n")
+        self._check(path, transpose)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_comment_lines_in_body(self, tmp_path, transpose):
+        extra = [(2, "# a comment mid-body"), (1, "   # an indented comment"), (0, "\t#x,1,2")]
+        path = _write_channels(tmp_path / "c.csv", self.NAMES, _cells(3), transpose, extra=extra)
+        self._check(path, transpose)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_blank_and_all_comma_lines(self, tmp_path, transpose):
+        extra = [(2, ""), (1, "   "), (3, ",,"), (0, " , ,\t"), (2, '"",""')]
+        path = _write_channels(tmp_path / "b.csv", self.NAMES, _cells(3), transpose, extra=extra)
+        self._check(path, transpose)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_quoted_cells_and_names(self, tmp_path, transpose):
+        cells = _cells(3)
+        for row in cells:
+            row[::3] = [f'"{c}"' for c in row[::3]]
+        names = ('"u"', '"v,1"', '"w""2"')
+        m = self._check(_write_channels(tmp_path / "q.csv", names, cells, transpose), transpose)
+        assert m.names == ("u", "v,1", 'w"2')
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_whitespace_around_numbers(self, tmp_path, transpose):
+        cells = [[f" {c}\t" if t % 2 else f"  {c}" for t, c in enumerate(row)] for row in _cells(3)]
+        names = (" u", "v ", "\tw")
+        m = self._check(_write_channels(tmp_path / "s.csv", names, cells, transpose), transpose)
+        assert m.names == self.NAMES
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_number_syntax(self, tmp_path, transpose):
+        cells = _cells(3)
+        cells[0][:6] = ["+1", ".5", "5.", "1E3", "-.25", "2e-3"]
+        cells[2][10:13] = ["1e+2", "+0.", "-7E-1"]
+        self._check(_write_channels(tmp_path / "n.csv", self.NAMES, cells, transpose), transpose)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_one_column(self, tmp_path, transpose):
+        m = self._check(_write_channels(tmp_path / "one.csv", ("u",), _cells(1), transpose), transpose)
+        assert m.data.shape == (1, 40)
+
+    def test_orientations_agree_bit_for_bit(self, tmp_path):
+        cells = _cells(3, n_samples=500, seed=4)
+        rows = ingest_csv(_write_channels(tmp_path / "r.csv", self.NAMES, cells, False))
+        cols = ingest_csv(_write_channels(tmp_path / "t.csv", self.NAMES, cells, True), transpose=True)
+        assert np.array_equal(rows.data, cols.data)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("cell", ["1_000", "\uff11", "\u0663.5"])
+    def test_numpy_syntax_rejects_underscores_and_non_ascii_digits(self, tmp_path, transpose, cell):
+        cells = _cells(3)
+        cells[1][4] = cell
+        path = _write_channels(tmp_path / "u.csv", self.NAMES, cells, transpose)
+        row = 2 if transpose else 6
+        with pytest.raises(IngestionError, match=rf"row {row}, column 'v': non-numeric cell '{cell}'"):
+            ingest_csv(path, transpose=transpose)
+
+    def test_header_only_and_comment_only_raise_without_warnings(self, tmp_path):
+        header = tmp_path / "header.csv"
+        header.write_text("u,v\n# nothing more\n")
+        comment = tmp_path / "comment.csv"
+        comment.write_text("# nothing\n\n  ,  \n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IngestionError, match="at least 32"):
+                ingest_csv(str(header))
+            for transpose in (False, True):
+                with pytest.raises(IngestionError, match="no data rows"):
+                    ingest_csv(str(comment), transpose=transpose)
+
+    def test_every_row_narrower_than_header(self, tmp_path):
+        path = _write_channels(tmp_path / "w.csv", ("u", "v", "w", "x"), _cells(3), False)
+        with pytest.raises(IngestionError, match="row 2 has 3 cells; expected 4"):
+            ingest_csv(path)
+
+    def test_transposed_row_without_samples(self, tmp_path):
+        path = _write_channels(tmp_path / "e.csv", self.NAMES, _cells(3), True, extra=[(1, "z")])
+        with pytest.raises(IngestionError, match="row 2 has 0 samples; expected 40"):
+            ingest_csv(path, transpose=True)
+
+    def test_undecodable_file_is_ingestion_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"u,v\n\xff1,2\n")
+        with pytest.raises(IngestionError, match="cannot read"):
+            ingest_csv(str(path))
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_standardized_rows_are_contiguous(self, tmp_path, transpose):
+        path = _write_channels(tmp_path / "k.csv", self.NAMES, _cells(3), transpose)
+        assert ingest_csv(path, transpose=transpose).data.flags.c_contiguous
 
 
 class TestParseGrid:

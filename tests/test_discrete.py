@@ -19,6 +19,7 @@ from hoci import (
     sample_channels,
     verify_theorem5,
 )
+from hoci.discrete import _codes, _joint_mi, _next_level, _outcome_table
 
 H_QUARTER = 0.8112781244591328  # H(1/4, 3/4)
 LOG2_3 = 1.584962500721156
@@ -263,3 +264,37 @@ class TestSampling:
             sample_channels(ens, 0, seed=1)
         with pytest.raises(DegenerateInputError):
             sample_channels(ens, 10, seed=1)  # below the channel minimum
+
+
+def _joint_mi_dense(probs, a, b):
+    """The dense A^|a| x A^|b| joint table that _joint_mi replaced."""
+    (ca, na), (cb, nb) = a, b
+    joint = np.bincount(ca * nb + cb, weights=probs, minlength=na * nb).reshape(na, nb)
+    nz = joint > 0.0
+    pj = joint[nz]
+    return float((pj * np.log2(pj / np.outer(joint.sum(axis=1), joint.sum(axis=0))[nz])).sum())
+
+
+class TestSparseJointTable:
+    """The occupied-cell joint table agrees with the dense one on every pair
+    the level walk of verify_theorem5 enumerates."""
+
+    @pytest.mark.parametrize(
+        "n,pmf",
+        [(4, SKEWED2), (6, SKEWED2), (8, SKEWED2), (10, SKEWED2), (8, UNIFORM2),
+         (4, UNIFORM3), (6, UNIFORM3), (4, (0.2, 0.0, 0.8))],
+    )
+    def test_every_level_pair_matches_dense(self, n, pmf):
+        ens = build_ensemble(n, pmf)
+        grid, probs = _outcome_table(ens)
+        originals = ens.membership_masks
+        prev, gaps = frozenset(originals), []
+        for _ in range(2, n + 1):
+            codes = {m: _codes(grid, ens.alphabet_size, m) for m in prev.union(originals)}
+            for a in prev:
+                for b in originals:
+                    sparse = _joint_mi(probs, codes[a], codes[b])
+                    gaps.append(sparse - _joint_mi_dense(probs, codes[a], codes[b]))
+            prev = _next_level(prev, originals)
+        assert len(gaps) == sum(math.comb(n, n - ell + 1) for ell in range(2, n + 1)) * n
+        assert np.all(np.abs(gaps) <= 1e-12)  # a NaN fails too

@@ -2,6 +2,7 @@
 synthetic data with known ground truth, and estimator-level invariants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hoci import (
     sample_ensemble,
 )
 from hoci.estimators import _bin_index, _binned_mi, _pearson
+from hoci.estimators import _binned_joint, _clamp, _lag_block
 
 GAUSSIAN = EstimatorConfig()
 KNN = EstimatorConfig(method="knn", k=4)
@@ -398,3 +400,59 @@ class TestInputValidation:
         y = np.random.default_rng(1).standard_normal(12)
         with pytest.raises(DegenerateInputError):
             mi_estimate(x, y, EstimatorConfig(method="knn", k=12))
+
+
+def _binned_joint_dense(xb, y, bins):
+    """The dense bins**width count table that _binned_joint replaced."""
+    def plugin_entropy(idx):
+        shape = (bins,) * len(idx)
+        counts = np.bincount(np.ravel_multi_index(idx, shape), minlength=bins ** len(idx))
+        nz = counts[counts > 0] / float(idx[0].size)
+        return float(-(nz * np.log2(nz)).sum())
+
+    bx = [_bin_index(xb[:, c], bins, "x") for c in range(xb.shape[1])]
+    by = [_bin_index(y, bins, "y")]
+    return plugin_entropy(bx) + plugin_entropy(by) - plugin_entropy(bx + by)
+
+
+def _lagged_pair(n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    y = 0.6 * np.roll(x, 2) + 0.8 * rng.standard_normal(n)
+    return x, y
+
+
+class TestSparseBinnedJoint:
+    """The time-series block counts only its occupied cells."""
+
+    @pytest.mark.parametrize("bins,lag", [(2, 2), (16, 2), (16, 3), (32, 3)])
+    def test_equals_dense_table(self, bins, lag):
+        x, y = _lagged_pair(3000, bins + lag)
+        cfg = EstimatorConfig(method="binned", bins=bins, ts_lag=lag)
+        dense = _clamp(_binned_joint_dense(_lag_block(x, lag), y[lag:], bins)) + _clamp(
+            _binned_joint_dense(_lag_block(y, lag), x[lag:], bins)
+        )
+        assert bidirectional_te_mi(x, y, cfg) == dense
+        assert _binned_joint(_lag_block(x, lag), y[lag:], bins) == _binned_joint_dense(
+            _lag_block(x, lag), y[lag:], bins
+        )
+
+    def test_discrete_codes_equal_dense_table(self):
+        rng = np.random.default_rng(5)
+        x = rng.integers(0, 4, 2000) * 8.0 + rng.integers(0, 2, 2000)
+        y = np.roll(x, 1) + rng.integers(0, 2, 2000)
+        for lag in (2, 3, 4):
+            assert _binned_joint(_lag_block(x, lag), y[lag:], 16) == _binned_joint_dense(
+                _lag_block(x, lag), y[lag:], 16
+            )
+
+    def test_memory_follows_samples_not_table(self):
+        x, y = _lagged_pair(5000, 0)
+        cfg = EstimatorConfig(method="binned", bins=64, ts_lag=3)  # dense: 64**4 cells
+        tracemalloc.start()
+        try:
+            bidirectional_te_mi(x, y, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6

@@ -83,8 +83,8 @@ def sampled_recovery() -> None:
         channels, cfg=EstimatorConfig(method="binned", bins=128), seed=SEED, order=3
     )
     print(f"sampled recovery from {NUM_SAMPLES} draws (binned estimator):")
-    print(f"  R2 estimate = {report.r2_hat.bits:.4f} bits   (exact {(N_SYMBOLS - 2) * h})")
-    print(f"  R3 estimate = {report.r3_hat_lower.bits:.4f} bits   (exact {(N_SYMBOLS - 3) * h})")
+    for level, est in report.levels.items():
+        print(f"  R{level} estimate = {est.bits:.4f} bits   (exact {(N_SYMBOLS - level) * h})")
     print(f"  chain R2 >= R3 >= 0 holds: {report.chain_ok}")
 
 

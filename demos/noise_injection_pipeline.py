@@ -41,9 +41,9 @@ SEED = 5
 def full_pipeline(channels: ChannelMatrix) -> None:
     report = run_estimate(channels, seed=SEED, order=4)
     rows = [
-        ("R2", report.r2_hat.bits, mi_xi_xj(SPEC)),
-        ("R3_lower", report.r3_hat_lower.bits, r3_lower(SPEC)),
-        ("R4_lower", report.r4_hat_lower.bits, r4_lower(SPEC)),
+        ("R2", report.levels[2].bits, mi_xi_xj(SPEC)),
+        ("R3_lower", report.levels[3].bits, r3_lower(SPEC)),
+        ("R4_lower", report.levels[4].bits, r4_lower(SPEC)),
     ]
     print(f"run_estimate on {channels.data.shape[0]} channels x {NUM_SAMPLES} samples:")
     for name, est, exact in rows:
@@ -78,7 +78,7 @@ def no_common_information() -> None:
     channels = ChannelMatrix(names=("a", "b", "c"), data=data)
     report = run_estimate(channels, seed=SEED, order=3)
     print("independent channels:")
-    print(f"  R3_lower = {report.r3_hat_lower.bits}, reason: {report.r3_hat_lower.reason}")
+    print(f"  R3_lower = {report.levels[3].bits}, reason: {report.levels[3].reason}")
     for exc in report.exclusions[:2]:
         print(f"  excluded pair {exc.pair}: {exc.code}")
 

@@ -49,17 +49,20 @@ from .gaussian import (
     r4_lower,
 )
 from .pipeline import (
+    SUPPORTED_ORDERS,
     CommonInfoReport,
     _lag_range_samples,
-    derive_sci_seed,
+    _pair_sci,
     lag_max_correlation_samples,
     run_estimate,
 )
-from .sci import BisectionConfig, build_sci, verify_sci
+from .sci import BisectionConfig, verify_sci
 
 CURVE_HEADER = "rho,sigma_n2,I(X;Xi),I(Xi;Xj),I(Xi;Xj|Xk),R2,R3_lower,R4_lower"
 LAGSCAN_HEADER = "channel,lag_samples,lag_ms,abs_corr"
 _ESTIMATOR_NAMES = {"gaussian": "gaussian_logdet", "knn": "knn", "binned": "binned"}
+# report key of each level, and the key of its witness channels
+_LEVEL_KEYS = {2: "r2", 3: "r3_lower", 4: "r4_lower"}
 _TUPLE_KEYS = {2: "pair", 3: "triple", 4: "quadruple"}
 
 
@@ -256,16 +259,15 @@ def emit_report(report: CommonInfoReport, path: str) -> None:
         "version": __version__,
         "seed": report.seed,
         "config": {
-            "order": report.order,
+            "order": max(report.levels),
             "time_series": report.time_series,
             "estimator": asdict(report.estimator),
             "bisection": asdict(report.bisection),
         },
         "channels": list(report.channel_names),
         "num_samples": report.num_samples,
-        "r2": _level_doc(report.r2_hat),
-        "r3_lower": _level_doc(report.r3_hat_lower),
-        "r4_lower": _level_doc(report.r4_hat_lower),
+        # a level above the requested order is written as null
+        **{key: _level_doc(report.levels.get(lvl)) for lvl, key in _LEVEL_KEYS.items()},
         "rbar": {str(k): v for k, v in sorted(report.rbar.items())},
         "rtilde": {str(k): v for k, v in sorted(report.rtilde.items())},
         "chain": {"slack_bits": report.chain_slack_bits, "ok": report.chain_ok},
@@ -454,12 +456,8 @@ def _cmd_estimate(args) -> int:
         time_series=args.time_series,
     )
     emit_report(report, args.out)
-    print(
-        f"r2={_csv_num(report.r2_hat.bits)} bits"
-        + (f", r3_lower={_csv_num(report.r3_hat_lower.bits)}" if report.r3_hat_lower else "")
-        + (f", r4_lower={_csv_num(report.r4_hat_lower.bits)}" if report.r4_hat_lower else "")
-        + f" -> {args.out}"
-    )
+    values = (f"{_LEVEL_KEYS[lvl]}={_csv_num(est.bits)}" for lvl, est in report.levels.items())
+    print(f"{', '.join(values)} bits -> {args.out}")
     return 0
 
 
@@ -469,11 +467,7 @@ def _cmd_sci(args) -> int:
     seed = resolve_seed(args.seed)
     cfg = _estimator_from_args(args)
     bis = _bisection_from_args(args)
-    pair_seed = derive_sci_seed(seed, i, j, 2)
-    desc, t = build_sci(
-        matrix.data[i], matrix.data[j], cfg, bis, pair_seed,
-        base_channel=j, partner_channel=i,
-    )
+    desc, t = _pair_sci(matrix, i, j, cfg, bis, seed)
     verification = verify_sci(t, matrix, i, j, cfg)
     doc = {
         "tool": "hoci",
@@ -623,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_io_flags(e)
     _add_estimator_flags(e)
-    e.add_argument("--order", type=int, choices=(2, 3, 4), default=3, help="highest level")
+    e.add_argument("--order", type=int, choices=SUPPORTED_ORDERS, default=3, help="highest level")
     e.add_argument(
         "--time-series",
         action="store_true",

@@ -11,7 +11,9 @@ Three methods, selected by :class:`EstimatorConfig`:
   and a pairwise call counts its cells with one ``np.bincount``; the counts
   equal ``np.histogram2d``/``np.histogramdd``'s exactly.  A block (the
   lag-embedded time-series path) counts only its occupied cells, with
-  ``np.unique``, so its memory follows the sample count, not bins**width.
+  ``np.unique``, so its memory follows the sample count, not bins**width;
+  the cell codes must still fit numpy's index type, so a grid of more than
+  intp-max cells is a configuration error.
   Only suitable for low dimensions; the plug-in bias grows with the number
   of occupied cells.
 * ``knn`` — k-nearest-neighbor estimator with max-norm neighborhoods and
@@ -316,6 +318,11 @@ def mi_estimate_joint(x_block, y, cfg: EstimatorConfig = EstimatorConfig()) -> f
     if cfg.method == "gaussian_logdet":
         raw = _gaussian_joint(xb, ya)
     elif cfg.method == "binned":
+        if int(cfg.bins) ** (xb.shape[1] + 1) > np.iinfo(np.intp).max:
+            raise ConfigurationError(
+                f"bins={cfg.bins} over a {xb.shape[1]}-column block (ts_lag={cfg.ts_lag} in "
+                "time-series mode) has more joint cells than numpy can index; lower bins or ts_lag"
+            )
         raw = _binned_joint(xb, ya, cfg.bins)
     else:
         raw = _knn_joint(xb, ya, cfg.k)

@@ -6,9 +6,10 @@ T built for pair (i, j) carries exactly the pair's shared information, so
 min over k of MI(T_{i,j}; x_k) bounds the third-order quantity and min over
 disjoint pairs of MI(T_{i,j}; T_{k,m}) the fourth.  ``run_estimate`` is the
 one estimation path: it scans the pairs, tunes the surrogates and scans the
-triples and disjoint pairs once, and reads every level and average off those
-candidate lists.  The module also provides the closed-form scaling
-approximation and lag-scanned correlation for time-aligned references.
+triples and disjoint pairs once, one candidate list per level, and reads
+every level and average off those lists.  The module also provides the
+closed-form scaling approximation and lag-scanned correlation for
+time-aligned references.
 
 Conventions used throughout:
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -58,6 +59,7 @@ __all__ = [
     "CommonInfoReport",
     "LagCorrelation",
     "LevelEstimate",
+    "SUPPORTED_ORDERS",
     "SciExclusion",
     "approx_rtilde",
     "chain_slack_bits",
@@ -68,6 +70,9 @@ __all__ = [
 ]
 
 _ALL_NCI_REASON = "no channel pair shares information above the tuning resolution"
+# what each level's minimum is, as named in a failed run's error
+_LEVEL_WHAT = {2: "the pairwise minimum", 3: "the third-order bound", 4: "the fourth-order bound"}
+SUPPORTED_ORDERS = tuple(_LEVEL_WHAT)
 
 
 def derive_sci_seed(run_seed: int, i: int, j: int, order: int) -> int:
@@ -106,17 +111,18 @@ class LagCorrelation:
 
 @dataclass(frozen=True)
 class CommonInfoReport:
-    """Everything one estimation run produced, sufficient to reproduce it."""
+    """Everything one estimation run produced, sufficient to reproduce it.
 
-    r2_hat: LevelEstimate
-    r3_hat_lower: LevelEstimate | None
-    r4_hat_lower: LevelEstimate | None
+    ``levels`` holds one estimate per level, keyed 2..order: the pairwise
+    minimum, then the lower bounds.
+    """
+
+    levels: dict[int, LevelEstimate]
     rbar: dict[int, float]
     rtilde: dict[int, float]
     estimator: EstimatorConfig
     bisection: BisectionConfig
     seed: int
-    order: int
     time_series: bool
     channel_names: tuple[str, ...]
     num_samples: int
@@ -139,6 +145,16 @@ def _pair_value(
         ) from err
 
 
+def _pair_sci(
+    channels: ChannelMatrix, i: int, j: int, cfg: EstimatorConfig, bis: BisectionConfig, seed: int
+) -> tuple[SciDescriptor, np.ndarray]:
+    """Tune the surrogate of ordered pair (i, j): noise goes into channel j."""
+    pair_seed = derive_sci_seed(seed, i, j, 2)
+    return build_sci(
+        channels.data[i], channels.data[j], cfg, bis, pair_seed, base_channel=j, partner_channel=i
+    )
+
+
 def _build_all_scis(
     channels: ChannelMatrix,
     cfg: EstimatorConfig,
@@ -152,30 +168,23 @@ def _build_all_scis(
     """
     built: dict[tuple[int, int], tuple[SciDescriptor, np.ndarray]] = {}
     exclusions: list[SciExclusion] = []
-    for i in range(channels.n_channels):
-        for j in range(channels.n_channels):
-            if i == j:
-                continue
-            pair_seed = derive_sci_seed(seed, i, j, 2)
-            try:
-                built[(i, j)] = build_sci(
-                    channels.data[i],
-                    channels.data[j],
-                    cfg,
-                    bis,
-                    pair_seed,
-                    base_channel=j,
-                    partner_channel=i,
-                )
-            except (NoCommonInformationError, ConvergenceError) as err:
-                exclusions.append(
-                    SciExclusion(
-                        pair=(channels.names[i], channels.names[j]),
-                        code=err.code,
-                        message=str(err),
-                    )
-                )
+    for i, j in permutations(range(channels.n_channels), 2):
+        try:
+            built[(i, j)] = _pair_sci(channels, i, j, cfg, bis, seed)
+        except (NoCommonInformationError, ConvergenceError) as err:
+            pair = (channels.names[i], channels.names[j])
+            exclusions.append(SciExclusion(pair=pair, code=err.code, message=str(err)))
     return built, exclusions
+
+
+def _scan(entry_pairs, cfg: EstimatorConfig) -> list[tuple[tuple[int, ...], float]]:
+    """MI of each pair of (channel-index tuple, column) entries whose channel
+    sets are disjoint, keyed by the joined channel tuple, in input order."""
+    return [
+        ((*ia, *ib), mi_estimate(a, b, cfg))
+        for (ia, a), (ib, b) in entry_pairs
+        if not set(ia) & set(ib)
+    ]
 
 
 def _level(
@@ -203,18 +212,18 @@ def _mean(candidates: list[tuple[tuple[int, ...], float]]) -> float:
     return float(sum(v for _, v in candidates) / len(candidates)) if candidates else 0.0
 
 
-def approx_rtilde(r2_hat: float, n_vars: int, level: int) -> float:
-    """Scaling approximation ((n - level)/(n - 2)) * r2_hat."""
+def approx_rtilde(r2_bits: float, n_vars: int, level: int) -> float:
+    """Scaling approximation ((n - level)/(n - 2)) * r2_bits."""
     if not (isinstance(n_vars, (int, np.integer)) and n_vars > 2):
         raise ParameterDomainError(f"n_vars must be an integer > 2, got {n_vars}")
     if not (isinstance(level, (int, np.integer)) and 2 <= level <= n_vars):
         raise ParameterDomainError(f"level must lie in [2, {n_vars}], got {level}")
-    if r2_hat < 0:
-        raise ParameterDomainError(f"r2_hat must be nonnegative, got {r2_hat}")
+    if r2_bits < 0:
+        raise ParameterDomainError(f"r2_bits must be nonnegative, got {r2_bits}")
     coeff = (n_vars - level) / (n_vars - 2)
     if coeff == 0.0:
-        return 0.0  # exact zero even for divergent r2_hat
-    return coeff * r2_hat
+        return 0.0  # exact zero even for divergent r2_bits
+    return coeff * r2_bits
 
 
 def _abs_corr(x: np.ndarray, y: np.ndarray, lag: int) -> float:
@@ -304,7 +313,7 @@ def run_estimate(
     Order 2 reports the pairwise minimum and average only; order 3 adds the
     third-order bound (needs >= 3 channels), order 4 the fourth (>= 4).
     """
-    if order not in (2, 3, 4):
+    if order not in SUPPORTED_ORDERS:
         raise ConfigurationError(f"order must be 2, 3, or 4, got {order}")
     if channels.n_channels < order:
         raise ParameterDomainError(
@@ -313,55 +322,40 @@ def run_estimate(
     _check_seed(seed)
 
     n = channels.n_channels
-    names = channels.names
-    pairs = [
-        ((a, b), _pair_value(channels, a, b, cfg, time_series))
-        for a, b in combinations(range(n), 2)
-    ]
-    r2 = _level(pairs, names, [], "the pairwise minimum")
-    rbar = {2: _mean(pairs)}
-
-    r3 = r4 = None
+    candidates = {
+        2: [
+            ((a, b), _pair_value(channels, a, b, cfg, time_series))
+            for a, b in combinations(range(n), 2)
+        ]
+    }
     descriptors: tuple[SciDescriptor, ...] = ()
     exclusions: list[SciExclusion] = []
     if order >= 3:
         built, exclusions = _build_all_scis(channels, cfg, bis, seed)
         descriptors = tuple(desc for desc, _ in built.values())
-        triples = [
-            ((i, j, k), mi_estimate(t, channels.data[k], cfg))
-            for (i, j), (_, t) in built.items()
-            for k in range(n)
-            if k not in (i, j)
-        ]
-        r3 = _level(triples, names, exclusions, "the third-order bound")
-        rbar[3] = _mean(triples)
+        surrogates = [(pair, t) for pair, (_, t) in built.items()]
+        columns = [((k,), channels.data[k]) for k in range(n)]
+        candidates[3] = _scan(product(surrogates, columns), cfg)
         if order >= 4:
-            quads = [
-                ((*pa, *pb), mi_estimate(ta, tb, cfg))
-                for (pa, (_, ta)), (pb, (_, tb)) in combinations(built.items(), 2)
-                if not set(pa) & set(pb)
-            ]
-            r4 = _level(quads, names, exclusions, "the fourth-order bound")
+            candidates[4] = _scan(combinations(surrogates, 2), cfg)
+    levels = {
+        lvl: _level(found, channels.names, exclusions, _LEVEL_WHAT[lvl])
+        for lvl, found in candidates.items()
+    }
+    rbar = {lvl: _mean(candidates[lvl]) for lvl in (2, 3) if lvl in candidates}
 
-    rtilde = {}
-    if n > 2:
-        rtilde = {lvl: approx_rtilde(r2.bits, n, lvl) for lvl in range(2, order + 1)}
+    rtilde = {lvl: approx_rtilde(levels[2].bits, n, lvl) for lvl in levels} if n > 2 else {}
 
     slack = chain_slack_bits(channels.n_samples)
-    ok = r3 is None or r3.bits <= r2.bits + slack
-    if ok and r4 is not None:
-        ok = r4.bits <= r3.bits + slack
+    ok = all(levels[lvl].bits <= levels[lvl - 1].bits + slack for lvl in levels if lvl > 2)
 
     return CommonInfoReport(
-        r2_hat=r2,
-        r3_hat_lower=r3,
-        r4_hat_lower=r4,
+        levels=levels,
         rbar=rbar,
         rtilde=rtilde,
         estimator=cfg,
         bisection=bis,
         seed=int(seed),
-        order=order,
         time_series=time_series,
         channel_names=channels.names,
         num_samples=channels.n_samples,

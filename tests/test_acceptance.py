@@ -193,16 +193,16 @@ def test_gaussian_pipeline_reproduces_closed_forms():
         m = sample_ensemble(spec, 100_000, seed=300 + idx)
         rep = run_estimate(m, seed=idx, order=4)
         r2_true, r3_true = mi_xi_xj(spec), r3_lower(spec)
-        err2 = abs(rep.r2_hat.bits - r2_true)
-        err3 = abs(rep.r3_hat_lower.bits - r3_true)
+        err2 = abs(rep.levels[2].bits - r2_true)
+        err3 = abs(rep.levels[3].bits - r3_true)
         ok2 = err2 <= max(0.15 * r2_true, 0.02)
         ok3 = err3 <= max(0.15 * r3_true, 0.02)
-        ok4 = rep.r4_hat_lower.bits <= rep.r3_hat_lower.bits + 0.02
+        ok4 = rep.levels[4].bits <= rep.levels[3].bits + 0.02
         ok = ok and ok2 and ok3 and ok4
         details.append(f"({sn2},{rho}): {err2:.3f}/{err3:.3f}")
-        assert ok2, (sn2, rho, rep.r2_hat.bits, r2_true)
-        assert ok3, (sn2, rho, rep.r3_hat_lower.bits, r3_true)
-        assert ok4, (sn2, rho, rep.r4_hat_lower.bits, rep.r3_hat_lower.bits)
+        assert ok2, (sn2, rho, rep.levels[2].bits, r2_true)
+        assert ok3, (sn2, rho, rep.levels[3].bits, r3_true)
+        assert ok4, (sn2, rho, rep.levels[4].bits, rep.levels[3].bits)
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 120.0
     _line(7, "pipeline vs closed forms", ok,
@@ -216,7 +216,7 @@ def test_discrete_second_order_overestimates_third_order_detects_zero():
     m = sample_channels(ens, 100_000, seed=4)
     rep = run_estimate(m, EstimatorConfig(method="binned", bins=16), seed=1, order=3)
     elapsed = time.monotonic() - t0
-    r2, r3 = rep.r2_hat.bits, rep.r3_hat_lower.bits
+    r2, r3 = rep.levels[2].bits, rep.levels[3].bits
     ok = 0.9 <= r2 <= 1.1 and r3 <= 0.1 and elapsed < 30.0
     _line(8, "order separation on discrete data", ok,
           f"pairwise estimate {r2:.4f} bits, third-order bound {r3:.4f} bits, "
@@ -232,7 +232,7 @@ def test_independent_nulls_and_byte_identical_reports(tmp_path):
     data = rng.standard_normal((4, 10_000))
     cm = ChannelMatrix(names=("a", "b", "c", "d"), data=data)
     rep = run_estimate(cm, seed=0, order=4)
-    quantities = [rep.r2_hat.bits, rep.r3_hat_lower.bits, rep.r4_hat_lower.bits]
+    quantities = [rep.levels[2].bits, rep.levels[3].bits, rep.levels[4].bits]
     quantities += list(rep.rbar.values()) + list(rep.rtilde.values())
     worst = max(quantities)
 

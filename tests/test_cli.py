@@ -8,6 +8,7 @@ import math
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hoci import (
     ConfigurationError,
     GaussianEnsembleSpec,
     IngestionError,
+    run_estimate,
     sample_ensemble,
 )
 from hoci import (
@@ -56,6 +58,20 @@ def independent_csv(tmp_path_factory):
     data = np.random.default_rng(2).standard_normal((3, 2000))
     path = tmp_path_factory.mktemp("data") / "indep.csv"
     return write_csv(path, ("a", "b", "c"), data)
+
+
+@pytest.fixture(scope="module")
+def ensemble4_csv(tmp_path_factory):
+    m = sample_ensemble(GaussianEnsembleSpec(1.0, 1.0, 0.3, n=4), 2000, seed=3)
+    path = tmp_path_factory.mktemp("data") / "ensemble4.csv"
+    return write_csv(path, m.names, m.data)
+
+
+REPORT_KEYS = [
+    "tool", "version", "seed", "config", "channels", "num_samples",
+    "r2", "r3_lower", "r4_lower", "rbar", "rtilde", "chain", "sci", "exclusions",
+]
+LEVEL_KEYS = {2: ("r2", "pair"), 3: ("r3_lower", "triple"), 4: ("r4_lower", "quadruple")}
 
 
 def stderr_code(capsys):
@@ -552,6 +568,41 @@ class TestEstimateCommand:
         assert doc["r4_lower"] is None
         assert doc["sci"] == []
 
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_report_layout_at_every_order(self, ensemble4_csv, tmp_path, order):
+        out = tmp_path / "rep.json"
+        args = ["estimate", "--input", ensemble4_csv, "--order", str(order), "--out", str(out)]
+        assert main(args) == 0
+        doc = json.loads(out.read_text())
+        assert list(doc) == REPORT_KEYS
+        assert list(doc["config"]) == ["order", "time_series", "estimator", "bisection"]
+        assert doc["config"]["order"] == order
+        for level, (key, witness) in LEVEL_KEYS.items():
+            if level > order:
+                assert doc[key] is None
+            else:
+                assert list(doc[key]) == ["bits", witness]
+                assert len(doc[key][witness]) == level
+        assert set(doc["rbar"]) == ({"2", "3"} if order >= 3 else {"2"})
+        assert list(doc["rtilde"]) == [str(lvl) for lvl in range(2, order + 1)]
+
+    def test_binned_time_series_grid_too_large(self, ensemble_csv, tmp_path, capsys):
+        out = tmp_path / "big.json"
+        rc = main(
+            [
+                "estimate",
+                "--input", ensemble_csv,
+                "--estimator", "binned",
+                "--time-series",
+                "--bins", "100000",
+                "--ts-lag", "4",
+                "--out", str(out),
+            ]
+        )
+        assert rc == 1
+        assert stderr_code(capsys) == "configuration"
+        assert not out.exists()
+
     def test_knn_estimator_flags(self, ensemble_csv, tmp_path):
         out = tmp_path / "knn.json"
         rc = main(
@@ -595,6 +646,15 @@ class TestSciCommand:
         assert desc["residual"] < 1e-3
         assert doc["verification"]["passed"] is True
         assert len(doc["verification"]["checks"]) == 3
+
+    def test_descriptor_matches_the_estimate_run(self, ensemble_csv, tmp_path):
+        # one surrogate recipe: the pair's descriptor equals run_estimate's
+        out = tmp_path / "sci.json"
+        args = ["sci", "--input", ensemble_csv, "--pair", "x1,x2", "--seed", "2", "--out", str(out)]
+        assert main(args) == 0
+        rep = run_estimate(ingest_csv(ensemble_csv), seed=2, order=3)
+        (desc,) = [d for d in rep.sci_descriptors if (d.partner_channel, d.base_channel) == (0, 1)]
+        assert json.loads(out.read_text())["descriptor"] == asdict(desc)
 
     def test_numeric_pair(self, ensemble_csv, tmp_path):
         out = tmp_path / "sci.json"
@@ -727,15 +787,12 @@ class TestReportSerialization:
     @staticmethod
     def _report(r2_bits):
         return CommonInfoReport(
-            r2_hat=LevelEstimate(bits=r2_bits, channels=("a", "b")),
-            r3_hat_lower=None,
-            r4_hat_lower=None,
+            levels={2: LevelEstimate(bits=r2_bits, channels=("a", "b"))},
             rbar={2: 0.5},
             rtilde={2: 0.5},
             estimator=EstimatorConfig(),
             bisection=BisectionConfig(),
             seed=0,
-            order=2,
             time_series=False,
             channel_names=("a", "b"),
             num_samples=1000,

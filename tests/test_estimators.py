@@ -446,6 +446,18 @@ class TestSparseBinnedJoint:
                 _lag_block(x, lag), y[lag:], 16
             )
 
+    def test_grid_beyond_index_range_is_a_configuration_error(self):
+        # bins**(ts_lag + 1) cell codes must fit intp; 100000**5 does not
+        x, y = _lagged_pair(500, 0)
+        cfg = EstimatorConfig(method="binned", bins=100_000, ts_lag=4)
+        with pytest.raises(ConfigurationError, match=r"bins=100000.*ts_lag=4"):
+            bidirectional_te_mi(x, y, cfg)
+        with pytest.raises(ConfigurationError, match="bins=65536"):
+            bidirectional_te_mi(x, y, EstimatorConfig(method="binned", bins=2**16, ts_lag=3))
+        # 2**60 cells still fit and are counted
+        fits = EstimatorConfig(method="binned", bins=2**15, ts_lag=3)
+        assert bidirectional_te_mi(x, y, fits) >= 0
+
     def test_memory_follows_samples_not_table(self):
         x, y = _lagged_pair(5000, 0)
         cfg = EstimatorConfig(method="binned", bins=64, ts_lag=3)  # dense: 64**4 cells

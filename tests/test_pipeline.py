@@ -78,7 +78,7 @@ class TestSeedsAndSlack:
 
 class TestLevelEstimates:
     def test_r2_matches_closed_form(self, report4, gaussian4):
-        est = report4.r2_hat
+        est = report4.levels[2]
         assert est.bits == pytest.approx(R2_113, abs=0.01)
         assert len(est.channels) == 2
         assert set(est.channels) <= set(gaussian4.names)
@@ -96,17 +96,17 @@ class TestLevelEstimates:
                 ]
             ),
         )
-        est = run_estimate(cm, order=2).r2_hat
+        est = run_estimate(cm, order=2).levels[2]
         assert "c" in est.channels
         assert est.bits < 0.01
 
     def test_r3_matches_closed_form(self, report4):
-        est = report4.r3_hat_lower
+        est = report4.levels[3]
         assert est.bits == pytest.approx(R3_113, abs=max(0.15 * R3_113, 0.02))
         assert len(est.channels) == 3
 
     def test_r4_below_r3(self, report4):
-        r3, r4 = report4.r3_hat_lower, report4.r4_hat_lower
+        r3, r4 = report4.levels[3], report4.levels[4]
         assert r4.bits <= r3.bits + 0.02
         assert len(r4.channels) == 4
 
@@ -118,7 +118,7 @@ class TestLevelEstimates:
             run_estimate(independent3, order=4)
 
     def test_independent_channels_report_zero_with_reason(self, independent_report):
-        est = independent_report.r3_hat_lower
+        est = independent_report.levels[3]
         assert est.bits == 0.0
         assert est.channels is None
         assert est.reason is not None
@@ -129,22 +129,33 @@ class TestDiscreteEndToEnd:
         ens = build_ensemble(3, (0.5, 0.5))
         m = sample_channels(ens, 100_000, seed=4)
         rep = run_estimate(m, EstimatorConfig(method="binned", bins=16), seed=1, order=3)
-        assert rep.r2_hat.bits == pytest.approx(1.0, abs=0.1)
-        assert rep.r3_hat_lower.bits <= 0.1
+        assert rep.levels[2].bits == pytest.approx(1.0, abs=0.1)
+        assert rep.levels[3].bits <= 0.1
         assert rep.chain_ok
 
     def test_four_symbol_construction(self):
         ens = build_ensemble(4, (0.5, 0.5))
         m = sample_channels(ens, 100_000, seed=4)
         rep = run_estimate(m, EstimatorConfig(method="binned", bins=128), seed=1, order=3)
-        assert rep.r2_hat.bits == pytest.approx(2.0, abs=0.1)
-        assert rep.r3_hat_lower.bits == pytest.approx(1.0, abs=0.1)
+        assert rep.levels[2].bits == pytest.approx(2.0, abs=0.1)
+        assert rep.levels[3].bits == pytest.approx(1.0, abs=0.1)
+
+
+    def test_chain_breaks_where_r4_exceeds_r3(self):
+        # the binned plug-in bias lifts r4 (1.39 bits) above r3 (1.02) on
+        # the binary four-symbol construction at this sample count and grid
+        m = sample_channels(build_ensemble(4, (0.5, 0.5)), 10_000, seed=7)
+        rep = run_estimate(m, EstimatorConfig(method="binned", bins=256), order=4)
+        slack = rep.chain_slack_bits
+        assert rep.levels[3].bits <= rep.levels[2].bits + slack
+        assert rep.levels[4].bits > rep.levels[3].bits + slack
+        assert rep.chain_ok is False
 
 
 class TestAveragesAndScaling:
     def test_rbar_level2_close_to_min_when_exchangeable(self, report4):
         rbar = report4.rbar[2]
-        r2 = report4.r2_hat.bits
+        r2 = report4.levels[2].bits
         assert rbar >= r2  # the mean dominates the min
         assert rbar == pytest.approx(r2, abs=0.02)
 
@@ -226,25 +237,30 @@ class TestLagScan:
 class TestRunEstimate:
     def test_full_report_structure(self, gaussian4):
         rep = run_estimate(gaussian4, seed=0, order=4)
-        assert rep.r2_hat.bits == pytest.approx(R2_113, abs=0.01)
-        assert rep.r3_hat_lower.bits == pytest.approx(R3_113, abs=0.02)
-        assert rep.r4_hat_lower.bits <= rep.r3_hat_lower.bits + rep.chain_slack_bits
+        assert rep.levels[2].bits == pytest.approx(R2_113, abs=0.01)
+        assert rep.levels[3].bits == pytest.approx(R3_113, abs=0.02)
+        assert rep.levels[4].bits <= rep.levels[3].bits + rep.chain_slack_bits
         assert rep.chain_ok
-        assert rep.order == 4
+        assert max(rep.levels) == 4
         assert rep.num_samples == 100_000
         assert rep.channel_names == gaussian4.names
         assert len(rep.sci_descriptors) == 12  # one per ordered pair
         assert rep.exclusions == ()
         assert sorted(rep.rbar) == [2, 3]
         assert sorted(rep.rtilde) == [2, 3, 4]
-        assert rep.rtilde[2] == rep.r2_hat.bits
-        assert rep.rtilde[3] == pytest.approx(rep.r2_hat.bits / 2)
+        assert rep.rtilde[2] == rep.levels[2].bits
+        assert rep.rtilde[3] == pytest.approx(rep.levels[2].bits / 2)
         assert rep.rtilde[4] == 0.0
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_levels_keyed_two_to_order(self, gaussian4, order):
+        rep = run_estimate(gaussian4, seed=0, order=order)
+        assert list(rep.levels) == list(range(2, order + 1))
 
     def test_order_two_skips_constructions(self, gaussian4):
         rep = run_estimate(gaussian4, seed=0, order=2)
-        assert rep.r3_hat_lower is None
-        assert rep.r4_hat_lower is None
+        assert rep.levels.get(3) is None
+        assert rep.levels.get(4) is None
         assert rep.sci_descriptors == ()
         assert sorted(rep.rbar) == [2]
 
@@ -255,8 +271,8 @@ class TestRunEstimate:
 
     def test_independent_channels_zero_bound_with_exclusions(self, independent3):
         rep = run_estimate(independent3, seed=0, order=3)
-        assert rep.r3_hat_lower.bits == 0.0
-        assert rep.r3_hat_lower.reason is not None
+        assert rep.levels[3].bits == 0.0
+        assert rep.levels[3].reason is not None
         assert len(rep.exclusions) == 6
         assert all(e.code == "no_common_information" for e in rep.exclusions)
         assert rep.chain_ok
@@ -265,8 +281,8 @@ class TestRunEstimate:
         m = sample_ensemble(GaussianEnsembleSpec(1.0, 1.0, 0.6, n=3), 20_000, seed=3)
         plain = run_estimate(m, seed=0, order=2)
         lagged = run_estimate(m, seed=0, order=2, time_series=True)
-        assert plain.r2_hat.bits > 0.5
-        assert lagged.r2_hat.bits < 0.1
+        assert plain.levels[2].bits > 0.5
+        assert lagged.levels[2].bits < 0.1
         assert lagged.time_series
 
     def test_validation(self, gaussian4, independent3):
@@ -352,8 +368,8 @@ class TestAgainstClosedFormsAcrossParameters:
         rep = run_estimate(m, seed=1, order=3)
         r2_true = mi_xi_xj(spec)
         r3_true = r3_lower(spec)
-        assert rep.r2_hat.bits == pytest.approx(r2_true, abs=max(0.1 * r2_true, 0.01))
-        assert rep.r3_hat_lower.bits == pytest.approx(
+        assert rep.levels[2].bits == pytest.approx(r2_true, abs=max(0.1 * r2_true, 0.01))
+        assert rep.levels[3].bits == pytest.approx(
             r3_true, abs=max(0.15 * r3_true, 0.02)
         )
         assert rep.chain_ok

@@ -6,6 +6,7 @@ header before any cell is parsed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +89,8 @@ class ChannelMatrix:
         constructor keeps the caller's layout, and the last bits of a
         reduction follow it); only the result is copied row by row, so that
         every estimator call reads a contiguous channel.  A constant channel
-        cannot be standardized and raises.
+        cannot be standardized and raises, and so does one whose variance
+        overflows float64 (dividing by an infinite deviation would zero it).
         """
         means = self.data.mean(axis=1)
         stds = self.data.std(axis=1)
@@ -96,6 +98,11 @@ class ChannelMatrix:
             if s == 0.0:
                 raise DegenerateInputError(
                     f"channel {name!r} is constant and cannot be standardized"
+                )
+            if not math.isfinite(s):
+                raise DegenerateInputError(
+                    f"channel {name!r} has a variance too large for float64 "
+                    "and cannot be standardized"
                 )
         out = (self.data - means[:, None]) / stds[:, None]
         return ChannelMatrix(names=self.names, data=np.ascontiguousarray(out))

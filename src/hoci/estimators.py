@@ -17,7 +17,9 @@ Three methods, selected by :class:`EstimatorConfig`:
   Only suitable for low dimensions; the plug-in bias grows with the number
   of occupied cells.
 * ``knn`` — k-nearest-neighbor estimator with max-norm neighborhoods and
-  the neighbor-count digamma correction, for non-Gaussian data.
+  the neighbor-count digamma correction, for non-Gaussian data.  Its two
+  kernels are the only users of scipy (``cKDTree``, ``digamma``) and import
+  it on their first call, so a run that never selects ``knn`` loads no scipy.
 
 All estimates are in bits and nonnegative: a negative raw estimate is
 clamped to zero and flagged.  Columns are standardized before estimation, so
@@ -37,8 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import digamma
 
 from .errors import ConfigurationError, DegenerateInputError
 
@@ -122,6 +122,12 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     yc = y - y.sum() / y.size
     nx = float(np.sqrt(xc @ xc))
     ny = float(np.sqrt(yc @ yc))
+    # finite norms bound the cross product (Cauchy-Schwarz), so only the sums
+    # and sums of squares can overflow
+    if not (math.isfinite(nx) and math.isfinite(ny)):
+        raise DegenerateInputError(
+            "correlation overflows float64: a column's sum or sum of squares is not finite"
+        )
     if nx == 0.0 or ny == 0.0:
         raise DegenerateInputError("correlation undefined for a constant column")
     return max(min(float((xc @ yc) / (nx * ny)), 1.0), -1.0)
@@ -186,6 +192,9 @@ def _strict_range_counts(a: np.ndarray, radii: np.ndarray) -> np.ndarray:
 
 
 def _knn_mi(x: np.ndarray, y: np.ndarray, k: int) -> float:
+    from scipy.spatial import cKDTree
+    from scipy.special import digamma
+
     n = x.size
     if k >= n:
         raise DegenerateInputError(f"k={k} must be smaller than the sample count {n}")
@@ -279,6 +288,9 @@ def _binned_joint(xb: np.ndarray, y: np.ndarray, bins: int) -> float:
 
 
 def _knn_joint(xb: np.ndarray, y: np.ndarray, k: int) -> float:
+    from scipy.spatial import cKDTree
+    from scipy.special import digamma
+
     n = xb.shape[0]
     if k >= n:
         raise DegenerateInputError(f"k={k} must be smaller than the sample count {n}")

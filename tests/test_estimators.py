@@ -402,6 +402,35 @@ class TestInputValidation:
             mi_estimate(x, y, EstimatorConfig(method="knn", k=12))
 
 
+def _shared_pair(n, seed):
+    rng = np.random.default_rng(seed)
+    s = rng.standard_normal(n)
+    return s + rng.standard_normal(n), s + rng.standard_normal(n)
+
+
+class TestLargeFiniteColumns:
+    """Finite columns whose sum of squares overflows float64 raise a typed
+    error instead of returning a NaN correlation."""
+
+    def test_large_scale_keeps_the_unit_scale_value(self):
+        x, y = _shared_pair(5000, 0)
+        assert mi_estimate(x * 1e150, y * 1e150) == pytest.approx(mi_estimate(x, y), abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e155, 1e160, 1e300])
+    def test_overflowing_scale_raises(self, scale):
+        x, y = _shared_pair(5000, 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DegenerateInputError, match="overflows float64") as exc:
+                mi_estimate(x * scale, y * scale)
+        assert "constant" not in str(exc.value)
+
+    def test_one_overflowing_column_raises(self):
+        x, y = _shared_pair(5000, 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DegenerateInputError, match="overflows float64"):
+                _pearson(x, y * 1e160)
+
+
 def _binned_joint_dense(xb, y, bins):
     """The dense bins**width count table that _binned_joint replaced."""
     def plugin_entropy(idx):

@@ -233,6 +233,15 @@ class TestLagScan:
         with pytest.raises(DegenerateInputError, match="constant overlap at lag 90 samples"):
             lag_max_correlation_samples(y, x, 88, 90)
 
+    def test_overflow_is_not_a_constant_overlap(self):
+        rng = np.random.default_rng(0)
+        x, y = rng.standard_normal((2, 1000)) * 1e160
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DegenerateInputError, match="lag 0 samples") as exc:
+                lag_max_correlation_samples(x, y, 0, 3)
+        assert "constant overlap" not in str(exc.value)
+        assert "overflows float64" in str(exc.value)
+
 
 class TestRunEstimate:
     def test_full_report_structure(self, gaussian4):
@@ -382,3 +391,21 @@ class TestChannelMatrix:
             ChannelMatrix(names=("a", "", "c"), data=data)
         with pytest.raises(DegenerateInputError, match=r"duplicate channel name 'a' \(rows 1 and 3\)"):
             ChannelMatrix(names=("a", "b", "a"), data=data)
+
+
+class TestLargeFiniteChannels:
+    @pytest.fixture(scope="class")
+    def huge4(self):
+        m = sample_ensemble(GaussianEnsembleSpec(1.0, 1.0, 0.3, n=4), 2000, seed=3)
+        return ChannelMatrix(m.names, m.data * 1e160)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_run_estimate_names_the_overflowing_pair(self, huge4, order):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DegenerateInputError, match=r"channel pair \(x1, x2\): .*overflows"):
+                run_estimate(huge4, order=order)
+
+    def test_standardizing_an_overflowing_channel_raises(self, huge4):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DegenerateInputError, match="channel 'x1' has a variance too large"):
+                huge4.standardized()

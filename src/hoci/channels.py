@@ -14,6 +14,14 @@ import numpy as np
 from .errors import ConfigurationError, DegenerateInputError
 
 MIN_SAMPLES = 32
+# below this spread, squared deviations can lose digits as subnormals
+UNDERFLOW_SPREAD = 2.0**-400
+
+
+def unit_scaled(a: np.ndarray) -> np.ndarray:
+    """``a`` (per row) times the power of two putting max|a| in [0.5, 1); a flat row becomes 0."""
+    flat = a.min(axis=-1, keepdims=True) == a.max(axis=-1, keepdims=True)
+    return np.where(flat, 0.0, np.ldexp(a, -np.frexp(np.abs(a).max(axis=-1, keepdims=True))[1]))
 
 
 def check_names(names, where: str = "row") -> None:
@@ -88,12 +96,20 @@ class ChannelMatrix:
         The statistics are reduced in the stored memory order (the
         constructor keeps the caller's layout, and the last bits of a
         reduction follow it); only the result is copied row by row, so that
-        every estimator call reads a contiguous channel.  A constant channel
-        cannot be standardized and raises, and so does one whose variance
-        overflows float64 (dividing by an infinite deviation would zero it).
+        every estimator call reads a contiguous channel.  A channel whose
+        spread underflows is reduced after an exact power-of-two rescaling.
+        A constant channel cannot be standardized and raises, and so does one
+        whose variance overflows float64 (dividing by an infinite deviation
+        would zero it).
         """
-        means = self.data.mean(axis=1)
-        stds = self.data.std(axis=1)
+        data = self.data
+        stds = data.std(axis=1)
+        tiny = stds < UNDERFLOW_SPREAD
+        if tiny.any():
+            data = data.copy(order="K")
+            data[tiny] = unit_scaled(data[tiny])
+            stds = data.std(axis=1)
+        means = data.mean(axis=1)
         for name, s in zip(self.names, stds):
             if s == 0.0:
                 raise DegenerateInputError(
@@ -104,5 +120,5 @@ class ChannelMatrix:
                     f"channel {name!r} has a variance too large for float64 "
                     "and cannot be standardized"
                 )
-        out = (self.data - means[:, None]) / stds[:, None]
+        out = (data - means[:, None]) / stds[:, None]
         return ChannelMatrix(names=self.names, data=np.ascontiguousarray(out))

@@ -63,10 +63,6 @@ class DiscreteEnsemble:
     entropy_bits: float
     membership_masks: tuple[int, ...]
 
-    def mask_string(self, mask: int) -> str:
-        """Render a mask; character t is symbol t's membership flag."""
-        return "".join("1" if (mask >> t) & 1 else "0" for t in range(self.n))
-
 
 def build_ensemble(n: int, base_pmf) -> DiscreteEnsemble:
     """Build the canonical ensemble: mask i has its single zero at position i."""

@@ -9,23 +9,25 @@ Three methods, selected by :class:`EstimatorConfig`:
   its own [min, max] with numpy's histogram edge rule (``bins + 1`` linspace
   edges, the right edge in the last bin, a constant column widened by +-0.5),
   and a pairwise call counts its cells with one ``np.bincount``; the counts
-  equal ``np.histogram2d``/``np.histogramdd``'s exactly.  A block (the
+  equal ``np.histogram2d``/``np.histogramdd``'s exactly.  That table is
+  dense, so a pairwise ``bins`` above 2048 is refused up front.  A block (the
   lag-embedded time-series path) counts only its occupied cells, with
   ``np.unique``, so its memory follows the sample count, not bins**width;
   the cell codes must still fit numpy's index type, so a grid of more than
   intp-max cells is a configuration error.
   Only suitable for low dimensions; the plug-in bias grows with the number
   of occupied cells.
-* ``knn`` — k-nearest-neighbor estimator with max-norm neighborhoods and
-  the neighbor-count digamma correction, for non-Gaussian data.  Its two
-  kernels are the only users of scipy (``cKDTree``, ``digamma``) and import
-  it on their first call, so a run that never selects ``knn`` loads no scipy.
+* ``knn`` — the KSG k-nearest-neighbor estimator (max-norm neighborhoods,
+  digamma neighbor-count correction) for non-Gaussian data.  One kernel
+  serves a pair and a block; it alone imports scipy, on its first call.
 
 All estimates are in bits and nonnegative: a negative raw estimate is
-clamped to zero and flagged.  Columns are standardized before estimation, so
-results are invariant to affine rescaling of the inputs; deterministic
-tie-breaking jitter for the knn method is seeded from a hash of the column
-contents, which keeps every estimate reproducible and symmetric.
+clamped to zero.  Columns are standardized before estimation, so results are
+invariant to affine rescaling of the inputs: a column whose squares would
+underflow is first scaled by an exact power of two, and one whose sum of
+squares overflows raises.  Deterministic tie-breaking jitter for the knn
+method is seeded from a hash of the column contents, which keeps every
+estimate reproducible and symmetric.
 
 ``bidirectional_te_mi`` is the time-series proxy for pairwise MI: the sum of
 the two directed estimates I(X_{t-l..t-1}; Y_t) + I(Y_{t-l..t-1}; X_t) over a
@@ -40,12 +42,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import UNDERFLOW_SPREAD, unit_scaled
 from .errors import ConfigurationError, DegenerateInputError
 
 _METHODS = ("gaussian_logdet", "binned", "knn")
 _LN2 = math.log(2.0)
 _JITTER_SCALE = 1e-10
 _DIVERGENT_ONE_MINUS_R2 = 4.0 * float(np.finfo(np.float64).eps)
+_MAX_PAIR_CELLS = 2**22  # bins = 2048; its tables peak near 105 MB
 MIN_LENGTH = 10
 
 
@@ -73,11 +77,9 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class MiEstimate:
-    """An MI estimate with its raw (pre-clamp) value and diagnostic flags."""
+    """An MI estimate and whether its two columns are identical."""
 
     bits: float
-    raw_bits: float
-    clamped: bool
     self_pair: bool
 
 
@@ -102,8 +104,13 @@ def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 def _standardize(arr: np.ndarray, name: str) -> np.ndarray:
     s = arr.std()
+    if s < UNDERFLOW_SPREAD:
+        arr = unit_scaled(arr)
+        s = arr.std()
     if s == 0.0:
         raise DegenerateInputError(f"{name} is constant")
+    if not math.isfinite(s):
+        raise DegenerateInputError(f"{name}'s variance overflows float64")
     return (arr - arr.mean()) / s
 
 
@@ -128,6 +135,13 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
         raise DegenerateInputError(
             "correlation overflows float64: a column's sum or sum of squares is not finite"
         )
+    # a power of two moves no bit of r and keeps tiny squares out of subnormals
+    if nx < UNDERFLOW_SPREAD:
+        xc = unit_scaled(xc)
+        nx = float(np.sqrt(xc @ xc))
+    if ny < UNDERFLOW_SPREAD:
+        yc = unit_scaled(yc)
+        ny = float(np.sqrt(yc @ yc))
     if nx == 0.0 or ny == 0.0:
         raise DegenerateInputError("correlation undefined for a constant column")
     return max(min(float((xc @ yc) / (nx * ny)), 1.0), -1.0)
@@ -173,6 +187,8 @@ def _bin_index(a: np.ndarray, bins: int, name: str) -> np.ndarray:
 
 
 def _binned_mi(x: np.ndarray, y: np.ndarray, bins: int) -> float:
+    if bins * bins > _MAX_PAIR_CELLS:
+        raise ConfigurationError(f"bins={bins} needs more than 2**22 pairwise cells; use <= 2048")
     cells = _bin_index(x, bins, "x") * bins + _bin_index(y, bins, "y")
     counts = np.bincount(cells, minlength=bins * bins).reshape(bins, bins).astype(np.float64)
     p = counts / counts.sum()
@@ -191,26 +207,6 @@ def _strict_range_counts(a: np.ndarray, radii: np.ndarray) -> np.ndarray:
     return hi - lo - 1  # the point itself always falls inside
 
 
-def _knn_mi(x: np.ndarray, y: np.ndarray, k: int) -> float:
-    from scipy.spatial import cKDTree
-    from scipy.special import digamma
-
-    n = x.size
-    if k >= n:
-        raise DegenerateInputError(f"k={k} must be smaller than the sample count {n}")
-    xs = _standardize(x, "x") + _content_jitter(x)
-    ys = _standardize(y, "y") + _content_jitter(y)
-    pts = np.column_stack([xs, ys])
-    tree = cKDTree(pts)
-    dist, _ = tree.query(pts, k=k + 1, p=np.inf, workers=-1)
-    eps = dist[:, -1]
-    nx = _strict_range_counts(xs, eps)
-    ny = _strict_range_counts(ys, eps)
-    return float(
-        (digamma(k) + digamma(n) - np.mean(digamma(nx + 1) + digamma(ny + 1))) / _LN2
-    )
-
-
 def _clamp(raw: float) -> float:
     return 0.0 if raw < 0.0 else raw
 
@@ -220,19 +216,13 @@ def _raw_mi(xa: np.ndarray, ya: np.ndarray, cfg: EstimatorConfig) -> float:
         return _gaussian_mi(xa, ya)
     if cfg.method == "binned":
         return _binned_mi(xa, ya, cfg.bins)
-    return _knn_mi(xa, ya, cfg.k)
+    return _ksg_mi(xa[:, None], ya, cfg.k)
 
 
 def mi_estimate_full(x, y, cfg: EstimatorConfig = EstimatorConfig()) -> MiEstimate:
-    """Pairwise MI estimate with diagnostics; see mi_estimate."""
+    """Pairwise MI estimate with the self-pair flag; see mi_estimate."""
     xa, ya = _pair(x, y)
-    raw = _raw_mi(xa, ya, cfg)
-    return MiEstimate(
-        bits=_clamp(raw),
-        raw_bits=raw,
-        clamped=raw < 0.0,
-        self_pair=bool(np.array_equal(xa, ya)),
-    )
+    return MiEstimate(_clamp(_raw_mi(xa, ya, cfg)), bool(np.array_equal(xa, ya)))
 
 
 def mi_estimate(x, y, cfg: EstimatorConfig = EstimatorConfig()) -> float:
@@ -287,29 +277,32 @@ def _binned_joint(xb: np.ndarray, y: np.ndarray, bins: int) -> float:
     return plugin_entropy(bx) + plugin_entropy(by) - plugin_entropy(bx + by)
 
 
-def _knn_joint(xb: np.ndarray, y: np.ndarray, k: int) -> float:
+def _ksg_mi(xb: np.ndarray, y: np.ndarray, k: int) -> float:
+    """KSG I(xb; y) in bits; a width-1 block is the pair (x, y)."""
     from scipy.spatial import cKDTree
     from scipy.special import digamma
 
-    n = xb.shape[0]
+    n, width = xb.shape
     if k >= n:
         raise DegenerateInputError(f"k={k} must be smaller than the sample count {n}")
     cols = [
-        _standardize(xb[:, c], f"block column {c}") + _content_jitter(xb[:, c])
-        for c in range(xb.shape[1])
+        _standardize(xb[:, c], "x" if width == 1 else f"block column {c}")
+        + _content_jitter(xb[:, c])
+        for c in range(width)
     ]
-    xs = np.column_stack(cols)
     ys = _standardize(y, "y") + _content_jitter(y)
-    pts = np.column_stack([xs, ys])
-    tree = cKDTree(pts)
-    dist, _ = tree.query(pts, k=k + 1, p=np.inf, workers=-1)
+    pts = np.column_stack([*cols, ys])
+    dist, _ = cKDTree(pts).query(pts, k=k + 1, p=np.inf, workers=-1)
     eps = dist[:, -1]
-    # marginal counts: strict (<) neighborhoods; shrink the radius to drop
-    # the defining k-th neighbor, which sits exactly on the boundary
-    block_tree = cKDTree(xs)
-    nx = np.asarray(
-        block_tree.query_ball_point(xs, eps * (1.0 - 1e-12), p=np.inf, return_length=True)
-    ) - 1
+    # marginal counts are strict (<); a block's shrunk radius drops the
+    # defining k-th neighbor, which sits exactly on the boundary
+    if width == 1:
+        nx = _strict_range_counts(cols[0], eps)
+    else:
+        xs = np.column_stack(cols)
+        nx = np.asarray(
+            cKDTree(xs).query_ball_point(xs, eps * (1.0 - 1e-12), p=np.inf, return_length=True)
+        ) - 1
     ny = _strict_range_counts(ys, eps)
     return float(
         (digamma(k) + digamma(n) - np.mean(digamma(nx + 1) + digamma(ny + 1))) / _LN2
@@ -337,7 +330,7 @@ def mi_estimate_joint(x_block, y, cfg: EstimatorConfig = EstimatorConfig()) -> f
             )
         raw = _binned_joint(xb, ya, cfg.bins)
     else:
-        raw = _knn_joint(xb, ya, cfg.k)
+        raw = _ksg_mi(xb, ya, cfg.k)
     return _clamp(raw)
 
 

@@ -16,8 +16,7 @@ it explicitly.
 
 The pairwise quantities are valid for any rho in [-1, 1); the conditional MI
 refers to a triple of observations and is evaluated wherever its denominator
-is positive, with the stricter triple positive-semidefiniteness (rho >= -1/2)
-reported separately by ``GaussianEnsembleSpec.psd_ok``.
+is positive.
 """
 from __future__ import annotations
 
@@ -57,13 +56,6 @@ class GaussianEnsembleSpec:
                 f"rho={self.rho} makes the {self.n}-variable noise covariance "
                 f"indefinite (requires rho >= {-1.0 / (self.n - 1):.6g})"
             )
-
-    def psd_ok(self, m: int | None = None) -> bool:
-        """Whether the m-variable noise covariance is positive semidefinite."""
-        m = self.n if m is None else m
-        if m < 2:
-            raise ParameterDomainError("psd_ok needs m >= 2")
-        return self.rho >= -1.0 / (m - 1) - _PSD_TOL
 
 
 @dataclass(frozen=True)
@@ -173,42 +165,26 @@ def r4_lower(spec: GaussianEnsembleSpec) -> float:
 
 @dataclass(frozen=True)
 class AsymptoticLimits:
-    """Limits of R2 and the R3 bound as the noise variance degenerates.
+    """Limits of R2 and the R3 bound as the noise variance grows.
 
-    As sigma_n2 -> 0: R2 - R3 -> 1/2 bit and R2/R3 -> 1 (both diverge).
     As sigma_n2 -> inf: R2 -> 1/2 log2(1/(1-rho^2)) and
-    R3 -> 1/2 log2(1/((1-rho^2)(1+rho^2))).
+    R3 -> 1/2 log2(1/((1-rho^2)(1+rho^2))).  (As sigma_n2 -> 0 both diverge,
+    with R2 - R3 -> 1/2 bit and R2/R3 -> 1 whatever rho.)
     """
 
-    small_noise_gap_bits: float
-    small_noise_ratio: float
     large_noise_r2_bits: float
     large_noise_r3_bits: float
 
 
 def asymptotic_limits(rho: float) -> AsymptoticLimits:
-    """The four limit values above for a given pairwise noise correlation."""
+    """The two limit values above for a given pairwise noise correlation."""
     if not -1.0 <= rho <= 1.0:
         raise ParameterDomainError(f"rho must lie in [-1, 1], got {rho}")
     if abs(rho) == 1.0:
-        return AsymptoticLimits(0.5, 1.0, math.inf, math.inf)
+        return AsymptoticLimits(math.inf, math.inf)
     r2 = 0.5 * math.log2(1.0 / (1.0 - rho * rho))
     r3 = 0.5 * math.log2(1.0 / ((1.0 - rho * rho) * (1.0 + rho * rho)))
-    return AsymptoticLimits(
-        small_noise_gap_bits=0.5,
-        small_noise_ratio=1.0,
-        large_noise_r2_bits=r2,
-        large_noise_r3_bits=r3,
-    )
-
-
-def wyner_ci_standard_normal(rho: float) -> float:
-    """Wyner common information of a standard normal pair: 1/2 log2((1+|rho|)/(1-|rho|))."""
-    if not -1.0 <= rho <= 1.0:
-        raise ParameterDomainError(f"rho must lie in [-1, 1], got {rho}")
-    if abs(rho) == 1.0:
-        return math.inf
-    return 0.5 * math.log2((1.0 + abs(rho)) / (1.0 - abs(rho)))
+    return AsymptoticLimits(large_noise_r2_bits=r2, large_noise_r3_bits=r3)
 
 
 def mmse_coefficients(spec: GaussianEnsembleSpec) -> MmseCoefficients:

@@ -235,19 +235,19 @@ def _tune(
 
 
 def _target_mi(x_other, carrier, cfg: EstimatorConfig, epsilon: float) -> float:
-    est = mi_estimate_full(x_other, carrier, cfg)
-    if math.isinf(est.bits):
+    bits = mi_estimate(x_other, carrier, cfg)
+    if math.isinf(bits):
         raise ConvergenceError(
             "target MI is divergent (identical columns?); no finite noise "
             "variance can match it"
         )
-    if est.bits <= epsilon:
+    if bits <= epsilon:
         raise NoCommonInformationError(
-            f"target MI {est.bits:.6g} bits is at or below epsilon "
+            f"target MI {bits:.6g} bits is at or below epsilon "
             f"{epsilon:.6g}; the pair shares no matchable information",
-            target_bits=est.bits,
+            target_bits=bits,
         )
-    return est.bits
+    return bits
 
 
 def build_sci(

@@ -586,6 +586,26 @@ class TestEstimateCommand:
         assert set(doc["rbar"]) == ({"2", "3"} if order >= 3 else {"2"})
         assert list(doc["rtilde"]) == [str(lvl) for lvl in range(2, order + 1)]
 
+    def test_tiny_finite_input_is_accepted(self, tmp_path):
+        # squared deviations of 1e-200 underflow; the channels are not constant
+        m = sample_ensemble(GaussianEnsembleSpec(1.0, 1.0, 0.3, n=4), 2000, seed=3)
+        docs = []
+        for tag, scale in (("unit", 1.0), ("tiny", 1e-200)):
+            path = write_csv(tmp_path / f"{tag}.csv", m.names, m.data * scale)
+            out = tmp_path / f"{tag}.json"
+            assert main(["estimate", "--input", path, "--order", "3", "--out", str(out)]) == 0
+            docs.append(json.loads(out.read_text()))
+        for key, witness in (("r2", "pair"), ("r3_lower", "triple")):
+            assert docs[1][key][witness] == docs[0][key][witness]
+            assert docs[1][key]["bits"] == pytest.approx(docs[0][key]["bits"], abs=1e-9)
+
+    def test_binned_pairwise_grid_too_large(self, ensemble_csv, tmp_path, capsys):
+        out = tmp_path / "big.json"
+        args = ["estimate", "--input", ensemble_csv, "--estimator", "binned", "--out", str(out)]
+        assert main([*args, "--bins", "2049"]) == 1
+        assert stderr_code(capsys) == "configuration"
+        assert not out.exists()
+
     def test_binned_time_series_grid_too_large(self, ensemble_csv, tmp_path, capsys):
         out = tmp_path / "big.json"
         rc = main(

@@ -50,7 +50,11 @@ class TestEntropy:
 class TestEnsembleConstruction:
     def test_canonical_masks_n3(self):
         ens = build_ensemble(3, UNIFORM2)
-        strings = {ens.mask_string(m) for m in ens.membership_masks}
+        # character t is symbol t's membership flag
+        strings = {
+            "".join("1" if (m >> t) & 1 else "0" for t in range(ens.n))
+            for m in ens.membership_masks
+        }
         assert strings == {"011", "101", "110"}
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])

@@ -22,7 +22,8 @@ from hoci import (
     sample_ensemble,
 )
 from hoci.estimators import _bin_index, _binned_mi, _pearson
-from hoci.estimators import _binned_joint, _clamp, _lag_block
+from hoci.estimators import _binned_joint, _clamp, _lag_block, _raw_mi
+from hoci.estimators import _content_jitter, _ksg_mi, _standardize, _strict_range_counts
 
 GAUSSIAN = EstimatorConfig()
 KNN = EstimatorConfig(method="knn", k=4)
@@ -95,10 +96,8 @@ class TestExactIdentities:
     def test_negative_raw_estimates_clamp_to_zero(self):
         rng = np.random.default_rng(1)  # known to give a negative knn raw value
         x, y = rng.standard_normal(1000), rng.standard_normal(1000)
-        est = mi_estimate_full(x, y, KNN)
-        assert est.raw_bits < 0.0
-        assert est.clamped
-        assert est.bits == 0.0
+        assert _raw_mi(x, y, KNN) < 0.0
+        assert mi_estimate_full(x, y, KNN).bits == 0.0
 
 
 def _pearson_reference(x, y):
@@ -141,7 +140,7 @@ class TestLeanCall:
     def test_clamped_estimate_matches_full(self, cfg, pair):
         x, y = pair()
         est = mi_estimate_full(x, y, cfg)
-        assert est.raw_bits < 0.0 and est.clamped
+        assert _raw_mi(x, y, cfg) < 0.0
         assert mi_estimate(x, y, cfg) == est.bits == 0.0
 
     def test_pearson_matches_reference_form(self):
@@ -430,6 +429,53 @@ class TestLargeFiniteColumns:
             with pytest.raises(DegenerateInputError, match="overflows float64"):
                 _pearson(x, y * 1e160)
 
+    def test_knn_large_scale_stays_close_to_unit_scale(self):
+        # the tie-breaking jitter hashes the raw bytes, so only the last digits move
+        x, y = _shared_pair(5000, 0)
+        assert mi_estimate(x * 1e150, y * 1e150, KNN) == pytest.approx(
+            mi_estimate(x, y, KNN), abs=1e-4
+        )
+
+    @pytest.mark.parametrize("scale", [1e155, 1e160])
+    def test_knn_overflowing_scale_raises(self, scale):
+        # dividing by an infinite deviation used to zero the column silently
+        x, y = _shared_pair(5000, 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DegenerateInputError, match="x's variance overflows float64"):
+                mi_estimate(x * scale, y * scale, KNN)
+
+
+class TestTinyFiniteColumns:
+    """Finite columns whose squares underflow float64 are rescaled by a power
+    of two, not read as constant or estimated on subnormal digits."""
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e-200])
+    def test_gaussian_keeps_the_unit_scale_value(self, scale):
+        x, y = _shared_pair(5000, 0)
+        assert mi_estimate(x * scale, y * scale) == pytest.approx(mi_estimate(x, y), abs=1e-12)
+
+    def test_power_of_two_scale_moves_no_bit(self):
+        # 2**-600 is exact and its squares underflow; 2**-450 is rescaled
+        # although its squares would not
+        x, y = _shared_pair(5000, 0)
+        for scale in (2.0**-450, 2.0**-600):
+            assert mi_estimate(x * scale, y * scale) == mi_estimate(x, y)
+            assert mi_estimate(x * scale, y) == mi_estimate(x, y)
+
+    def test_knn_accepts_tiny_columns(self):
+        x, y = _shared_pair(5000, 0)
+        assert mi_estimate(x * 1e-200, y * 1e-200, KNN) == pytest.approx(
+            mi_estimate(x, y, KNN), abs=1e-4
+        )
+
+    @pytest.mark.parametrize("cfg,text", [(GAUSSIAN, "constant column"), (KNN, "^x is constant$")])
+    def test_tiny_constant_column_still_raises(self, cfg, text):
+        # 2000 copies of 1e-200 or 1e-130 have a mean one ulp off the value
+        x, _ = _shared_pair(2000, 0)
+        for value in (0.0, 1e-130, 1e-200, 5e-324):
+            with pytest.raises(DegenerateInputError, match=text):
+                mi_estimate(np.full(2000, value), x, cfg)
+
 
 def _binned_joint_dense(xb, y, bins):
     """The dense bins**width count table that _binned_joint replaced."""
@@ -497,3 +543,125 @@ class TestSparseBinnedJoint:
         finally:
             tracemalloc.stop()
         assert peak < 20e6
+
+
+class TestPairwiseGridCap:
+    """The pairwise binned table is dense, so its size is refused up front."""
+
+    def test_oversized_grid_is_refused_before_allocating(self):
+        x, y = _shared_pair(1000, 0)
+        cfg = EstimatorConfig(method="binned", bins=2049)  # constructing is fine
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match="bins=2049"):
+                mi_estimate(x, y, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
+
+_LN2 = math.log(2.0)
+
+
+def _knn_mi_reference(x: np.ndarray, y: np.ndarray, k: int) -> float:
+    # the scalar-pair kernel the block kernel absorbed, verbatim
+    from scipy.spatial import cKDTree
+    from scipy.special import digamma
+
+    n = x.size
+    if k >= n:
+        raise DegenerateInputError(f"k={k} must be smaller than the sample count {n}")
+    xs = _standardize(x, "x") + _content_jitter(x)
+    ys = _standardize(y, "y") + _content_jitter(y)
+    pts = np.column_stack([xs, ys])
+    tree = cKDTree(pts)
+    dist, _ = tree.query(pts, k=k + 1, p=np.inf, workers=-1)
+    eps = dist[:, -1]
+    nx = _strict_range_counts(xs, eps)
+    ny = _strict_range_counts(ys, eps)
+    return float(
+        (digamma(k) + digamma(n) - np.mean(digamma(nx + 1) + digamma(ny + 1))) / _LN2
+    )
+
+
+def _knn_joint_reference(xb: np.ndarray, y: np.ndarray, k: int) -> float:
+    # the block kernel before it absorbed the scalar pair, verbatim
+    from scipy.spatial import cKDTree
+    from scipy.special import digamma
+
+    n = xb.shape[0]
+    if k >= n:
+        raise DegenerateInputError(f"k={k} must be smaller than the sample count {n}")
+    cols = [
+        _standardize(xb[:, c], f"block column {c}") + _content_jitter(xb[:, c])
+        for c in range(xb.shape[1])
+    ]
+    xs = np.column_stack(cols)
+    ys = _standardize(y, "y") + _content_jitter(y)
+    pts = np.column_stack([xs, ys])
+    tree = cKDTree(pts)
+    dist, _ = tree.query(pts, k=k + 1, p=np.inf, workers=-1)
+    eps = dist[:, -1]
+    # marginal counts: strict (<) neighborhoods; shrink the radius to drop
+    # the defining k-th neighbor, which sits exactly on the boundary
+    block_tree = cKDTree(xs)
+    nx = np.asarray(
+        block_tree.query_ball_point(xs, eps * (1.0 - 1e-12), p=np.inf, return_length=True)
+    ) - 1
+    ny = _strict_range_counts(ys, eps)
+    return float(
+        (digamma(k) + digamma(n) - np.mean(digamma(nx + 1) + digamma(ny + 1))) / _LN2
+    )
+
+
+# (width, k, tied, lagged): every block width 1-3 with k in {1, 4, 7}, on
+# continuous data and rounded onto a coarse grid (heavy ties), then lag blocks
+_KNN_CASES = [
+    (width, k, tied, False) for width in (1, 2, 3) for k in (1, 4, 7) for tied in (False, True)
+] + [(width, k, False, True) for width in (1, 2, 3) for k in (1, 4)]
+
+
+def _knn_case(index):
+    width, k, tied, lagged = _KNN_CASES[index]
+    rng = np.random.default_rng(index)
+    n = int(rng.integers(60, 900))
+    s = rng.standard_normal(n)
+    if lagged:  # strided columns, as the time-series path passes them
+        y = s + 0.5 * rng.standard_normal(n)
+        return _lag_block(np.roll(s, 1) + rng.standard_normal(n), width), y[width:], k
+    xb = s[:, None] + rng.standard_normal((n, width))
+    y = s + rng.uniform(-1.0, 1.0, n)
+    if tied:
+        xb, y = np.round(2.0 * xb), np.round(y)
+    return xb, y, k
+
+
+class TestOneKnnKernel:
+    """One KSG kernel serves the scalar pair and the block, bit for bit as the
+    two kernels it replaced."""
+
+    @pytest.mark.parametrize("index", range(len(_KNN_CASES)))
+    def test_matches_the_replaced_kernels(self, index):
+        xb, y, k = _knn_case(index)
+        if xb.shape[1] == 1:
+            want = _knn_mi_reference(xb[:, 0], y, k)
+        else:
+            want = _knn_joint_reference(xb, y, k)
+        assert _ksg_mi(xb, y, k) == want
+
+    def test_public_calls_reach_the_kernel(self):
+        xb, y, k = _knn_case(_KNN_CASES.index((3, 4, False, False)))
+        cfg = EstimatorConfig(method="knn", k=k)
+        assert mi_estimate(xb[:, 0], y, cfg) == _clamp(_knn_mi_reference(xb[:, 0], y, k))
+        assert mi_estimate_joint(xb, y, cfg) == _clamp(_knn_joint_reference(xb, y, k))
+
+    def test_errors_name_the_constant_column(self):
+        x = np.random.default_rng(0).standard_normal(100)
+        flat = np.full(100, 3.0)
+        with pytest.raises(DegenerateInputError, match="^x is constant$"):
+            mi_estimate(flat, x, KNN)
+        with pytest.raises(DegenerateInputError, match="^y is constant$"):
+            mi_estimate(x, flat, KNN)
+        with pytest.raises(DegenerateInputError, match="^block column 1 is constant$"):
+            mi_estimate_joint(np.column_stack([x, flat]), x[::-1], KNN)

@@ -409,3 +409,50 @@ class TestLargeFiniteChannels:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DegenerateInputError, match="channel 'x1' has a variance too large"):
                 huge4.standardized()
+
+    def test_knn_run_estimate_names_the_overflowing_pair(self, huge4):
+        # knn used to divide by the infinite deviation and report r2 = 0 bits
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(
+                DegenerateInputError, match=r"channel pair \(x1, x2\): x's variance overflows"
+            ):
+                run_estimate(huge4, EstimatorConfig(method="knn"), order=2)
+
+
+class TestTinyFiniteChannels:
+    """Channels whose squared deviations underflow float64 are standardized
+    after an exact power-of-two rescaling, not read as constant."""
+
+    @pytest.fixture(scope="class")
+    def unit4(self):
+        return sample_ensemble(GaussianEnsembleSpec(1.0, 1.0, 0.3, n=4), 2000, seed=3)
+
+    def test_standardized_accepts_tiny_channels(self, unit4):
+        want = unit4.standardized().data
+        tiny = ChannelMatrix(unit4.names, unit4.data * 1e-200).standardized().data
+        np.testing.assert_allclose(tiny, want, rtol=0.0, atol=1e-12)
+        # a power-of-two scale is exact, so the rescaled rows match bit for bit
+        exact = ChannelMatrix(unit4.names, unit4.data * 2.0**-600).standardized().data
+        assert np.array_equal(exact, want)
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_other_channels_keep_their_bits(self, unit4, layout):
+        data = np.array(unit4.data, order=layout)
+        tiny = data.copy(order="K")
+        tiny[2] *= 2.0**-600
+        want = ChannelMatrix(unit4.names, data).standardized().data
+        got = ChannelMatrix(unit4.names, tiny).standardized().data
+        assert np.array_equal(got, want)
+
+    def test_tiny_constant_channel_still_raises(self, unit4):
+        data = unit4.data.copy()
+        data[1] = 1e-200
+        with pytest.raises(DegenerateInputError, match="channel 'x2' is constant"):
+            ChannelMatrix(unit4.names, data).standardized()
+
+    def test_run_estimate_keeps_the_unit_scale_value(self, unit4):
+        tiny = ChannelMatrix(unit4.names, unit4.data * 1e-200)
+        want = run_estimate(unit4, order=2).levels[2]
+        got = run_estimate(tiny, order=2).levels[2]
+        assert got.channels == want.channels
+        assert got.bits == pytest.approx(want.bits, abs=1e-12)

@@ -98,11 +98,13 @@ class ChannelMatrix:
         reduction follow it); only the result is copied row by row, so that
         every estimator call reads a contiguous channel.  A channel whose
         spread underflows is reduced after an exact power-of-two rescaling.
-        A constant channel cannot be standardized and raises, and so does one
-        whose variance overflows float64 (dividing by an infinite deviation
-        would zero it).
+        A constant channel (its min equals its max, even where the mean
+        rounds off the value) cannot be standardized and raises, and so does
+        one whose variance overflows float64 (dividing by an infinite
+        deviation would zero it).
         """
         data = self.data
+        flat = data.min(axis=1) == data.max(axis=1)
         stds = data.std(axis=1)
         tiny = stds < UNDERFLOW_SPREAD
         if tiny.any():
@@ -110,8 +112,8 @@ class ChannelMatrix:
             data[tiny] = unit_scaled(data[tiny])
             stds = data.std(axis=1)
         means = data.mean(axis=1)
-        for name, s in zip(self.names, stds):
-            if s == 0.0:
+        for name, constant, s in zip(self.names, flat, stds):
+            if constant:
                 raise DegenerateInputError(
                     f"channel {name!r} is constant and cannot be standardized"
                 )

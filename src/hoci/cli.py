@@ -467,7 +467,7 @@ def _cmd_sci(args) -> int:
     seed = resolve_seed(args.seed)
     cfg = _estimator_from_args(args)
     bis = _bisection_from_args(args)
-    desc, t = _pair_sci(matrix, i, j, cfg, bis, seed)
+    desc, t = _pair_sci(matrix.data, i, j, cfg, bis, seed)
     verification = verify_sci(t, matrix, i, j, cfg)
     doc = {
         "tool": "hoci",

@@ -21,8 +21,20 @@ Three methods, selected by :class:`EstimatorConfig`:
   digamma neighbor-count correction) for non-Gaussian data.  One kernel
   serves a pair and a block; it alone imports scipy, on its first call.
 
-All estimates are in bits and nonnegative: a negative raw estimate is
-clamped to zero.  Columns are standardized before estimation, so results are
+Pairwise kernels read prepared columns: ``_prepare`` validates a column and
+keeps what its method's kernel reads -- the centring offset ``x.sum()/x.size``
+and centred norm for ``gaussian_logdet`` (the rescaled centred column too,
+only when that norm is below ``UNDERFLOW_SPREAD``), the bin indices as
+``uint16`` for ``binned`` (a pairwise call refuses more than 2048 bins), the
+standardized, jittered values for ``knn``.  ``mi_estimate`` prepares its two
+columns itself unless the caller passes a :class:`PreparedColumns` table;
+``run_estimate`` makes one per run, so each channel row and accepted
+surrogate is prepared once however many calls read it.  The arithmetic is
+the same either way, so a table moves no bit.  A column whose min equals its
+max is constant, even where its mean rounds off the value.
+
+All estimates are in bits and nonnegative: a negative raw estimate (or -0.0)
+is clamped to +0.0.  Columns are standardized before estimation, so results are
 invariant to affine rescaling of the inputs: a column whose squares would
 underflow is first scaled by an exact power of two, and one whose sum of
 squares overflows raises.  Deterministic tie-breaking jitter for the knn
@@ -39,6 +51,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,12 +116,12 @@ def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _standardize(arr: np.ndarray, name: str) -> np.ndarray:
+    if arr.min() == arr.max():  # even where the mean rounds off the value
+        raise DegenerateInputError(f"{name} is constant")
     s = arr.std()
     if s < UNDERFLOW_SPREAD:
         arr = unit_scaled(arr)
         s = arr.std()
-    if s == 0.0:
-        raise DegenerateInputError(f"{name} is constant")
     if not math.isfinite(s):
         raise DegenerateInputError(f"{name}'s variance overflows float64")
     return (arr - arr.mean()) / s
@@ -121,34 +134,58 @@ def _content_jitter(raw: np.ndarray) -> np.ndarray:
     return _JITTER_SCALE * rng.standard_normal(raw.size)
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    # sum/size is the same pairwise reduction and division as mean(), and the
-    # scalar min/max clamp is np.clip's; both skip numpy's per-call overhead.
-    # The argument order lets a NaN through, as np.clip does.
-    xc = x - x.sum() / x.size
-    yc = y - y.sum() / y.size
-    nx = float(np.sqrt(xc @ xc))
-    ny = float(np.sqrt(yc @ yc))
+def _jittered(a: np.ndarray, name: str) -> np.ndarray:
+    """A column as the KSG kernel reads it: standardized, plus tie-breaking jitter."""
+    return _standardize(a, name) + _content_jitter(a)
+
+
+class _Centred(NamedTuple):
+    """A column as the correlation reads it: ``values - offset`` is the centred
+    column (``offset`` None: ``values`` is already centred), ``norm`` its norm,
+    0.0 for a constant column."""
+
+    values: np.ndarray
+    offset: float | None
+    norm: float
+
+
+def _centred(x: np.ndarray) -> _Centred:
+    if x.min() == x.max():  # constant, even where the mean rounds off the value
+        return _Centred(x, x[0], 0.0)
+    offset = x.sum() / x.size  # the same pairwise reduction and division as mean()
+    xc = x - offset
+    norm = float(np.sqrt(xc @ xc))
+    # a power of two moves no bit of r and keeps tiny squares out of subnormals
+    if norm < UNDERFLOW_SPREAD:
+        xc = unit_scaled(xc)
+        return _Centred(xc, None, float(np.sqrt(xc @ xc)))
+    return _Centred(x, offset, norm)
+
+
+def _correlation(px: _Centred, py: _Centred) -> float:
+    nx, ny = px.norm, py.norm
     # finite norms bound the cross product (Cauchy-Schwarz), so only the sums
     # and sums of squares can overflow
     if not (math.isfinite(nx) and math.isfinite(ny)):
         raise DegenerateInputError(
             "correlation overflows float64: a column's sum or sum of squares is not finite"
         )
-    # a power of two moves no bit of r and keeps tiny squares out of subnormals
-    if nx < UNDERFLOW_SPREAD:
-        xc = unit_scaled(xc)
-        nx = float(np.sqrt(xc @ xc))
-    if ny < UNDERFLOW_SPREAD:
-        yc = unit_scaled(yc)
-        ny = float(np.sqrt(yc @ yc))
     if nx == 0.0 or ny == 0.0:
         raise DegenerateInputError("correlation undefined for a constant column")
+    xc = px.values if px.offset is None else px.values - px.offset
+    yc = py.values if py.offset is None else py.values - py.offset
+    # the scalar min/max clamp is np.clip's without numpy's per-call overhead;
+    # the argument order lets a NaN through, as np.clip does
     return max(min(float((xc @ yc) / (nx * ny)), 1.0), -1.0)
 
 
-def _gaussian_mi(x: np.ndarray, y: np.ndarray) -> float:
-    r = _pearson(x, y)
+def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+    """Correlation of two unprepared columns."""
+    return _correlation(_centred(x), _centred(y))
+
+
+def _gaussian_mi(px: _Centred, py: _Centred) -> float:
+    r = _correlation(px, py)
     one_minus = (1.0 - r) * (1.0 + r)
     # identical columns leave r up to 2 ulps short of 1, so 1 - r^2 lands
     # within a few eps of 0 instead of on it; a real dependence that close
@@ -186,16 +223,28 @@ def _bin_index(a: np.ndarray, bins: int, name: str) -> np.ndarray:
     return idx
 
 
-def _binned_mi(x: np.ndarray, y: np.ndarray, bins: int) -> float:
+def _bin_codes(a: np.ndarray, bins: int, name: str) -> np.ndarray:
+    """The pairwise kernel's bin indices, as uint16."""
     if bins * bins > _MAX_PAIR_CELLS:
         raise ConfigurationError(f"bins={bins} needs more than 2**22 pairwise cells; use <= 2048")
-    cells = _bin_index(x, bins, "x") * bins + _bin_index(y, bins, "y")
+    return _bin_index(a, bins, name).astype(np.uint16)
+
+
+def _binned_pair(cx: np.ndarray, cy: np.ndarray, bins: int) -> float:
+    cells = cx.astype(np.intp)
+    cells *= bins
+    cells += cy
     counts = np.bincount(cells, minlength=bins * bins).reshape(bins, bins).astype(np.float64)
     p = counts / counts.sum()
     px = p.sum(axis=1, keepdims=True)
     py = p.sum(axis=0, keepdims=True)
     nz = p > 0.0
     return float((p[nz] * np.log2(p[nz] / (px @ py)[nz])).sum())
+
+
+def _binned_mi(x: np.ndarray, y: np.ndarray, bins: int) -> float:
+    """Binned I(x; y) of two unprepared columns."""
+    return _binned_pair(_bin_codes(x, bins, "x"), _bin_codes(y, bins, "y"), bins)
 
 
 def _strict_range_counts(a: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -208,33 +257,103 @@ def _strict_range_counts(a: np.ndarray, radii: np.ndarray) -> np.ndarray:
 
 
 def _clamp(raw: float) -> float:
-    return 0.0 if raw < 0.0 else raw
+    # also turns -0.0 into +0.0; a NaN passes
+    return 0.0 if raw <= 0.0 else raw
 
 
-def _raw_mi(xa: np.ndarray, ya: np.ndarray, cfg: EstimatorConfig) -> float:
+def _prepare(a: np.ndarray, cfg: EstimatorConfig, name: str):
+    """What cfg's pairwise kernel reads of a validated column."""
     if cfg.method == "gaussian_logdet":
-        return _gaussian_mi(xa, ya)
+        return _centred(a)
     if cfg.method == "binned":
-        return _binned_mi(xa, ya, cfg.bins)
-    return _ksg_mi(xa[:, None], ya, cfg.k)
+        return _bin_codes(a, cfg.bins, name)
+    return _jittered(a, name)
+
+
+class PreparedColumns:
+    """One estimation run's table of prepared columns, for one config.
+
+    Each column is held for the array object it was prepared from, so a
+    table is filled only with float64 arrays that stay alive and unchanged
+    while it is in use.  A kept array's preparation is held for the life of
+    the table; it is made on the array's first use, so its errors read as
+    they would without a table.  Any other column is prepared on every call,
+    and only the last one is held, until the next: keeping the column that
+    the previous call prepared (a surrogate that its last tuning call
+    accepted) prepares nothing.
+    """
+
+    def __init__(self, cfg: EstimatorConfig, kept=()):
+        self.cfg = cfg
+        self._kept = {id(a): (a, None) for a in kept}
+        self._last = (None, None)
+
+    def keep(self, a: np.ndarray) -> None:
+        if id(a) not in self._kept:
+            self._kept[id(a)] = self._last if self._last[0] is a else (a, None)
+
+    def pair(self, x, y):
+        """Both columns prepared for the config's kernel.  The checks run in
+        one order whatever the table holds: validate x, validate y, compare
+        lengths, prepare x, prepare y."""
+        px, py = self._held(x), self._held(y)
+        xa = x if px is not None else _column(x, "x")
+        ya = y if py is not None else _column(y, "y")
+        if xa.size != ya.size:
+            raise DegenerateInputError(f"length mismatch: {xa.size} vs {ya.size}")
+        if px is None:
+            px = self._prepare(xa, "x")
+        if py is None:
+            py = self._prepare(ya, "y")
+        return px, py
+
+    def _held(self, a):
+        # a kept array is alive, so no other object has its id
+        held, prepared = self._kept.get(id(a), self._last)
+        return prepared if held is a else None
+
+    def _prepare(self, a: np.ndarray, name: str):
+        entry = (a, _prepare(a, self.cfg, name))
+        if id(a) in self._kept:
+            self._kept[id(a)] = entry
+        else:
+            self._last = entry
+        return entry[1]
+
+
+def _raw_mi(x, y, cfg: EstimatorConfig, columns: PreparedColumns | None = None) -> float:
+    if columns is None:
+        columns = PreparedColumns(cfg)
+    elif columns.cfg is not cfg and columns.cfg != cfg:
+        raise ConfigurationError("the prepared columns were made for another estimator config")
+    px, py = columns.pair(x, y)
+    if cfg.method == "gaussian_logdet":
+        return _gaussian_mi(px, py)
+    if cfg.method == "binned":
+        return _binned_pair(px, py, cfg.bins)
+    return _ksg([px], py, cfg.k)
 
 
 def mi_estimate_full(x, y, cfg: EstimatorConfig = EstimatorConfig()) -> MiEstimate:
     """Pairwise MI estimate with the self-pair flag; see mi_estimate."""
-    xa, ya = _pair(x, y)
-    return MiEstimate(_clamp(_raw_mi(xa, ya, cfg)), bool(np.array_equal(xa, ya)))
+    bits = _clamp(_raw_mi(x, y, cfg))
+    xa, ya = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    return MiEstimate(bits, bool(np.array_equal(xa, ya)))
 
 
-def mi_estimate(x, y, cfg: EstimatorConfig = EstimatorConfig()) -> float:
+def mi_estimate(
+    x, y, cfg: EstimatorConfig = EstimatorConfig(), *, columns: PreparedColumns | None = None
+) -> float:
     """Estimate I(x; y) in bits with the configured method.
 
     Nonnegative; identical non-constant columns give a divergent (inf)
     parametric estimate or a large positive knn estimate, flagged as a
     self-pair in the full result.  Equal to ``mi_estimate_full(...).bits``
-    without the self-pair comparison.
+    without the self-pair comparison.  ``columns``, the run's table of
+    prepared columns made for ``cfg``, spares re-preparing the columns it
+    holds; the estimate is the same bit for bit.
     """
-    xa, ya = _pair(x, y)
-    return _clamp(_raw_mi(xa, ya, cfg))
+    return _clamp(_raw_mi(x, y, cfg, columns))
 
 
 def _block(values, name: str) -> np.ndarray:
@@ -252,7 +371,15 @@ def _block(values, name: str) -> np.ndarray:
 
 def _gaussian_joint(xb: np.ndarray, y: np.ndarray) -> float:
     w = xb.shape[1]
-    full = np.corrcoef(np.column_stack([xb, y]), rowvar=False)
+    cols = np.column_stack([xb, y])
+    if (cols.min(axis=0) == cols.max(axis=0)).any():  # even where a mean rounds off
+        raise DegenerateInputError("correlation undefined for a constant column")
+    # np.corrcoef's covariances lose digits in subnormals (or vanish) on tiny
+    # columns; a power of two moves no bit of a correlation
+    tiny = cols.std(axis=0) < UNDERFLOW_SPREAD
+    if tiny.any():
+        cols[:, tiny] = unit_scaled(cols[:, tiny].T).T
+    full = np.corrcoef(cols, rowvar=False)
     if not np.isfinite(full).all():
         raise DegenerateInputError("correlation undefined for a constant column")
     sign_xx, logdet_xx = np.linalg.slogdet(full[:w, :w])
@@ -277,26 +404,22 @@ def _binned_joint(xb: np.ndarray, y: np.ndarray, bins: int) -> float:
     return plugin_entropy(bx) + plugin_entropy(by) - plugin_entropy(bx + by)
 
 
-def _ksg_mi(xb: np.ndarray, y: np.ndarray, k: int) -> float:
-    """KSG I(xb; y) in bits; a width-1 block is the pair (x, y)."""
+def _ksg(cols: list[np.ndarray], ys: np.ndarray, k: int) -> float:
+    """KSG I(X; y) in bits from prepared (standardized, jittered) columns: the
+    block X's columns and y; one column is the pair (x, y)."""
     from scipy.spatial import cKDTree
     from scipy.special import digamma
 
-    n, width = xb.shape
+    n = ys.size
     if k >= n:
         raise DegenerateInputError(f"k={k} must be smaller than the sample count {n}")
-    cols = [
-        _standardize(xb[:, c], "x" if width == 1 else f"block column {c}")
-        + _content_jitter(xb[:, c])
-        for c in range(width)
-    ]
-    ys = _standardize(y, "y") + _content_jitter(y)
     pts = np.column_stack([*cols, ys])
-    dist, _ = cKDTree(pts).query(pts, k=k + 1, p=np.inf, workers=-1)
+    # the query is exact, so threads could change no bit; they bought no time
+    dist, _ = cKDTree(pts).query(pts, k=k + 1, p=np.inf, workers=1)
     eps = dist[:, -1]
     # marginal counts are strict (<); a block's shrunk radius drops the
     # defining k-th neighbor, which sits exactly on the boundary
-    if width == 1:
+    if len(cols) == 1:
         nx = _strict_range_counts(cols[0], eps)
     else:
         xs = np.column_stack(cols)
@@ -307,6 +430,13 @@ def _ksg_mi(xb: np.ndarray, y: np.ndarray, k: int) -> float:
     return float(
         (digamma(k) + digamma(n) - np.mean(digamma(nx + 1) + digamma(ny + 1))) / _LN2
     )
+
+
+def _ksg_mi(xb: np.ndarray, y: np.ndarray, k: int) -> float:
+    """KSG I(xb; y) in bits of an unprepared block; a width-1 block is the pair (x, y)."""
+    width = xb.shape[1]
+    cols = [_jittered(xb[:, c], "x" if width == 1 else f"block column {c}") for c in range(width)]
+    return _ksg(cols, _jittered(y, "y"), k)
 
 
 def mi_estimate_joint(x_block, y, cfg: EstimatorConfig = EstimatorConfig()) -> float:

@@ -44,7 +44,7 @@ from .errors import (
     ParameterDomainError,
     PipelineError,
 )
-from .estimators import EstimatorConfig, _pearson, bidirectional_te_mi, mi_estimate
+from .estimators import EstimatorConfig, PreparedColumns, _pearson, bidirectional_te_mi, mi_estimate
 from .sci import (
     SLACK_BITS_AT_REFERENCE,
     BisectionConfig,
@@ -133,12 +133,17 @@ class CommonInfoReport:
 
 
 def _pair_value(
-    channels: ChannelMatrix, a: int, b: int, cfg: EstimatorConfig, time_series: bool
+    channels: ChannelMatrix,
+    rows: list[np.ndarray],
+    a: int,
+    b: int,
+    columns: PreparedColumns,
+    time_series: bool,
 ) -> float:
     try:
         if time_series:
-            return bidirectional_te_mi(channels.data[a], channels.data[b], cfg)
-        return mi_estimate(channels.data[a], channels.data[b], cfg)
+            return bidirectional_te_mi(rows[a], rows[b], columns.cfg)
+        return mi_estimate(rows[a], rows[b], columns.cfg, columns=columns)
     except DegenerateInputError as err:
         raise DegenerateInputError(
             f"channel pair ({channels.names[a]}, {channels.names[b]}): {err}"
@@ -146,22 +151,30 @@ def _pair_value(
 
 
 def _pair_sci(
-    channels: ChannelMatrix, i: int, j: int, cfg: EstimatorConfig, bis: BisectionConfig, seed: int
+    rows,
+    i: int,
+    j: int,
+    cfg: EstimatorConfig,
+    bis: BisectionConfig,
+    seed: int,
+    columns: PreparedColumns | None = None,
 ) -> tuple[SciDescriptor, np.ndarray]:
     """Tune the surrogate of ordered pair (i, j): noise goes into channel j."""
     pair_seed = derive_sci_seed(seed, i, j, 2)
     return build_sci(
-        channels.data[i], channels.data[j], cfg, bis, pair_seed, base_channel=j, partner_channel=i
+        rows[i], rows[j], cfg, bis, pair_seed, base_channel=j, partner_channel=i, columns=columns
     )
 
 
 def _build_all_scis(
     channels: ChannelMatrix,
-    cfg: EstimatorConfig,
+    rows: list[np.ndarray],
+    columns: PreparedColumns,
     bis: BisectionConfig,
     seed: int,
 ) -> tuple[dict[tuple[int, int], tuple[SciDescriptor, np.ndarray]], list[SciExclusion]]:
-    """Tune one T per ordered channel pair; collect failures as exclusions.
+    """Tune one T per ordered channel pair; collect failures as exclusions
+    and keep each T's preparation.
 
     Ordered pairs because the construction injects noise into the second
     channel and is therefore asymmetric.
@@ -170,18 +183,21 @@ def _build_all_scis(
     exclusions: list[SciExclusion] = []
     for i, j in permutations(range(channels.n_channels), 2):
         try:
-            built[(i, j)] = _pair_sci(channels, i, j, cfg, bis, seed)
+            desc, t = _pair_sci(rows, i, j, columns.cfg, bis, seed, columns)
         except (NoCommonInformationError, ConvergenceError) as err:
             pair = (channels.names[i], channels.names[j])
             exclusions.append(SciExclusion(pair=pair, code=err.code, message=str(err)))
+        else:
+            built[(i, j)] = desc, t
+            columns.keep(t)
     return built, exclusions
 
 
-def _scan(entry_pairs, cfg: EstimatorConfig) -> list[tuple[tuple[int, ...], float]]:
+def _scan(entry_pairs, columns: PreparedColumns) -> list[tuple[tuple[int, ...], float]]:
     """MI of each pair of (channel-index tuple, column) entries whose channel
     sets are disjoint, keyed by the joined channel tuple, in input order."""
     return [
-        ((*ia, *ib), mi_estimate(a, b, cfg))
+        ((*ia, *ib), mi_estimate(a, b, columns.cfg, columns=columns))
         for (ia, a), (ib, b) in entry_pairs
         if not set(ia) & set(ib)
     ]
@@ -325,22 +341,25 @@ def run_estimate(
     _check_seed(seed)
 
     n = channels.n_channels
+    # one view per channel row, so that the table finds each row by identity
+    rows = list(channels.data)
+    columns = PreparedColumns(cfg, rows)
     candidates = {
         2: [
-            ((a, b), _pair_value(channels, a, b, cfg, time_series))
+            ((a, b), _pair_value(channels, rows, a, b, columns, time_series))
             for a, b in combinations(range(n), 2)
         ]
     }
     descriptors: tuple[SciDescriptor, ...] = ()
     exclusions: list[SciExclusion] = []
     if order >= 3:
-        built, exclusions = _build_all_scis(channels, cfg, bis, seed)
+        built, exclusions = _build_all_scis(channels, rows, columns, bis, seed)
         descriptors = tuple(desc for desc, _ in built.values())
         surrogates = [(pair, t) for pair, (_, t) in built.items()]
-        columns = [((k,), channels.data[k]) for k in range(n)]
-        candidates[3] = _scan(product(surrogates, columns), cfg)
+        singles = [((k,), rows[k]) for k in range(n)]
+        candidates[3] = _scan(product(surrogates, singles), columns)
         if order >= 4:
-            candidates[4] = _scan(combinations(surrogates, 2), cfg)
+            candidates[4] = _scan(combinations(surrogates, 2), columns)
     levels = {
         lvl: _level(found, channels.names, exclusions, _LEVEL_WHAT[lvl])
         for lvl, found in candidates.items()

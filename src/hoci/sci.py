@@ -36,7 +36,7 @@ from .errors import (
     NoCommonInformationError,
     ParameterDomainError,
 )
-from .estimators import EstimatorConfig, mi_estimate, mi_estimate_full
+from .estimators import EstimatorConfig, PreparedColumns, mi_estimate, mi_estimate_full
 from .gaussian import GaussianEnsembleSpec, delta_quantities, mmse_coefficients
 
 # bisection also terminates on bracket width, not residual alone: a wide
@@ -160,6 +160,7 @@ def _tune(
     cfg: EstimatorConfig,
     bis: BisectionConfig,
     seed: int,
+    mi_kw: dict,
 ) -> tuple[float, float, int, np.ndarray]:
     """Find v with |MI(carrier + sqrt(v) e; carrier) - target| < epsilon.
 
@@ -176,6 +177,11 @@ def _tune(
     log-space bisection converges; success additionally requires the
     bracket to have collapsed (hi/lo < _BRACKET_REL_TOL) so the variance
     itself, not just the residual, is pinned down.
+
+    ``mi_kw`` passes the run's table of prepared columns to every estimator
+    call, if there is one: it holds the carrier's preparation, and each
+    candidate T is prepared by the call that reads it, only the last one
+    being held.
     """
     rng = np.random.default_rng(_check_seed(seed))
     e = _orthogonal_unit_noise(carrier, rng)
@@ -190,7 +196,7 @@ def _tune(
                 f"(target {target:.6g} bits unreachable on this data)"
             )
         t = carrier + math.sqrt(v) * e
-        return mi_estimate(t, carrier, cfg), t
+        return mi_estimate(t, carrier, cfg, **mi_kw), t
 
     var = float(carrier.var())
     if var <= 0.0:
@@ -234,8 +240,8 @@ def _tune(
             hi = mid
 
 
-def _target_mi(x_other, carrier, cfg: EstimatorConfig, epsilon: float) -> float:
-    bits = mi_estimate(x_other, carrier, cfg)
+def _target_mi(x_other, carrier, cfg: EstimatorConfig, epsilon: float, mi_kw: dict) -> float:
+    bits = mi_estimate(x_other, carrier, cfg, **mi_kw)
     if math.isinf(bits):
         raise ConvergenceError(
             "target MI is divergent (identical columns?); no finite noise "
@@ -259,12 +265,15 @@ def build_sci(
     *,
     base_channel: int | None = None,
     partner_channel: int | None = None,
+    columns: PreparedColumns | None = None,
 ) -> tuple[SciDescriptor, np.ndarray]:
     """Build T = x_j + noise matching MI(T; x_j) to MI(x_i; x_j).
 
     The noise goes into the second argument; the construction is asymmetric,
     so callers wanting both orientations build both.  Returns the descriptor
-    and the T column.
+    and the T column.  ``columns`` is the run's table of prepared columns
+    for ``cfg``, holding x_i and x_j; the last T it holds is the returned
+    one, so the caller can keep that at no cost.
     """
     xi = np.asarray(x_i, dtype=np.float64)
     xj = np.asarray(x_j, dtype=np.float64)
@@ -272,8 +281,10 @@ def build_sci(
         raise DegenerateInputError(
             f"x_i and x_j must be equal-length columns, got {xi.shape} and {xj.shape}"
         )
-    target = _target_mi(xi, xj, cfg, bis.epsilon)
-    v, residual, iterations, t = _tune(xj, target, cfg, bis, seed)
+    # without a table the estimator is called as mi_estimate(x, y, cfg)
+    mi_kw = {} if columns is None else {"columns": columns}
+    target = _target_mi(xi, xj, cfg, bis.epsilon, mi_kw)
+    v, residual, iterations, t = _tune(xj, target, cfg, bis, seed, mi_kw)
     desc = SciDescriptor(
         base_channel=base_channel,
         partner_channel=partner_channel,

@@ -24,6 +24,7 @@ from hoci import (
 from hoci.estimators import _bin_index, _binned_mi, _pearson
 from hoci.estimators import _binned_joint, _clamp, _lag_block, _raw_mi
 from hoci.estimators import _content_jitter, _ksg_mi, _standardize, _strict_range_counts
+from hoci.estimators import PreparedColumns
 
 GAUSSIAN = EstimatorConfig()
 KNN = EstimatorConfig(method="knn", k=4)
@@ -665,3 +666,143 @@ class TestOneKnnKernel:
             mi_estimate(x, flat, KNN)
         with pytest.raises(DegenerateInputError, match="^block column 1 is constant$"):
             mi_estimate_joint(np.column_stack([x, flat]), x[::-1], KNN)
+
+
+def _prepared_cases():
+    rng = np.random.default_rng(21)
+    s = rng.standard_normal(3000)
+    x, y = s + rng.standard_normal(3000), s + rng.standard_normal(3000)
+    # the columns of a C-ordered samples-by-channels array are strided
+    m = np.column_stack([x, rng.standard_normal(3000), y])
+    return {
+        "random": (x, y),
+        "offset": (x + 1e4, 3.0 * y - 250.0),
+        "strided": (m[:, 0], m[:, 2]),
+        "tiny": (x * 2.0**-600, y * 2.0**-600),
+        "one-tiny": (x * 2.0**-600, y),
+    }
+
+
+class TestPreparedColumns:
+    """A call given a table of prepared columns returns exactly what an
+    unprepared call returns, whether the table prepares, holds or reuses."""
+
+    @pytest.mark.parametrize("case", list(_prepared_cases()))
+    @pytest.mark.parametrize("cfg", [GAUSSIAN, BINNED, KNN], ids=lambda c: c.method)
+    def test_kept_columns_change_no_bit(self, cfg, case):
+        x, y = _prepared_cases()[case]
+        want, back = mi_estimate(x, y, cfg), mi_estimate(y, x, cfg)
+        table = PreparedColumns(cfg, (x, y))
+        for _ in range(2):  # the first call prepares, the second reads the table
+            assert mi_estimate(x, y, cfg, columns=table) == want
+            assert mi_estimate(y, x, cfg, columns=table) == back
+
+    @pytest.mark.parametrize("cfg", [GAUSSIAN, BINNED, KNN], ids=lambda c: c.method)
+    def test_the_last_column_prepared_can_be_kept(self, cfg):
+        x, y = _prepared_cases()["random"]
+        want = mi_estimate(x, y, cfg)
+        table = PreparedColumns(cfg, (y,))
+        assert mi_estimate(x, y, cfg, columns=table) == want  # x is held as the last
+        table.keep(x)
+        assert mi_estimate(x, y, cfg, columns=table) == want
+        # a list is validated and prepared per call, as without a table
+        assert mi_estimate(list(x), y, cfg, columns=table) == want
+
+    @pytest.mark.parametrize(
+        "cfg,pair",
+        [
+            (KNN, lambda: tuple(np.random.default_rng(1).standard_normal((2, 1000)))),
+            (EstimatorConfig(method="binned", bins=2), _binned_negative_raw_pair),
+        ],
+    )
+    def test_clamped_estimate(self, cfg, pair):
+        x, y = pair()
+        table = PreparedColumns(cfg, (x, y))
+        assert _raw_mi(x, y, cfg, table) == _raw_mi(x, y, cfg) < 0.0
+        got = mi_estimate(x, y, cfg, columns=table)
+        assert got == mi_estimate(x, y, cfg) == 0.0
+        assert math.copysign(1.0, got) == 1.0
+
+    def test_errors_read_as_without_a_table(self):
+        x, _ = _prepared_cases()["random"]
+        flat = np.full(x.size, 3.0)
+        table = PreparedColumns(KNN, (x, flat))
+        with pytest.raises(DegenerateInputError, match="^y is constant$"):
+            mi_estimate(x, flat, KNN, columns=table)
+        with pytest.raises(DegenerateInputError, match="^x is constant$"):
+            mi_estimate(flat, x, KNN, columns=table)
+        with pytest.raises(DegenerateInputError, match="length mismatch"):
+            mi_estimate(x, x[:-1], KNN, columns=table)
+
+    def test_a_table_serves_one_config(self):
+        x, y = _prepared_cases()["random"]
+        with pytest.raises(ConfigurationError, match="another estimator config"):
+            mi_estimate(x, y, BINNED, columns=PreparedColumns(GAUSSIAN, (x, y)))
+        # an equal config is the same config
+        table = PreparedColumns(EstimatorConfig(method="binned", bins=16), (x, y))
+        assert mi_estimate(x, y, BINNED, columns=table) == mi_estimate(x, y, BINNED)
+
+
+def _constant_row_data():
+    # 2000 copies of 0.1 have a mean one ulp off the value and std 1.4e-17
+    data = np.random.default_rng(0).standard_normal((4, 2000))
+    data[1] = 0.1
+    return data
+
+
+class TestConstantByRange:
+    """A column is constant when its min equals its max, even where its mean
+    rounds off the value and leaves a nonzero deviation."""
+
+    def test_the_deviation_is_not_zero(self):
+        assert _constant_row_data()[1].std() > 0.0
+
+    def test_gaussian_raises(self):
+        d = _constant_row_data()
+        text = "correlation undefined for a constant column"
+        with pytest.raises(DegenerateInputError, match=text):
+            mi_estimate(d[1], d[0])
+        with pytest.raises(DegenerateInputError, match=text):
+            _pearson(d[0], d[1])
+
+    def test_knn_raises(self):
+        d = _constant_row_data()
+        with pytest.raises(DegenerateInputError, match="^x is constant$"):
+            mi_estimate(d[1], d[0], KNN)
+        with pytest.raises(DegenerateInputError, match="^block column 1 is constant$"):
+            mi_estimate_joint(np.column_stack([d[0], d[1]]), d[2], KNN)
+
+    def test_gaussian_block_raises(self):
+        d = _constant_row_data()
+        text = "correlation undefined for a constant column"
+        with pytest.raises(DegenerateInputError, match=text):
+            mi_estimate_joint(np.column_stack([d[0], d[1]]), d[2])
+        with pytest.raises(DegenerateInputError, match=text):
+            bidirectional_te_mi(d[1], d[0])
+
+    def test_binned_reads_positive_zero(self):
+        d = _constant_row_data()
+        got = mi_estimate(d[1], d[0], BINNED)
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+    def test_clamp_turns_negative_zero_positive_and_passes_nan(self):
+        assert math.copysign(1.0, _clamp(-0.0)) == 1.0
+        assert _clamp(-1e-17) == 0.0 and _clamp(0.25) == 0.25
+        assert math.isnan(_clamp(math.nan))
+
+
+class TestTinyBlockColumns:
+    """The Gaussian block correlates tiny columns after an exact power-of-two
+    rescaling, not on subnormal covariances."""
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-200])
+    def test_lagged_pair_keeps_the_unit_scale_value(self, scale):
+        x, y = _lagged_pair(3000, 0)
+        want = bidirectional_te_mi(x, y)
+        assert bidirectional_te_mi(x * scale, y * scale) == pytest.approx(want, abs=1e-12)
+
+    def test_power_of_two_scale_moves_no_bit(self):
+        x, y = _lagged_pair(3000, 0)
+        want = bidirectional_te_mi(x, y)
+        assert bidirectional_te_mi(x * 2.0**-600, y * 2.0**-600) == want
+        assert bidirectional_te_mi(x * 2.0**-600, y) == want

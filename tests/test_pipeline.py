@@ -2,6 +2,7 @@
 averages and scaling approximations, lag scans, and the report invariants."""
 
 import math
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -456,3 +457,73 @@ class TestTinyFiniteChannels:
         got = run_estimate(tiny, order=2).levels[2]
         assert got.channels == want.channels
         assert got.bits == pytest.approx(want.bits, abs=1e-12)
+
+
+class TestConstantByRange:
+    """A channel of 2000 copies of 0.1 (mean one ulp off, std 1.4e-17) is
+    constant, not a channel of -1.0s or a -0.0-bit pair."""
+
+    @pytest.fixture(scope="class")
+    def flat_b(self):
+        data = np.random.default_rng(0).standard_normal((4, 2000))
+        data[1] = 0.1
+        return ChannelMatrix(("a", "b", "c", "d"), data)
+
+    def test_standardized_raises(self, flat_b):
+        with pytest.raises(DegenerateInputError, match="channel 'b' is constant"):
+            flat_b.standardized()
+
+    def test_run_estimate_names_the_pair(self, flat_b):
+        with pytest.raises(
+            DegenerateInputError,
+            match=r"channel pair \(a, b\): correlation undefined for a constant column",
+        ):
+            run_estimate(flat_b, order=2)
+
+
+class TestPreparedColumns:
+    """One table per run: each channel row and each accepted surrogate is
+    prepared once, and the table moves no bit."""
+
+    def test_each_row_and_surrogate_is_prepared_once(self, monkeypatch):
+        import hoci.estimators
+        import hoci.pipeline
+
+        m = sample_ensemble(GaussianEnsembleSpec(1.0, 1.0, 0.3, n=5), 3000, seed=4)
+        prepared = []
+        prepare = hoci.estimators._prepare
+
+        def counted(a, cfg, name):
+            prepared.append(a.tobytes())
+            return prepare(a, cfg, name)
+
+        surrogates = []
+        build = hoci.pipeline.build_sci
+
+        def kept(*args, **kwargs):
+            desc, t = build(*args, **kwargs)
+            surrogates.append(t)
+            return desc, t
+
+        monkeypatch.setattr(hoci.estimators, "_prepare", counted)
+        monkeypatch.setattr(hoci.pipeline, "build_sci", kept)
+        rep = run_estimate(m, EstimatorConfig(method="binned"), order=4, seed=1)
+        assert len(surrogates) == 20 and not rep.exclusions
+        counts = Counter(prepared)
+        assert [counts[row.tobytes()] for row in m.data] == [1] * 5
+        assert [counts[t.tobytes()] for t in surrogates] == [1] * 20
+        # the rest are the tuning candidates, one preparation per tuning call
+        assert len(prepared) == 5 + sum(d.iterations for d in rep.sci_descriptors)
+
+    @pytest.mark.parametrize("method", ["gaussian_logdet", "binned", "knn"])
+    def test_tuning_with_a_table_changes_no_bit(self, method):
+        from hoci.estimators import PreparedColumns
+        from hoci.sci import build_sci
+
+        m = sample_ensemble(GaussianEnsembleSpec(1.0, 1.0, 0.3, n=3), 2000, seed=8)
+        cfg = EstimatorConfig(method=method)
+        xi, xj = m.data[0], m.data[2]
+        want_desc, want_t = build_sci(xi, xj, cfg, seed=3)
+        table = PreparedColumns(cfg, (xi, xj))
+        desc, t = build_sci(xi, xj, cfg, seed=3, columns=table)
+        assert desc == want_desc and np.array_equal(t, want_t)

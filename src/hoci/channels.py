@@ -105,7 +105,8 @@ class ChannelMatrix:
         """
         data = self.data
         flat = data.min(axis=1) == data.max(axis=1)
-        stds = data.std(axis=1)
+        with np.errstate(over="ignore"):  # an overflowing variance raises below
+            stds = data.std(axis=1)
         tiny = stds < UNDERFLOW_SPREAD
         if tiny.any():
             data = data.copy(order="K")

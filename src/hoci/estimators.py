@@ -11,18 +11,18 @@ Three methods, selected by :class:`EstimatorConfig`:
   and a pairwise call counts its cells with one ``np.bincount``; the counts
   equal ``np.histogram2d``/``np.histogramdd``'s exactly.  That table is
   dense, so a pairwise ``bins`` above 2048 is refused up front.  A block (the
-  lag-embedded time-series path) counts only its occupied cells, with
-  ``np.unique``, so its memory follows the sample count, not bins**width;
-  the cell codes must still fit numpy's index type, so a grid of more than
-  intp-max cells is a configuration error.
+  lag-embedded time-series path) bins each column the same way and counts
+  only its occupied cells, with ``np.unique``, so its memory follows the
+  sample count, not bins**width; the cell codes must still fit numpy's index
+  type, so a grid of more than intp-max cells is a configuration error.
   Only suitable for low dimensions; the plug-in bias grows with the number
   of occupied cells.
 * ``knn`` — the KSG k-nearest-neighbor estimator (max-norm neighborhoods,
   digamma neighbor-count correction) for non-Gaussian data.  One kernel
   serves a pair and a block; it alone imports scipy, on its first call.
 
-Pairwise kernels read prepared columns: ``_prepare`` validates a column and
-keeps what its method's kernel reads -- the centring offset ``x.sum()/x.size``
+Every kernel reads prepared columns: ``_prepare`` keeps what its method's
+kernel reads of a validated column -- the centring offset ``x.sum()/x.size``
 and centred norm for ``gaussian_logdet`` (the rescaled centred column too,
 only when that norm is below ``UNDERFLOW_SPREAD``), the bin indices as
 ``uint16`` for ``binned`` (a pairwise call refuses more than 2048 bins), the
@@ -30,8 +30,10 @@ standardized, jittered values for ``knn``.  ``mi_estimate`` prepares its two
 columns itself unless the caller passes a :class:`PreparedColumns` table;
 ``run_estimate`` makes one per run, so each channel row and accepted
 surrogate is prepared once however many calls read it.  The arithmetic is
-the same either way, so a table moves no bit.  A column whose min equals its
-max is constant, even where its mean rounds off the value.
+the same either way, so a table moves no bit.  A block is its list of
+columns (the time-series lag windows, as views), each checked and prepared as
+a pair's column, though ``binned`` bins up to any intp-indexable grid.  A
+column whose min equals its max is constant, even where its mean rounds off.
 
 All estimates are in bits and nonnegative: a negative raw estimate (or -0.0)
 is clamped to +0.0.  Columns are standardized before estimation, so results are
@@ -51,7 +53,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -118,7 +120,8 @@ def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
 def _standardize(arr: np.ndarray, name: str) -> np.ndarray:
     if arr.min() == arr.max():  # even where the mean rounds off the value
         raise DegenerateInputError(f"{name} is constant")
-    s = arr.std()
+    with np.errstate(over="ignore"):  # an overflowing variance raises below
+        s = arr.std()
     if s < UNDERFLOW_SPREAD:
         arr = unit_scaled(arr)
         s = arr.std()
@@ -152,9 +155,10 @@ class _Centred(NamedTuple):
 def _centred(x: np.ndarray) -> _Centred:
     if x.min() == x.max():  # constant, even where the mean rounds off the value
         return _Centred(x, x[0], 0.0)
-    offset = x.sum() / x.size  # the same pairwise reduction and division as mean()
-    xc = x - offset
-    norm = float(np.sqrt(xc @ xc))
+    with np.errstate(over="ignore"):  # an overflowing norm raises in _check_norms
+        offset = x.sum() / x.size  # the same pairwise reduction and division as mean()
+        xc = x - offset
+        norm = float(np.sqrt(xc @ xc))
     # a power of two moves no bit of r and keeps tiny squares out of subnormals
     if norm < UNDERFLOW_SPREAD:
         xc = unit_scaled(xc)
@@ -162,16 +166,22 @@ def _centred(x: np.ndarray) -> _Centred:
     return _Centred(x, offset, norm)
 
 
+def _check_norms(norms: Sequence[float]) -> None:
+    """Refuse to correlate columns unless every centred norm is finite and nonzero."""
+    # finite norms bound every cross product (Cauchy-Schwarz), so only the
+    # sums and sums of squares can overflow
+    for norm in norms:
+        if not math.isfinite(norm):
+            raise DegenerateInputError(
+                "correlation overflows float64: a column's sum or sum of squares is not finite"
+            )
+    if 0.0 in norms:
+        raise DegenerateInputError("correlation undefined for a constant column")
+
+
 def _correlation(px: _Centred, py: _Centred) -> float:
     nx, ny = px.norm, py.norm
-    # finite norms bound the cross product (Cauchy-Schwarz), so only the sums
-    # and sums of squares can overflow
-    if not (math.isfinite(nx) and math.isfinite(ny)):
-        raise DegenerateInputError(
-            "correlation overflows float64: a column's sum or sum of squares is not finite"
-        )
-    if nx == 0.0 or ny == 0.0:
-        raise DegenerateInputError("correlation undefined for a constant column")
+    _check_norms((nx, ny))
     xc = px.values if px.offset is None else px.values - px.offset
     yc = py.values if py.offset is None else py.values - py.offset
     # the scalar min/max clamp is np.clip's without numpy's per-call overhead;
@@ -242,11 +252,6 @@ def _binned_pair(cx: np.ndarray, cy: np.ndarray, bins: int) -> float:
     return float((p[nz] * np.log2(p[nz] / (px @ py)[nz])).sum())
 
 
-def _binned_mi(x: np.ndarray, y: np.ndarray, bins: int) -> float:
-    """Binned I(x; y) of two unprepared columns."""
-    return _binned_pair(_bin_codes(x, bins, "x"), _bin_codes(y, bins, "y"), bins)
-
-
 def _strict_range_counts(a: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Per point, the count of other points within a strictly smaller distance."""
     order = np.argsort(a)
@@ -262,7 +267,7 @@ def _clamp(raw: float) -> float:
 
 
 def _prepare(a: np.ndarray, cfg: EstimatorConfig, name: str):
-    """What cfg's pairwise kernel reads of a validated column."""
+    """What cfg's kernel reads of a validated column; a binned block bins its own."""
     if cfg.method == "gaussian_logdet":
         return _centred(a)
     if cfg.method == "binned":
@@ -356,32 +361,15 @@ def mi_estimate(
     return _clamp(_raw_mi(x, y, cfg, columns))
 
 
-def _block(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2 or arr.shape[1] < 1:
-        raise DegenerateInputError(f"{name} must be samples-by-columns")
-    if arr.shape[0] < MIN_LENGTH:
-        raise DegenerateInputError(f"{name} has {arr.shape[0]} samples; need >= {MIN_LENGTH}")
-    if not np.isfinite(arr).all():
-        raise DegenerateInputError(f"{name} contains non-finite values")
-    return arr
-
-
-def _gaussian_joint(xb: np.ndarray, y: np.ndarray) -> float:
-    w = xb.shape[1]
-    cols = np.column_stack([xb, y])
-    if (cols.min(axis=0) == cols.max(axis=0)).any():  # even where a mean rounds off
-        raise DegenerateInputError("correlation undefined for a constant column")
-    # np.corrcoef's covariances lose digits in subnormals (or vanish) on tiny
-    # columns; a power of two moves no bit of a correlation
-    tiny = cols.std(axis=0) < UNDERFLOW_SPREAD
-    if tiny.any():
-        cols[:, tiny] = unit_scaled(cols[:, tiny].T).T
-    full = np.corrcoef(cols, rowvar=False)
-    if not np.isfinite(full).all():
-        raise DegenerateInputError("correlation undefined for a constant column")
+def _gaussian_joint(px: list[_Centred], py: _Centred) -> float:
+    """Log-det I(X; y) in bits from the block's prepared columns and y's: the
+    pair's correlation rule, one product of the centred columns over the norms."""
+    cols = [*px, py]
+    norms = [c.norm for c in cols]
+    _check_norms(norms)
+    centred = np.array([c.values if c.offset is None else c.values - c.offset for c in cols])
+    full = np.clip(centred @ centred.T / np.outer(norms, norms), -1.0, 1.0)
+    w = len(px)
     sign_xx, logdet_xx = np.linalg.slogdet(full[:w, :w])
     sign_f, logdet_f = np.linalg.slogdet(full)
     if sign_xx <= 0.0:
@@ -391,7 +379,7 @@ def _gaussian_joint(xb: np.ndarray, y: np.ndarray) -> float:
     return (logdet_xx - logdet_f) / (2.0 * _LN2)
 
 
-def _binned_joint(xb: np.ndarray, y: np.ndarray, bins: int) -> float:
+def _binned_joint(cols: list[np.ndarray], y: np.ndarray, bins: int) -> float:
     def plugin_entropy(idx: list[np.ndarray]) -> float:
         # only the occupied cells are counted (a dense table has bins**width
         # of them); np.unique returns them sorted, i.e. in C order
@@ -399,7 +387,7 @@ def _binned_joint(xb: np.ndarray, y: np.ndarray, bins: int) -> float:
         nz = np.unique(flat, return_counts=True)[1] / float(idx[0].size)
         return float(-(nz * np.log2(nz)).sum())
 
-    bx = [_bin_index(xb[:, c], bins, f"block column {c}") for c in range(xb.shape[1])]
+    bx = [_bin_index(a, bins, f"block column {c}") for c, a in enumerate(cols)]
     by = [_bin_index(y, bins, "y")]
     return plugin_entropy(bx) + plugin_entropy(by) - plugin_entropy(bx + by)
 
@@ -432,11 +420,28 @@ def _ksg(cols: list[np.ndarray], ys: np.ndarray, k: int) -> float:
     )
 
 
-def _ksg_mi(xb: np.ndarray, y: np.ndarray, k: int) -> float:
-    """KSG I(xb; y) in bits of an unprepared block; a width-1 block is the pair (x, y)."""
-    width = xb.shape[1]
-    cols = [_jittered(xb[:, c], "x" if width == 1 else f"block column {c}") for c in range(width)]
-    return _ksg(cols, _jittered(y, "y"), k)
+def _joint_mi(cols: list[np.ndarray], y, cfg: EstimatorConfig) -> float:
+    """I(X; y) in bits of a block given as its list of columns, each checked
+    and prepared as a pair's column is; one column is the pair (x, y)."""
+    if len(cols) == 1:
+        return mi_estimate(cols[0], y, cfg)
+    names = [f"block column {c}" for c in range(len(cols))]
+    xs = [_column(a, name) for a, name in zip(cols, names)]
+    ya = _column(y, "y")
+    if xs[0].size != ya.size:
+        raise DegenerateInputError(f"length mismatch: {xs[0].size} vs {ya.size}")
+    if cfg.method == "binned":
+        if int(cfg.bins) ** (len(xs) + 1) > np.iinfo(np.intp).max:
+            raise ConfigurationError(
+                f"bins={cfg.bins} over a {len(xs)}-column block (ts_lag={cfg.ts_lag} in "
+                "time-series mode) has more joint cells than numpy can index; lower bins or ts_lag"
+            )
+        raw = _binned_joint(xs, ya, cfg.bins)
+    else:
+        px = [_prepare(a, cfg, name) for a, name in zip(xs, names)]
+        py = _prepare(ya, cfg, "y")
+        raw = _gaussian_joint(px, py) if cfg.method == "gaussian_logdet" else _ksg(px, py, cfg.k)
+    return _clamp(raw)
 
 
 def mi_estimate_joint(x_block, y, cfg: EstimatorConfig = EstimatorConfig()) -> float:
@@ -444,29 +449,12 @@ def mi_estimate_joint(x_block, y, cfg: EstimatorConfig = EstimatorConfig()) -> f
 
     A width-1 block reduces exactly to mi_estimate.
     """
-    xb = _block(x_block, "x_block")
-    ya = _column(y, "y")
-    if xb.shape[0] != ya.size:
-        raise DegenerateInputError(f"length mismatch: {xb.shape[0]} vs {ya.size}")
-    if xb.shape[1] == 1:
-        return mi_estimate(xb[:, 0], ya, cfg)
-    if cfg.method == "gaussian_logdet":
-        raw = _gaussian_joint(xb, ya)
-    elif cfg.method == "binned":
-        if int(cfg.bins) ** (xb.shape[1] + 1) > np.iinfo(np.intp).max:
-            raise ConfigurationError(
-                f"bins={cfg.bins} over a {xb.shape[1]}-column block (ts_lag={cfg.ts_lag} in "
-                "time-series mode) has more joint cells than numpy can index; lower bins or ts_lag"
-            )
-        raw = _binned_joint(xb, ya, cfg.bins)
-    else:
-        raw = _ksg_mi(xb, ya, cfg.k)
-    return _clamp(raw)
-
-
-def _lag_block(a: np.ndarray, lag: int) -> np.ndarray:
-    """Rows indexed by t = lag..N-1; columns a[t-lag], ..., a[t-1]."""
-    return np.column_stack([a[m : a.size - lag + m] for m in range(lag)])
+    xb = np.asarray(x_block, dtype=np.float64)
+    if xb.ndim == 1:
+        xb = xb[:, None]
+    if xb.ndim != 2 or xb.shape[1] < 1:
+        raise DegenerateInputError("x_block must be samples-by-columns")
+    return _joint_mi(list(xb.T), y, cfg)
 
 
 def bidirectional_te_mi(x, y, cfg: EstimatorConfig = EstimatorConfig()) -> float:
@@ -477,6 +465,9 @@ def bidirectional_te_mi(x, y, cfg: EstimatorConfig = EstimatorConfig()) -> float
         raise DegenerateInputError(
             f"series of length {xa.size} too short for ts_lag={lag}"
         )
-    forward = mi_estimate_joint(_lag_block(xa, lag), ya[lag:], cfg)
-    backward = mi_estimate_joint(_lag_block(ya, lag), xa[lag:], cfg)
-    return forward + backward
+
+    def past_on_now(a: np.ndarray, b: np.ndarray) -> float:
+        # rows t = lag..N-1: the windows a[t-lag], ..., a[t-1] against b[t]
+        return _joint_mi([a[m : a.size - lag + m] for m in range(lag)], b[lag:], cfg)
+
+    return past_on_now(xa, ya) + past_on_now(ya, xa)

@@ -132,6 +132,10 @@ class CommonInfoReport:
     chain_ok: bool = True
 
 
+def _pair_error(channels: ChannelMatrix, a: int, b: int, err: Exception) -> DegenerateInputError:
+    return DegenerateInputError(f"channel pair ({channels.names[a]}, {channels.names[b]}): {err}")
+
+
 def _pair_value(
     channels: ChannelMatrix,
     rows: list[np.ndarray],
@@ -145,9 +149,7 @@ def _pair_value(
             return bidirectional_te_mi(rows[a], rows[b], columns.cfg)
         return mi_estimate(rows[a], rows[b], columns.cfg, columns=columns)
     except DegenerateInputError as err:
-        raise DegenerateInputError(
-            f"channel pair ({channels.names[a]}, {channels.names[b]}): {err}"
-        ) from err
+        raise _pair_error(channels, a, b, err) from err
 
 
 def _pair_sci(
@@ -174,7 +176,7 @@ def _build_all_scis(
     seed: int,
 ) -> tuple[dict[tuple[int, int], tuple[SciDescriptor, np.ndarray]], list[SciExclusion]]:
     """Tune one T per ordered channel pair; collect failures as exclusions
-    and keep each T's preparation.
+    and keep each T's preparation.  A degenerate input names its pair.
 
     Ordered pairs because the construction injects noise into the second
     channel and is therefore asymmetric.
@@ -187,6 +189,8 @@ def _build_all_scis(
         except (NoCommonInformationError, ConvergenceError) as err:
             pair = (channels.names[i], channels.names[j])
             exclusions.append(SciExclusion(pair=pair, code=err.code, message=str(err)))
+        except DegenerateInputError as err:
+            raise _pair_error(channels, i, j, err) from err
         else:
             built[(i, j)] = desc, t
             columns.keep(t)

@@ -48,6 +48,7 @@ _BRACKET_REL_TOL = 1.005
 _START_VARIANCE_FRACTION = 1e-3
 _BRACKET_GROWTH = 2.0
 _LN2 = math.log(2.0)
+_MIN_NORMAL = float(np.finfo(np.float64).tiny)
 # statistical slack for chain and SCI checks: 0.02 bits at 1e5 samples, ~ N^(-1/2)
 SLACK_BITS_AT_REFERENCE = 0.02
 REFERENCE_SAMPLES = 10**5
@@ -143,10 +144,7 @@ def _orthogonal_unit_noise(carrier: np.ndarray, rng: np.random.Generator) -> np.
     e = rng.standard_normal(carrier.size)
     e -= e.mean()
     c = carrier - carrier.mean()
-    cc = float(c @ c)
-    if cc == 0.0:
-        raise DegenerateInputError("carrier column is constant")
-    e -= (float(e @ c) / cc) * c
+    e -= (float(e @ c) / float(c @ c)) * c
     e -= e.mean()
     s = e.std()
     if s == 0.0:
@@ -184,6 +182,11 @@ def _tune(
     being held.
     """
     rng = np.random.default_rng(_check_seed(seed))
+    with np.errstate(over="ignore"):  # refused below
+        var = float(carrier.var())
+    # a subnormal variance has lost digits and would make subnormal noise
+    if not _MIN_NORMAL <= var < math.inf:
+        raise DegenerateInputError(f"carrier variance {var:.6g} is not a normal float64")
     e = _orthogonal_unit_noise(carrier, rng)
     iterations = 0
 
@@ -198,9 +201,6 @@ def _tune(
         t = carrier + math.sqrt(v) * e
         return mi_estimate(t, carrier, cfg, **mi_kw), t
 
-    var = float(carrier.var())
-    if var <= 0.0:
-        raise DegenerateInputError("carrier column is constant")
     if cfg.method == "gaussian_logdet":
         v = var / math.expm1(2.0 * target * _LN2)
         gv, t = g(v)
@@ -222,7 +222,9 @@ def _tune(
 
     best_res = None
     while True:
-        mid = math.sqrt(lo * hi)
+        # the product keeps its bits while normal; roots keep it from over- or underflowing
+        prod = lo * hi
+        mid = math.sqrt(prod) if _MIN_NORMAL <= prod < math.inf else math.sqrt(lo) * math.sqrt(hi)
         gm, t = g(mid)
         residual = abs(gm - target)
         if best_res is None or residual < best_res:

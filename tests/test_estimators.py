@@ -3,6 +3,7 @@ synthetic data with known ground truth, and estimator-level invariants."""
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,9 +22,10 @@ from hoci import (
     mi_xi_xj,
     sample_ensemble,
 )
-from hoci.estimators import _bin_index, _binned_mi, _pearson
-from hoci.estimators import _binned_joint, _clamp, _lag_block, _raw_mi
-from hoci.estimators import _content_jitter, _ksg_mi, _standardize, _strict_range_counts
+from hoci.channels import UNDERFLOW_SPREAD, unit_scaled
+from hoci.estimators import _bin_index, _pearson
+from hoci.estimators import _binned_joint, _clamp, _raw_mi
+from hoci.estimators import _content_jitter, _ksg, _prepare, _standardize, _strict_range_counts
 from hoci.estimators import PreparedColumns
 
 GAUSSIAN = EstimatorConfig()
@@ -240,7 +242,9 @@ class TestBinKernel:
         rng = np.random.default_rng([7, bins, len(kind)])
         x = _kernel_columns(kind, 20_000, rng)
         for y in (x + rng.integers(0, 3, x.size), rng.standard_normal(x.size)):
-            assert _binned_mi(x, y, bins) == _binned_mi_reference(x, y, bins)
+            assert _raw_mi(x, y, EstimatorConfig(method="binned", bins=bins)) == (
+                _binned_mi_reference(x, y, bins)
+            )
 
     @pytest.mark.parametrize("where", ["x", "y", "block"])
     def test_range_beyond_float64_is_degenerate(self, where):
@@ -478,6 +482,11 @@ class TestTinyFiniteColumns:
                 mi_estimate(np.full(2000, value), x, cfg)
 
 
+def _lag_block(a, lag):
+    """Rows indexed by t = lag..N-1; columns a[t-lag], ..., a[t-1]."""
+    return np.column_stack([a[m : a.size - lag + m] for m in range(lag)])
+
+
 def _binned_joint_dense(xb, y, bins):
     """The dense bins**width count table that _binned_joint replaced."""
     def plugin_entropy(idx):
@@ -509,7 +518,7 @@ class TestSparseBinnedJoint:
             _binned_joint_dense(_lag_block(y, lag), x[lag:], bins)
         )
         assert bidirectional_te_mi(x, y, cfg) == dense
-        assert _binned_joint(_lag_block(x, lag), y[lag:], bins) == _binned_joint_dense(
+        assert _binned_joint(list(_lag_block(x, lag).T), y[lag:], bins) == _binned_joint_dense(
             _lag_block(x, lag), y[lag:], bins
         )
 
@@ -518,7 +527,7 @@ class TestSparseBinnedJoint:
         x = rng.integers(0, 4, 2000) * 8.0 + rng.integers(0, 2, 2000)
         y = np.roll(x, 1) + rng.integers(0, 2, 2000)
         for lag in (2, 3, 4):
-            assert _binned_joint(_lag_block(x, lag), y[lag:], 16) == _binned_joint_dense(
+            assert _binned_joint(list(_lag_block(x, lag).T), y[lag:], 16) == _binned_joint_dense(
                 _lag_block(x, lag), y[lag:], 16
             )
 
@@ -614,6 +623,12 @@ def _knn_joint_reference(xb: np.ndarray, y: np.ndarray, k: int) -> float:
     return float(
         (digamma(k) + digamma(n) - np.mean(digamma(nx + 1) + digamma(ny + 1))) / _LN2
     )
+
+
+def _ksg_mi(xb, y, k):
+    """KSG I(xb; y) in bits of an unprepared block, through the prepared-column kernel."""
+    cfg = EstimatorConfig(method="knn", k=k)
+    return _ksg([_prepare(c, cfg, "x") for c in xb.T], _prepare(y, cfg, "y"), k)
 
 
 # (width, k, tied, lagged): every block width 1-3 with k in {1, 4, 7}, on
@@ -806,3 +821,113 @@ class TestTinyBlockColumns:
         want = bidirectional_te_mi(x, y)
         assert bidirectional_te_mi(x * 2.0**-600, y * 2.0**-600) == want
         assert bidirectional_te_mi(x * 2.0**-600, y) == want
+
+
+def _gaussian_joint_corrcoef(xb: np.ndarray, y: np.ndarray) -> float:
+    # the np.corrcoef block kernel the prepared columns replaced, verbatim
+    w = xb.shape[1]
+    cols = np.column_stack([xb, y])
+    if (cols.min(axis=0) == cols.max(axis=0)).any():  # even where a mean rounds off
+        raise DegenerateInputError("correlation undefined for a constant column")
+    # np.corrcoef's covariances lose digits in subnormals (or vanish) on tiny
+    # columns; a power of two moves no bit of a correlation
+    tiny = cols.std(axis=0) < UNDERFLOW_SPREAD
+    if tiny.any():
+        cols[:, tiny] = unit_scaled(cols[:, tiny].T).T
+    full = np.corrcoef(cols, rowvar=False)
+    if not np.isfinite(full).all():
+        raise DegenerateInputError("correlation undefined for a constant column")
+    sign_xx, logdet_xx = np.linalg.slogdet(full[:w, :w])
+    sign_f, logdet_f = np.linalg.slogdet(full)
+    if sign_xx <= 0.0:
+        raise DegenerateInputError("block correlation matrix is singular")
+    if sign_f <= 0.0:
+        return math.inf
+    return (logdet_xx - logdet_f) / (2.0 * _LN2)
+
+
+_BLOCK_LAGS = (1, 2, 3, 6, 25)
+_BLOCK_SCALES = {
+    "plain": lambda x, y: (x, y),
+    "offset": lambda x, y: (x + 1e4, 3.0 * y - 250.0),
+    "tiny": lambda x, y: (x * 2.0**-600, y * 2.0**-600),
+    "one-tiny": lambda x, y: (x * 2.0**-600, y),
+}
+
+
+def _block_case(seed):
+    """A lagged pair of 200-3000 samples at one of the scales, and its ts_lag."""
+    rng = np.random.default_rng([31, seed])
+    n = int(rng.integers(200, 3000))
+    x = rng.standard_normal(n)
+    y = 0.5 * np.roll(x, 1 + seed % 3) + rng.standard_normal(n)
+    scale = list(_BLOCK_SCALES)[seed % len(_BLOCK_SCALES)]
+    return *_BLOCK_SCALES[scale](x, y), _BLOCK_LAGS[seed % len(_BLOCK_LAGS)]
+
+
+class TestGaussianBlockReadsPreparedColumns:
+    """The Gaussian lag block correlates the pair's prepared columns: one
+    product of the centred windows over their norms, within float rounding
+    of the np.corrcoef kernel it replaced."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_the_corrcoef_kernel(self, seed):
+        x, y, lag = _block_case(seed)
+        want = _clamp(_gaussian_joint_corrcoef(_lag_block(x, lag), y[lag:])) + _clamp(
+            _gaussian_joint_corrcoef(_lag_block(y, lag), x[lag:])
+        )
+        got = bidirectional_te_mi(x, y, EstimatorConfig(ts_lag=lag))
+        assert abs(got - want) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_strided_block_matches_the_corrcoef_kernel(self, seed):
+        rng = np.random.default_rng([32, seed])
+        s = rng.standard_normal(2000)
+        # the columns of a C-ordered samples-by-channels array are strided
+        m = s[:, None] + rng.standard_normal((2000, 4)) + np.array([0.0, 1e4, -3.0, 0.5])
+        want = _clamp(_gaussian_joint_corrcoef(m[:, :3], m[:, 3]))
+        assert abs(mi_estimate_joint(m[:, :3], m[:, 3]) - want) <= 1e-12
+
+    @pytest.mark.parametrize("call", ["te", "joint"])
+    def test_overflowing_block_reads_as_the_pair(self, call):
+        # np.corrcoef read the infinite covariances as a constant column
+        x, y = _lagged_pair(3000, 0)
+        x, y = x * 1e155, y * 1e155
+        with pytest.raises(DegenerateInputError, match="correlation overflows float64"):
+            if call == "te":
+                bidirectional_te_mi(x, y)
+            else:
+                mi_estimate_joint(np.column_stack([x, y]), np.roll(y, 1))
+
+    @pytest.mark.parametrize("cfg", [GAUSSIAN, BINNED, KNN], ids=lambda c: c.method)
+    def test_short_windows_are_refused(self, cfg):
+        # N=12 and ts_lag=3 leave 9 rows per window
+        x, y = _lagged_pair(12, 0)
+        with pytest.raises(DegenerateInputError, match="has 9 samples; need >= 10"):
+            bidirectional_te_mi(x, y, EstimatorConfig(method=cfg.method, ts_lag=3))
+
+    @pytest.mark.parametrize("cfg", [GAUSSIAN, BINNED, KNN], ids=lambda c: c.method)
+    def test_no_runtime_warning_escapes(self, cfg):
+        x, y = _lagged_pair(2000, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scale in (1.0, 1e-200, 2.0**-600, 1e150):
+                bidirectional_te_mi(x * scale, y * scale, cfg)
+            if cfg is not BINNED:  # binned has no sum of squares to overflow
+                with pytest.raises(DegenerateInputError, match="overflows float64"):
+                    bidirectional_te_mi(x * 1e160, y * 1e160, cfg)
+            if cfg is GAUSSIAN:  # an exact lagged copy: a singular or nearly singular matrix
+                assert bidirectional_te_mi(x, np.roll(x, 1), cfg) > 20.0
+
+
+def test_overflow_keeps_its_error_code_when_warnings_are_errors():
+    # numpy's overflow warnings used to surface before the typed error
+    x, y = _shared_pair(5000, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateInputError, match="correlation overflows float64"):
+            mi_estimate(x * 1e155, y * 1e155)
+        with pytest.raises(DegenerateInputError, match="x's variance overflows float64"):
+            mi_estimate(x * 1e160, y * 1e160, KNN)
+        with pytest.raises(DegenerateInputError, match="variance too large for float64"):
+            ChannelMatrix(("x", "y"), np.array([x, y]) * 1e160).standardized()

@@ -527,3 +527,43 @@ class TestPreparedColumns:
         table = PreparedColumns(cfg, (xi, xj))
         desc, t = build_sci(xi, xj, cfg, seed=3, columns=table)
         assert desc == want_desc and np.array_equal(t, want_t)
+
+
+class TestSurrogateTuningAtExtremeScales:
+    """Direct library calls skip ingest's standardization, so surrogate
+    tuning sees the caller's scale: the bisection midpoint must neither
+    overflow nor underflow, and a carrier variance that is not a normal
+    float64 raises, naming the pair, instead of drifting."""
+
+    @staticmethod
+    def _scaled(scale, n=4, samples=5000):
+        m = sample_ensemble(GaussianEnsembleSpec(1, 1, 0.3, n=n), samples, seed=3)
+        return ChannelMatrix(m.names, m.data * scale)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e100, 1e150])
+    def test_binned_keeps_the_unit_scale_levels(self, scale):
+        cfg = EstimatorConfig(method="binned")
+        want = run_estimate(self._scaled(1.0), cfg, order=3, seed=1)
+        got = run_estimate(self._scaled(scale), cfg, order=3, seed=1)
+        assert got.levels == want.levels
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_knn_stays_close_to_the_unit_scale_levels(self, scale):
+        # the tie-breaking jitter hashes the raw bytes, so the last digits of
+        # each estimate move, and each surrogate within the tuning resolution
+        cfg = EstimatorConfig(method="knn")
+        want = run_estimate(self._scaled(1.0, n=3, samples=2000), cfg, order=3, seed=1)
+        got = run_estimate(self._scaled(scale, n=3, samples=2000), cfg, order=3, seed=1)
+        assert got.levels[2].bits == pytest.approx(want.levels[2].bits, abs=1e-4)
+        assert got.levels[3].bits == pytest.approx(
+            want.levels[3].bits, abs=BisectionConfig().epsilon
+        )
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-200])
+    @pytest.mark.parametrize("method", ["gaussian_logdet", "binned", "knn"])
+    def test_subnormal_carrier_variance_names_the_pair(self, method, scale):
+        with pytest.raises(
+            DegenerateInputError,
+            match=r"channel pair \(x1, x2\): carrier variance .* is not a normal float64",
+        ):
+            run_estimate(self._scaled(scale), EstimatorConfig(method=method), order=3, seed=1)

@@ -97,31 +97,24 @@ class ChannelMatrix:
         constructor keeps the caller's layout, and the last bits of a
         reduction follow it); only the result is copied row by row, so that
         every estimator call reads a contiguous channel.  A channel whose
-        spread underflows is reduced after an exact power-of-two rescaling.
-        A constant channel (its min equals its max, even where the mean
-        rounds off the value) cannot be standardized and raises, and so does
-        one whose variance overflows float64 (dividing by an infinite
-        deviation would zero it).
+        deviation is not a finite float64 at or above ``UNDERFLOW_SPREAD``
+        is reduced after ``unit_scaled``'s exact power-of-two rescaling,
+        which moves no bit of the result.  A constant channel (its min
+        equals its max, even where the mean rounds off the value) cannot be
+        standardized and raises.
         """
         data = self.data
-        flat = data.min(axis=1) == data.max(axis=1)
-        with np.errstate(over="ignore"):  # an overflowing variance raises below
-            stds = data.std(axis=1)
-        tiny = stds < UNDERFLOW_SPREAD
-        if tiny.any():
-            data = data.copy(order="K")
-            data[tiny] = unit_scaled(data[tiny])
-            stds = data.std(axis=1)
-        means = data.mean(axis=1)
-        for name, constant, s in zip(self.names, flat, stds):
-            if constant:
+        for name, lo, hi in zip(self.names, data.min(axis=1), data.max(axis=1)):
+            if lo == hi:
                 raise DegenerateInputError(
                     f"channel {name!r} is constant and cannot be standardized"
                 )
-            if not math.isfinite(s):
-                raise DegenerateInputError(
-                    f"channel {name!r} has a variance too large for float64 "
-                    "and cannot be standardized"
-                )
-        out = (data - means[:, None]) / stds[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):  # rescued below
+            stds = data.std(axis=1)
+        rescale = ~((stds >= UNDERFLOW_SPREAD) & (stds < math.inf))
+        if rescale.any():
+            data = data.copy(order="K")
+            data[rescale] = unit_scaled(data[rescale])
+            stds = data.std(axis=1)
+        out = (data - data.mean(axis=1)[:, None]) / stds[:, None]
         return ChannelMatrix(names=self.names, data=np.ascontiguousarray(out))

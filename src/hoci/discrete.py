@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
+from typing import Callable
 
 import numpy as np
 
@@ -114,29 +116,32 @@ def _codes(grid: np.ndarray, A: int, mask: int) -> tuple[np.ndarray, int]:
     return A ** np.arange(len(rows)) @ grid[rows], A ** len(rows)
 
 
-def _joint_mi(probs: np.ndarray, a: tuple[np.ndarray, int], b: tuple[np.ndarray, int]) -> float:
-    """MI from the joint pmf of two ``_codes`` results.
+def _entropies(ensemble: DiscreteEnsemble) -> Callable[[int], float]:
+    """Each mask's tuple entropy in bits over all A^n outcomes, computed once
+    per mask: one weighted ``np.bincount`` over its ``_codes``."""
+    grid, probs = _outcome_table(ensemble)
 
-    Only the occupied cells of the A^|a| x A^|b| table are built (at most
-    A^n of them, one per outcome), in C order; the marginals are summed
-    over the outcomes directly.
-    """
-    (ca, na), (cb, nb) = a, b
-    cells, inverse = np.unique(ca * nb + cb, return_inverse=True)
-    joint = np.bincount(inverse, weights=probs)
-    pa = np.bincount(ca, weights=probs, minlength=na)
-    pb = np.bincount(cb, weights=probs, minlength=nb)
-    nz = joint > 0.0
-    pj, cells = joint[nz], cells[nz]
-    return float((pj * np.log2(pj / (pa[cells // nb] * pb[cells % nb]))).sum())
+    @cache
+    def entropy(mask: int) -> float:
+        p = np.bincount(_codes(grid, ensemble.alphabet_size, mask)[0], weights=probs)
+        p = p[p > 0.0]
+        return float(-(p * np.log2(p)).sum())
+
+    return entropy
+
+
+def _enumerated_mi(entropy: Callable[[int], float], a: int, b: int) -> float:
+    # the two tuples are a one-to-one function of their union's tuple
+    return entropy(a) + entropy(b) - entropy(a | b)
 
 
 def enumerate_mask_mi(ensemble: DiscreteEnsemble, mask_a: int, mask_b: int) -> float:
     """Independent oracle: MI from the full joint pmf over both tuples.
 
-    Enumerates all alphabet_size^n outcomes into the occupied cells of the
-    A^|a| x A^|b| joint table; refuses requests where the outcome count or
-    the table's size exceeds ``ENUMERATION_CAP``.
+    Enumerates all alphabet_size^n outcomes into the pmf of each tuple and
+    of their union, H(a) + H(b) - H(a OR b); refuses requests where the
+    outcome count or the A^|a| x A^|b| joint table's size exceeds
+    ``ENUMERATION_CAP``.
     """
     a = _check_mask(ensemble, mask_a)
     b = _check_mask(ensemble, mask_b)
@@ -150,8 +155,7 @@ def enumerate_mask_mi(ensemble: DiscreteEnsemble, mask_a: int, mask_b: int) -> f
         raise CapacityError(
             f"joint table of {A}^{wa} x {A}^{wb} cells exceeds cap {ENUMERATION_CAP}"
         )
-    grid, probs = _outcome_table(ensemble)
-    return _joint_mi(probs, _codes(grid, A, a), _codes(grid, A, b))
+    return _enumerated_mi(_entropies(ensemble), a, b)
 
 
 def _next_level(masks: frozenset[int], originals: tuple[int, ...]) -> frozenset[int]:
@@ -217,7 +221,7 @@ def verify_theorem5(n: int, base_pmf) -> Theorem5Verification:
             f"level walk over C({ens.n}, {half}) = {widest} masks exceeds cap {ENUMERATION_CAP}"
         )
     h, A, originals = ens.entropy_bits, ens.alphabet_size, ens.membership_masks
-    table = _outcome_table(ens) if A ** (2 * ens.n - 2) <= ENUMERATION_CAP else None
+    entropy = _entropies(ens) if A ** (2 * ens.n - 2) <= ENUMERATION_CAP else None
     levels = []
     prev = frozenset(originals)
     for ell in range(2, ens.n + 1):
@@ -225,10 +229,8 @@ def verify_theorem5(n: int, base_pmf) -> Theorem5Verification:
         min_shortcut = min((a & b).bit_count() for a in prev for b in originals) * h
         expected = (ens.n - ell) * h
         enum_val = enum_err = None
-        if table is not None:
-            grid, probs = table
-            codes = {m: _codes(grid, A, m) for m in prev.union(originals)}  # once per mask
-            enum_val = min(_joint_mi(probs, codes[a], codes[b]) for a in prev for b in originals)
+        if entropy is not None:
+            enum_val = min(_enumerated_mi(entropy, a, b) for a in prev for b in originals)
             enum_err = abs(enum_val - expected)
         levels.append(
             LevelVerification(

@@ -23,8 +23,8 @@ Three methods, selected by :class:`EstimatorConfig`:
 
 Every kernel reads prepared columns: ``_prepare`` keeps what its method's
 kernel reads of a validated column -- the centring offset ``x.sum()/x.size``
-and centred norm for ``gaussian_logdet`` (the rescaled centred column too,
-only when that norm is below ``UNDERFLOW_SPREAD``), the bin indices as
+and centred norm for ``gaussian_logdet`` (or, for a rescaled column, its
+centred values and their norm), the bin indices as
 ``uint16`` for ``binned`` (a pairwise call refuses more than 2048 bins), the
 standardized, jittered values for ``knn``.  ``mi_estimate`` prepares its two
 columns itself unless the caller passes a :class:`PreparedColumns` table;
@@ -36,12 +36,14 @@ a pair's column, though ``binned`` bins up to any intp-indexable grid.  A
 column whose min equals its max is constant, even where its mean rounds off.
 
 All estimates are in bits and nonnegative: a negative raw estimate (or -0.0)
-is clamped to +0.0.  Columns are standardized before estimation, so results are
-invariant to affine rescaling of the inputs: a column whose squares would
-underflow is first scaled by an exact power of two, and one whose sum of
-squares overflows raises.  Deterministic tie-breaking jitter for the knn
-method is seeded from a hash of the column contents, which keeps every
-estimate reproducible and symmetric.
+is clamped to +0.0.  One scale rule covers every column statistic a kernel
+reads (the knn deviation, the Gaussian centred norm, the binned range): where
+it is not a finite float64 at or above ``UNDERFLOW_SPREAD``, the column is
+multiplied by the power of two ``unit_scaled`` picks and the statistic taken
+again.  A power of two moves no bit, so an estimate does not depend on a
+power-of-two input scale.  Deterministic tie-breaking jitter for the knn
+method is seeded from a hash of the raw column contents, which keeps every
+estimate reproducible and symmetric (and lets a scale move its last digits).
 
 ``bidirectional_te_mi`` is the time-series proxy for pairwise MI: the sum of
 the two directed estimates I(X_{t-l..t-1}; Y_t) + I(Y_{t-l..t-1}; X_t) over a
@@ -53,7 +55,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,6 +66,7 @@ _METHODS = ("gaussian_logdet", "binned", "knn")
 _LN2 = math.log(2.0)
 _JITTER_SCALE = 1e-10
 _DIVERGENT_ONE_MINUS_R2 = 4.0 * float(np.finfo(np.float64).eps)
+_LOG_DIVERGENT = math.log(_DIVERGENT_ONE_MINUS_R2)
 _MAX_PAIR_CELLS = 2**22  # bins = 2048; its tables peak near 105 MB
 MIN_LENGTH = 10
 
@@ -120,13 +123,11 @@ def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
 def _standardize(arr: np.ndarray, name: str) -> np.ndarray:
     if arr.min() == arr.max():  # even where the mean rounds off the value
         raise DegenerateInputError(f"{name} is constant")
-    with np.errstate(over="ignore"):  # an overflowing variance raises below
+    with np.errstate(over="ignore", invalid="ignore"):  # rescued below
         s = arr.std()
-    if s < UNDERFLOW_SPREAD:
+    if not UNDERFLOW_SPREAD <= s < math.inf:
         arr = unit_scaled(arr)
         s = arr.std()
-    if not math.isfinite(s):
-        raise DegenerateInputError(f"{name}'s variance overflows float64")
     return (arr - arr.mean()) / s
 
 
@@ -144,8 +145,7 @@ def _jittered(a: np.ndarray, name: str) -> np.ndarray:
 
 class _Centred(NamedTuple):
     """A column as the correlation reads it: ``values - offset`` is the centred
-    column (``offset`` None: ``values`` is already centred), ``norm`` its norm,
-    0.0 for a constant column."""
+    column (``offset`` None: ``values`` is already centred), ``norm`` its norm."""
 
     values: np.ndarray
     offset: float | None
@@ -154,39 +154,26 @@ class _Centred(NamedTuple):
 
 def _centred(x: np.ndarray) -> _Centred:
     if x.min() == x.max():  # constant, even where the mean rounds off the value
-        return _Centred(x, x[0], 0.0)
-    with np.errstate(over="ignore"):  # an overflowing norm raises in _check_norms
+        raise DegenerateInputError("correlation undefined for a constant column")
+    with np.errstate(over="ignore", invalid="ignore"):  # rescued below
         offset = x.sum() / x.size  # the same pairwise reduction and division as mean()
         xc = x - offset
         norm = float(np.sqrt(xc @ xc))
-    # a power of two moves no bit of r and keeps tiny squares out of subnormals
-    if norm < UNDERFLOW_SPREAD:
-        xc = unit_scaled(xc)
-        return _Centred(xc, None, float(np.sqrt(xc @ xc)))
-    return _Centred(x, offset, norm)
-
-
-def _check_norms(norms: Sequence[float]) -> None:
-    """Refuse to correlate columns unless every centred norm is finite and nonzero."""
-    # finite norms bound every cross product (Cauchy-Schwarz), so only the
-    # sums and sums of squares can overflow
-    for norm in norms:
-        if not math.isfinite(norm):
-            raise DegenerateInputError(
-                "correlation overflows float64: a column's sum or sum of squares is not finite"
-            )
-    if 0.0 in norms:
-        raise DegenerateInputError("correlation undefined for a constant column")
+    if UNDERFLOW_SPREAD <= norm < math.inf:
+        return _Centred(x, offset, norm)
+    # a power of two moves no bit of r; scaling first keeps x - offset finite
+    x = unit_scaled(x)
+    xc = x - x.sum() / x.size
+    return _Centred(xc, None, float(np.sqrt(xc @ xc)))
 
 
 def _correlation(px: _Centred, py: _Centred) -> float:
-    nx, ny = px.norm, py.norm
-    _check_norms((nx, ny))
     xc = px.values if px.offset is None else px.values - px.offset
     yc = py.values if py.offset is None else py.values - py.offset
-    # the scalar min/max clamp is np.clip's without numpy's per-call overhead;
-    # the argument order lets a NaN through, as np.clip does
-    return max(min(float((xc @ yc) / (nx * ny)), 1.0), -1.0)
+    # finite norms bound the cross product (Cauchy-Schwarz); the scalar
+    # min/max clamp is np.clip's without numpy's per-call overhead, and the
+    # argument order lets a NaN through, as np.clip does
+    return max(min(float((xc @ yc) / (px.norm * py.norm)), 1.0), -1.0)
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
@@ -218,9 +205,10 @@ def _bin_index(a: np.ndarray, bins: int, name: str) -> np.ndarray:
     lo, hi = float(a.min()), float(a.max())
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
+    elif not UNDERFLOW_SPREAD <= hi - lo < math.inf:  # a power of two moves no bin
+        a = unit_scaled(a)
+        lo, hi = float(a.min()), float(a.max())
     width = hi - lo
-    if not math.isfinite(width):
-        raise DegenerateInputError(f"{name} has a range too wide for float64 ({lo!r} to {hi!r})")
     if width == 0.0:  # +-0.5 vanished in rounding: every sample is on the right edge
         return np.full(a.size, bins - 1, dtype=np.intp)
     edges = np.linspace(lo, hi, bins + 1)
@@ -366,7 +354,6 @@ def _gaussian_joint(px: list[_Centred], py: _Centred) -> float:
     pair's correlation rule, one product of the centred columns over the norms."""
     cols = [*px, py]
     norms = [c.norm for c in cols]
-    _check_norms(norms)
     centred = np.array([c.values if c.offset is None else c.values - c.offset for c in cols])
     full = np.clip(centred @ centred.T / np.outer(norms, norms), -1.0, 1.0)
     w = len(px)
@@ -374,7 +361,8 @@ def _gaussian_joint(px: list[_Centred], py: _Centred) -> float:
     sign_f, logdet_f = np.linalg.slogdet(full)
     if sign_xx <= 0.0:
         raise DegenerateInputError("block correlation matrix is singular")
-    if sign_f <= 0.0:
+    # 1 - R^2 = det(full) / det(xx), read as divergent by the pair's rule
+    if sign_f <= 0.0 or logdet_f - logdet_xx <= _LOG_DIVERGENT:
         return math.inf
     return (logdet_xx - logdet_f) / (2.0 * _LN2)
 

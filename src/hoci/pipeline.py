@@ -247,12 +247,9 @@ def approx_rtilde(r2_bits: float, n_vars: int, level: int) -> float:
 
 
 def _abs_corr(x: np.ndarray, y: np.ndarray, lag: int) -> float:
-    xo, yo = x[: x.size - lag], y[lag:]
     try:
-        return abs(_pearson(xo, yo))
-    except DegenerateInputError as err:
-        if xo.min() < xo.max() and yo.min() < yo.max():  # not constant: keep the cause
-            raise DegenerateInputError(f"lag {lag} samples: {err}") from None
+        return abs(_pearson(x[: x.size - lag], y[lag:]))
+    except DegenerateInputError:  # finite columns are refused only when constant
         raise DegenerateInputError(f"constant overlap at lag {lag} samples") from None
 
 

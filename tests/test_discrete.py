@@ -19,7 +19,7 @@ from hoci import (
     sample_channels,
     verify_theorem5,
 )
-from hoci.discrete import _codes, _joint_mi, _next_level, _outcome_table
+from hoci.discrete import _codes, _next_level, _outcome_table
 
 H_QUARTER = 0.8112781244591328  # H(1/4, 3/4)
 LOG2_3 = 1.584962500721156
@@ -297,7 +297,7 @@ class TestSparseJointTable:
             codes = {m: _codes(grid, ens.alphabet_size, m) for m in prev.union(originals)}
             for a in prev:
                 for b in originals:
-                    sparse = _joint_mi(probs, codes[a], codes[b])
+                    sparse = enumerate_mask_mi(ens, a, b)
                     gaps.append(sparse - _joint_mi_dense(probs, codes[a], codes[b]))
             prev = _next_level(prev, originals)
         assert len(gaps) == sum(math.comb(n, n - ell + 1) for ell in range(2, n + 1)) * n

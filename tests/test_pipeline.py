@@ -2,6 +2,7 @@
 averages and scaling approximations, lag scans, and the report invariants."""
 
 import math
+import warnings
 from collections import Counter
 from itertools import combinations
 
@@ -18,11 +19,13 @@ from hoci import (
     ParameterDomainError,
     PipelineError,
     approx_rtilde,
+    bidirectional_te_mi,
     build_ensemble,
     chain_slack_bits,
     derive_sci_seed,
     lag_max_correlation,
     lag_max_correlation_samples,
+    mi_estimate,
     mi_xi_xj,
     r3_lower,
     run_estimate,
@@ -234,14 +237,13 @@ class TestLagScan:
         with pytest.raises(DegenerateInputError, match="constant overlap at lag 90 samples"):
             lag_max_correlation_samples(y, x, 88, 90)
 
-    def test_overflow_is_not_a_constant_overlap(self):
+    def test_overflowing_scale_keeps_the_unit_scale_lag(self):
         rng = np.random.default_rng(0)
-        x, y = rng.standard_normal((2, 1000)) * 1e160
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DegenerateInputError, match="lag 0 samples") as exc:
-                lag_max_correlation_samples(x, y, 0, 3)
-        assert "constant overlap" not in str(exc.value)
-        assert "overflows float64" in str(exc.value)
+        x, y = rng.standard_normal((2, 1000))
+        got = lag_max_correlation_samples(x * 1e160, y * 1e160, 0, 3)
+        want = lag_max_correlation_samples(x, y, 0, 3)
+        assert got.lag_samples == want.lag_samples
+        assert got.abs_corr == pytest.approx(want.abs_corr, abs=1e-12)
 
 
 class TestRunEstimate:
@@ -395,29 +397,41 @@ class TestChannelMatrix:
 
 
 class TestLargeFiniteChannels:
+    """Channels whose squared deviations overflow float64 are estimated and
+    standardized after an exact power-of-two rescaling, not refused."""
+
     @pytest.fixture(scope="class")
-    def huge4(self):
-        m = sample_ensemble(GaussianEnsembleSpec(1.0, 1.0, 0.3, n=4), 2000, seed=3)
-        return ChannelMatrix(m.names, m.data * 1e160)
+    def unit4(self):
+        return sample_ensemble(GaussianEnsembleSpec(1.0, 1.0, 0.3, n=4), 2000, seed=3)
 
-    @pytest.mark.parametrize("order", [2, 3])
-    def test_run_estimate_names_the_overflowing_pair(self, huge4, order):
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DegenerateInputError, match=r"channel pair \(x1, x2\): .*overflows"):
-                run_estimate(huge4, order=order)
+    @pytest.fixture(scope="class")
+    def huge4(self, unit4):
+        return ChannelMatrix(unit4.names, unit4.data * 1e160)
 
-    def test_standardizing_an_overflowing_channel_raises(self, huge4):
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DegenerateInputError, match="channel 'x1' has a variance too large"):
-                huge4.standardized()
+    def test_order_2_keeps_the_unit_scale_value(self, unit4, huge4):
+        want = run_estimate(unit4, order=2).levels[2]
+        got = run_estimate(huge4, order=2).levels[2]
+        assert got.channels == want.channels
+        assert got.bits == pytest.approx(want.bits, abs=1e-12)
 
-    def test_knn_run_estimate_names_the_overflowing_pair(self, huge4):
-        # knn used to divide by the infinite deviation and report r2 = 0 bits
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(
-                DegenerateInputError, match=r"channel pair \(x1, x2\): x's variance overflows"
-            ):
-                run_estimate(huge4, EstimatorConfig(method="knn"), order=2)
+    def test_order_3_names_the_pair_whose_carrier_variance_overflows(self, huge4):
+        # a surrogate descriptor reports its noise variance in the caller's units
+        with pytest.raises(
+            DegenerateInputError,
+            match=r"channel pair \(x1, x2\): carrier variance inf is not a normal float64",
+        ):
+            run_estimate(huge4, order=3)
+
+    def test_standardized_accepts_huge_channels(self, unit4, huge4):
+        np.testing.assert_allclose(
+            huge4.standardized().data, unit4.standardized().data, rtol=0.0, atol=1e-12
+        )
+
+    def test_knn_run_estimate_stays_close_to_unit_scale(self, unit4, huge4):
+        # knn once divided by the infinite deviation and reported r2 = 0 bits
+        knn = EstimatorConfig(method="knn")
+        want = run_estimate(unit4, knn, order=2).levels[2].bits
+        assert run_estimate(huge4, knn, order=2).levels[2].bits == pytest.approx(want, abs=1e-4)
 
 
 class TestTinyFiniteChannels:
@@ -479,6 +493,47 @@ class TestConstantByRange:
             match=r"channel pair \(a, b\): correlation undefined for a constant column",
         ):
             run_estimate(flat_b, order=2)
+
+
+POWER_OF_TWO_SCALES = [-900, -700, -540, 540, 700, 900, 1000]
+
+
+class TestPowerOfTwoScale:
+    """Scaling every channel by 2**k moves no bit of a result: a column
+    statistic that is not a finite float64 at or above UNDERFLOW_SPREAD is
+    taken again after unit_scaled's power of two.  knn hashes the raw bytes
+    for its tie-breaking jitter, so only its last digits move."""
+
+    @pytest.fixture(scope="class")
+    def unit4(self):
+        return sample_ensemble(GaussianEnsembleSpec(1.0, 1.0, 0.3, n=4), 2000, seed=3)
+
+    @pytest.mark.parametrize("method", ["gaussian_logdet", "binned", "knn"])
+    @pytest.mark.parametrize("k", POWER_OF_TWO_SCALES)
+    def test_estimates_match_the_unit_scale(self, unit4, method, k):
+        cfg = EstimatorConfig(method=method)
+        scaled = ChannelMatrix(unit4.names, np.ldexp(unit4.data, k))
+
+        def estimates(m):
+            x, y = m.data[0], m.data[1]
+            levels = run_estimate(m, cfg, order=2).levels[2]
+            return [mi_estimate(x, y, cfg), bidirectional_te_mi(x, y, cfg), levels.bits]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = estimates(scaled)
+        tol = 1e-4 if method == "knn" else 0.0
+        assert got == pytest.approx(estimates(unit4), rel=0.0, abs=tol)
+
+    @pytest.mark.parametrize("k", POWER_OF_TWO_SCALES)
+    def test_standardization_and_lag_scan_match_the_unit_scale(self, unit4, k):
+        scaled = ChannelMatrix(unit4.names, np.ldexp(unit4.data, k))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = scaled.standardized().data
+            lag = lag_max_correlation_samples(scaled.data[0], scaled.data[1], 0, 5)
+        assert np.array_equal(data, unit4.standardized().data)
+        assert lag == lag_max_correlation_samples(unit4.data[0], unit4.data[1], 0, 5)
 
 
 class TestPreparedColumns:

@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -280,11 +280,19 @@ def emit_report(report: CommonInfoReport, path: str) -> None:
     _write_json(doc, path)
 
 
+def _on_model(quantity, spec: GaussianEnsembleSpec, n: int) -> float:
+    """``quantity`` of ``spec`` with n observations; nan where that model does not exist."""
+    try:
+        return quantity(replace(spec, n=n))
+    except ParameterDomainError:
+        return math.nan
+
+
 def emit_gaussian_curves(sigma_x2: float, rho_grid, sigma_n2_grid, path: str) -> int:
     """Write the closed-form curve table over the grid; returns the row count.
 
-    Divergent cells are written as "inf"; parameter combinations where the
-    conditional MI is undefined get "nan" in that column only.
+    Divergent cells are written as "inf"; a cell whose model does not exist
+    (the triple columns below rho = -1/2, R4_lower below -1/3) as "nan".
     """
     rhos = np.asarray(rho_grid, dtype=np.float64)
     noises = np.asarray(sigma_n2_grid, dtype=np.float64)
@@ -301,19 +309,15 @@ def emit_gaussian_curves(sigma_x2: float, rho_grid, sigma_n2_grid, path: str) ->
         for sn2 in noises:
             spec = GaussianEnsembleSpec(float(sigma_x2), float(sn2), float(rho))
             pairwise = mi_xi_xj(spec)
-            try:
-                cond = cond_mi_xi_xj_given_xk(spec)
-            except ParameterDomainError:
-                cond = math.nan
             cells = [
                 _csv_num(rho),
                 _csv_num(sn2),
                 _csv_num(mi_x_xi(spec)),
                 _csv_num(pairwise),
-                _csv_num(cond),
+                _csv_num(_on_model(cond_mi_xi_xj_given_xk, spec, 3)),
                 _csv_num(pairwise),
-                _csv_num(r3_lower(spec)),
-                _csv_num(r4_lower(spec)),
+                _csv_num(_on_model(r3_lower, spec, 3)),
+                _csv_num(_on_model(r4_lower, spec, 4)),
             ]
             lines.append(",".join(cells))
     with open(path, "w") as fh:
@@ -420,21 +424,19 @@ def _cmd_gaussian(args) -> int:
 
 
 def _cmd_discrete(args) -> int:
-    if args.pmf is not None:
-        pmf = [float(p) for p in parse_grid(args.pmf)]
-        if len(pmf) != args.alphabet:
-            raise ConfigurationError(
-                f"--pmf has {len(pmf)} entries but --alphabet is {args.alphabet}"
-            )
-    elif args.alphabet < 2:
-        raise ParameterDomainError(f"--alphabet must be at least 2, got {args.alphabet}")
-    else:
-        pmf = [1.0 / args.alphabet] * args.alphabet
+    pmf = None if args.pmf is None else [float(p) for p in parse_grid(args.pmf)]
+    alphabet = args.alphabet if args.alphabet is not None else (2 if pmf is None else len(pmf))
+    if pmf is None:
+        if alphabet < 2:
+            raise ParameterDomainError(f"--alphabet must be at least 2, got {alphabet}")
+        pmf = [1.0 / alphabet] * alphabet
+    elif len(pmf) != alphabet:
+        raise ConfigurationError(f"--pmf has {len(pmf)} entries but --alphabet is {alphabet}")
     result = verify_theorem5(args.n, pmf)
     doc = {
         "tool": "hoci",
         "version": __version__,
-        "config": {"n": args.n, "alphabet": args.alphabet, "pmf": pmf},
+        "config": {"n": args.n, "alphabet": alphabet, "pmf": pmf},
         "entropy_bits": result.entropy_bits,
         "levels": [asdict(lv) for lv in result.levels],
         "passed": result.passed,
@@ -605,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     d.add_argument("--n", type=int, default=4, help="number of variables")
-    d.add_argument("--alphabet", type=int, default=2, help="base alphabet size")
+    d.add_argument("--alphabet", type=int, help="base alphabet size (default: len(--pmf), else 2)")
     d.add_argument("--pmf", default=None, help="base pmf 'p0,p1,...' (default: uniform)")
     _add_io_flags(d, needs_input=False)
     d.set_defaults(func=_cmd_discrete)

@@ -21,19 +21,19 @@ Three methods, selected by :class:`EstimatorConfig`:
   digamma neighbor-count correction) for non-Gaussian data.  One kernel
   serves a pair and a block; it alone imports scipy, on its first call.
 
-Every kernel reads prepared columns: ``_prepare`` keeps what its method's
-kernel reads of a validated column -- the centring offset ``x.sum()/x.size``
-and centred norm for ``gaussian_logdet`` (or, for a rescaled column, its
-centred values and their norm), the bin indices as
-``uint16`` for ``binned`` (a pairwise call refuses more than 2048 bins), the
-standardized, jittered values for ``knn``.  ``mi_estimate`` prepares its two
-columns itself unless the caller passes a :class:`PreparedColumns` table;
-``run_estimate`` makes one per run, so each channel row and accepted
-surrogate is prepared once however many calls read it.  The arithmetic is
-the same either way, so a table moves no bit.  A block is its list of
-columns (the time-series lag windows, as views), each checked and prepared as
-a pair's column, though ``binned`` bins up to any intp-indexable grid.  A
-column whose min equals its max is constant, even where its mean rounds off.
+``mi_estimate`` takes a column or a samples-by-columns block, and every
+column passes ``_column``'s one check.  Every kernel reads prepared columns:
+``_prepare`` keeps what its method's kernel reads of a validated column --
+the column (rescaled, if the scale rule below applies), its centring offset
+``x.sum()/x.size`` and centred norm for ``gaussian_logdet``, the bin indices
+as ``uint16`` for ``binned`` (a pairwise call refuses more than 2048 bins),
+the standardized, jittered values for ``knn``.  A pair is prepared per call
+unless the caller passes a :class:`PreparedColumns` table; ``run_estimate``
+makes one per run, so each channel row and accepted surrogate is prepared
+once however many calls read it, and no bit moves.  A block (the time-series
+lag windows, as views) reads no table; each column is checked and prepared
+as a pair's, though ``binned`` bins up to any intp-indexable grid.  A column
+whose min equals its max is constant, even where its mean rounds off.
 
 All estimates are in bits and nonnegative: a negative raw estimate (or -0.0)
 is clamped to +0.0.  One scale rule covers every column statistic a kernel
@@ -145,10 +145,10 @@ def _jittered(a: np.ndarray, name: str) -> np.ndarray:
 
 class _Centred(NamedTuple):
     """A column as the correlation reads it: ``values - offset`` is the centred
-    column (``offset`` None: ``values`` is already centred), ``norm`` its norm."""
+    column, ``norm`` its norm."""
 
     values: np.ndarray
-    offset: float | None
+    offset: float
     norm: float
 
 
@@ -159,17 +159,18 @@ def _centred(x: np.ndarray) -> _Centred:
         offset = x.sum() / x.size  # the same pairwise reduction and division as mean()
         xc = x - offset
         norm = float(np.sqrt(xc @ xc))
-    if UNDERFLOW_SPREAD <= norm < math.inf:
-        return _Centred(x, offset, norm)
-    # a power of two moves no bit of r; scaling first keeps x - offset finite
-    x = unit_scaled(x)
-    xc = x - x.sum() / x.size
-    return _Centred(xc, None, float(np.sqrt(xc @ xc)))
+    if not UNDERFLOW_SPREAD <= norm < math.inf:
+        # a power of two moves no bit of r; scaling first keeps x - offset finite
+        x = unit_scaled(x)
+        offset = x.sum() / x.size
+        xc = x - offset
+        norm = float(np.sqrt(xc @ xc))
+    return _Centred(x, offset, norm)
 
 
 def _correlation(px: _Centred, py: _Centred) -> float:
-    xc = px.values if px.offset is None else px.values - px.offset
-    yc = py.values if py.offset is None else py.values - py.offset
+    xc = px.values - px.offset
+    yc = py.values - py.offset
     # finite norms bound the cross product (Cauchy-Schwarz); the scalar
     # min/max clamp is np.clip's without numpy's per-call overhead, and the
     # argument order lets a NaN through, as np.clip does
@@ -192,7 +193,7 @@ def _gaussian_mi(px: _Centred, py: _Centred) -> float:
     return -0.5 * math.log2(one_minus)
 
 
-def _bin_index(a: np.ndarray, bins: int, name: str) -> np.ndarray:
+def _bin_index(a: np.ndarray, bins: int) -> np.ndarray:
     """Each sample's bin among ``bins`` equal-width bins over [min, max].
 
     The edges are numpy's, ``np.linspace(min, max, bins + 1)`` with a
@@ -219,13 +220,6 @@ def _bin_index(a: np.ndarray, bins: int, name: str) -> np.ndarray:
     if missed.any():
         idx[missed] = np.minimum(np.searchsorted(edges, a[missed], side="right") - 1, bins - 1)
     return idx
-
-
-def _bin_codes(a: np.ndarray, bins: int, name: str) -> np.ndarray:
-    """The pairwise kernel's bin indices, as uint16."""
-    if bins * bins > _MAX_PAIR_CELLS:
-        raise ConfigurationError(f"bins={bins} needs more than 2**22 pairwise cells; use <= 2048")
-    return _bin_index(a, bins, name).astype(np.uint16)
 
 
 def _binned_pair(cx: np.ndarray, cy: np.ndarray, bins: int) -> float:
@@ -259,7 +253,11 @@ def _prepare(a: np.ndarray, cfg: EstimatorConfig, name: str):
     if cfg.method == "gaussian_logdet":
         return _centred(a)
     if cfg.method == "binned":
-        return _bin_codes(a, cfg.bins, name)
+        if cfg.bins * cfg.bins > _MAX_PAIR_CELLS:
+            raise ConfigurationError(
+                f"bins={cfg.bins} needs more than 2**22 pairwise cells; use <= 2048"
+            )
+        return _bin_index(a, cfg.bins).astype(np.uint16)
     return _jittered(a, name)
 
 
@@ -339,13 +337,17 @@ def mi_estimate(
 ) -> float:
     """Estimate I(x; y) in bits with the configured method.
 
-    Nonnegative; identical non-constant columns give a divergent (inf)
-    parametric estimate or a large positive knn estimate, flagged as a
-    self-pair in the full result.  Equal to ``mi_estimate_full(...).bits``
-    without the self-pair comparison.  ``columns``, the run's table of
-    prepared columns made for ``cfg``, spares re-preparing the columns it
-    holds; the estimate is the same bit for bit.
+    ``x`` is a column or a samples-by-columns block; a one-column block is
+    the pair bit for bit.  Nonnegative; identical non-constant columns give
+    a divergent (inf) parametric estimate or a large positive knn estimate,
+    flagged as a self-pair in the full result.  For a column, equal to
+    ``mi_estimate_full(...).bits`` without the self-pair comparison.
+    ``columns``, the run's table of prepared columns made for ``cfg``,
+    spares re-preparing the columns it holds; the estimate is the same bit
+    for bit.  A block reads no table.
     """
+    if np.ndim(x) == 2:
+        return _joint_mi(list(np.asarray(x, dtype=np.float64).T), y, cfg)
     return _clamp(_raw_mi(x, y, cfg, columns))
 
 
@@ -354,7 +356,7 @@ def _gaussian_joint(px: list[_Centred], py: _Centred) -> float:
     pair's correlation rule, one product of the centred columns over the norms."""
     cols = [*px, py]
     norms = [c.norm for c in cols]
-    centred = np.array([c.values if c.offset is None else c.values - c.offset for c in cols])
+    centred = np.array([c.values - c.offset for c in cols])
     full = np.clip(centred @ centred.T / np.outer(norms, norms), -1.0, 1.0)
     w = len(px)
     sign_xx, logdet_xx = np.linalg.slogdet(full[:w, :w])
@@ -375,8 +377,8 @@ def _binned_joint(cols: list[np.ndarray], y: np.ndarray, bins: int) -> float:
         nz = np.unique(flat, return_counts=True)[1] / float(idx[0].size)
         return float(-(nz * np.log2(nz)).sum())
 
-    bx = [_bin_index(a, bins, f"block column {c}") for c, a in enumerate(cols)]
-    by = [_bin_index(y, bins, "y")]
+    bx = [_bin_index(a, bins) for a in cols]
+    by = [_bin_index(y, bins)]
     return plugin_entropy(bx) + plugin_entropy(by) - plugin_entropy(bx + by)
 
 
@@ -411,6 +413,8 @@ def _ksg(cols: list[np.ndarray], ys: np.ndarray, k: int) -> float:
 def _joint_mi(cols: list[np.ndarray], y, cfg: EstimatorConfig) -> float:
     """I(X; y) in bits of a block given as its list of columns, each checked
     and prepared as a pair's column is; one column is the pair (x, y)."""
+    if not cols:
+        raise DegenerateInputError("x is a block of no columns")
     if len(cols) == 1:
         return mi_estimate(cols[0], y, cfg)
     names = [f"block column {c}" for c in range(len(cols))]
@@ -430,19 +434,6 @@ def _joint_mi(cols: list[np.ndarray], y, cfg: EstimatorConfig) -> float:
         py = _prepare(ya, cfg, "y")
         raw = _gaussian_joint(px, py) if cfg.method == "gaussian_logdet" else _ksg(px, py, cfg.k)
     return _clamp(raw)
-
-
-def mi_estimate_joint(x_block, y, cfg: EstimatorConfig = EstimatorConfig()) -> float:
-    """MI in bits between a multi-column block and a scalar column.
-
-    A width-1 block reduces exactly to mi_estimate.
-    """
-    xb = np.asarray(x_block, dtype=np.float64)
-    if xb.ndim == 1:
-        xb = xb[:, None]
-    if xb.ndim != 2 or xb.shape[1] < 1:
-        raise DegenerateInputError("x_block must be samples-by-columns")
-    return _joint_mi(list(xb.T), y, cfg)
 
 
 def bidirectional_te_mi(x, y, cfg: EstimatorConfig = EstimatorConfig()) -> float:

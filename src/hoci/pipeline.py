@@ -44,7 +44,8 @@ from .errors import (
     ParameterDomainError,
     PipelineError,
 )
-from .estimators import EstimatorConfig, PreparedColumns, _pearson, bidirectional_te_mi, mi_estimate
+from .estimators import EstimatorConfig, PreparedColumns, bidirectional_te_mi, mi_estimate
+from .estimators import _pair, _pearson
 from .sci import (
     SLACK_BITS_AT_REFERENCE,
     BisectionConfig,
@@ -257,12 +258,7 @@ def lag_max_correlation_samples(
     x, y, lag_min_samples: int, lag_max_samples: int
 ) -> LagCorrelation:
     """Max of |corr(x shifted by lag, y)| over an integer lag range."""
-    xa = np.asarray(x, dtype=np.float64)
-    ya = np.asarray(y, dtype=np.float64)
-    if xa.ndim != 1 or ya.ndim != 1 or xa.size != ya.size:
-        raise DegenerateInputError("x and y must be equal-length columns")
-    if not np.isfinite(xa).all() or not np.isfinite(ya).all():
-        raise DegenerateInputError("lag scan inputs contain non-finite values")
+    xa, ya = _pair(x, y)
     if not 0 <= lag_min_samples <= lag_max_samples:
         raise ParameterDomainError(
             f"need 0 <= lag_min <= lag_max, got [{lag_min_samples}, {lag_max_samples}]"

@@ -36,7 +36,7 @@ from .errors import (
     NoCommonInformationError,
     ParameterDomainError,
 )
-from .estimators import EstimatorConfig, PreparedColumns, mi_estimate, mi_estimate_full
+from .estimators import EstimatorConfig, PreparedColumns, _pair, mi_estimate, mi_estimate_full
 from .gaussian import GaussianEnsembleSpec, delta_quantities, mmse_coefficients
 
 # bisection also terminates on bracket width, not residual alone: a wide
@@ -158,7 +158,7 @@ def _tune(
     cfg: EstimatorConfig,
     bis: BisectionConfig,
     seed: int,
-    mi_kw: dict,
+    columns: PreparedColumns | None,
 ) -> tuple[float, float, int, np.ndarray]:
     """Find v with |MI(carrier + sqrt(v) e; carrier) - target| < epsilon.
 
@@ -176,8 +176,8 @@ def _tune(
     bracket to have collapsed (hi/lo < _BRACKET_REL_TOL) so the variance
     itself, not just the residual, is pinned down.
 
-    ``mi_kw`` passes the run's table of prepared columns to every estimator
-    call, if there is one: it holds the carrier's preparation, and each
+    ``columns``, the run's table of prepared columns if there is one, goes
+    to every estimator call: it holds the carrier's preparation, and each
     candidate T is prepared by the call that reads it, only the last one
     being held.
     """
@@ -199,7 +199,7 @@ def _tune(
                 f"(target {target:.6g} bits unreachable on this data)"
             )
         t = carrier + math.sqrt(v) * e
-        return mi_estimate(t, carrier, cfg, **mi_kw), t
+        return mi_estimate(t, carrier, cfg, columns=columns), t
 
     if cfg.method == "gaussian_logdet":
         v = var / math.expm1(2.0 * target * _LN2)
@@ -242,8 +242,10 @@ def _tune(
             hi = mid
 
 
-def _target_mi(x_other, carrier, cfg: EstimatorConfig, epsilon: float, mi_kw: dict) -> float:
-    bits = mi_estimate(x_other, carrier, cfg, **mi_kw)
+def _target_mi(
+    x_other, carrier, cfg: EstimatorConfig, epsilon: float, columns: PreparedColumns | None
+) -> float:
+    bits = mi_estimate(x_other, carrier, cfg, columns=columns)
     if math.isinf(bits):
         raise ConvergenceError(
             "target MI is divergent (identical columns?); no finite noise "
@@ -277,16 +279,9 @@ def build_sci(
     for ``cfg``, holding x_i and x_j; the last T it holds is the returned
     one, so the caller can keep that at no cost.
     """
-    xi = np.asarray(x_i, dtype=np.float64)
-    xj = np.asarray(x_j, dtype=np.float64)
-    if xi.shape != xj.shape or xi.ndim != 1:
-        raise DegenerateInputError(
-            f"x_i and x_j must be equal-length columns, got {xi.shape} and {xj.shape}"
-        )
-    # without a table the estimator is called as mi_estimate(x, y, cfg)
-    mi_kw = {} if columns is None else {"columns": columns}
-    target = _target_mi(xi, xj, cfg, bis.epsilon, mi_kw)
-    v, residual, iterations, t = _tune(xj, target, cfg, bis, seed, mi_kw)
+    xi, xj = _pair(x_i, x_j)
+    target = _target_mi(xi, xj, cfg, bis.epsilon, columns)
+    v, residual, iterations, t = _tune(xj, target, cfg, bis, seed, columns)
     desc = SciDescriptor(
         base_channel=base_channel,
         partner_channel=partner_channel,
@@ -316,13 +311,8 @@ def verify_sci(
     divergent MI and never bind.  Report-only: violations are recorded, not
     raised.
     """
-    ta = np.asarray(t, dtype=np.float64)
     ii = channels.index_of(i)
     jj = channels.index_of(j)
-    if ta.ndim != 1 or ta.size != channels.n_samples:
-        raise DegenerateInputError(
-            f"T must be a column of {channels.n_samples} samples, got shape {ta.shape}"
-        )
     if delta_bits is None:
         delta_bits = chain_slack_bits(channels.n_samples)
 
@@ -334,7 +324,7 @@ def verify_sci(
 
     checks = []
     for g in range(channels.n_channels):
-        est = mi_estimate_full(ta, channels.data[g], cfg)
+        est = mi_estimate_full(t, channels.data[g], cfg)
         value = math.inf if est.self_pair else est.bits
         bound = min(bound_side(ii, g), bound_side(jj, g))
         margin = bound + delta_bits - value

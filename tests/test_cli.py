@@ -17,6 +17,10 @@ from hoci import (
     ConfigurationError,
     GaussianEnsembleSpec,
     IngestionError,
+    cond_mi_xi_xj_given_xk,
+    mi_xi_xj,
+    r3_lower,
+    r4_lower,
     run_estimate,
     sample_ensemble,
 )
@@ -471,6 +475,27 @@ class TestGaussianCommand:
         assert body[1].split(",")[4] == "nan"
 
 
+    def test_higher_order_cells_need_their_model(self, tmp_path):
+        # three observations need rho >= -1/2, four need rho >= -1/3
+        out = tmp_path / "models.csv"
+        rc = main(
+            ["gaussian", "--sigma-n2-grid", "5", "--rho-grid=-0.95,-0.6,-0.4,-0.3", "--out", str(out)]
+        )
+        assert rc == 0
+        body = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert [[math.isnan(float(row[c])) for c in (4, 6, 7)] for row in body[1:]] == [
+            [True, True, True],
+            [True, True, True],
+            [False, False, True],
+            [False, False, False],
+        ]
+        assert all(math.isfinite(float(c)) for row in body[1:] for c in row[:4] + row[5:6])
+        spec = GaussianEnsembleSpec(1.0, 5.0, -0.3, n=4)
+        assert [float(c) for c in body[4][4:]] == [
+            cond_mi_xi_xj_given_xk(spec), mi_xi_xj(spec), r3_lower(spec), r4_lower(spec)
+        ]
+
+
 class TestDiscreteCommand:
     def test_verification_report(self, tmp_path, capsys):
         out = tmp_path / "disc.json"
@@ -490,6 +515,14 @@ class TestDiscreteCommand:
         assert rc == 0
         doc = json.loads(out.read_text())
         assert doc["entropy_bits"] == pytest.approx(0.8112781244591328)
+
+    def test_alphabet_defaults_to_the_pmf_length(self, tmp_path):
+        out = tmp_path / "disc.json"
+        rc = main(["discrete", "--n", "3", "--pmf", "0.2,0.3,0.5", "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert doc["config"]["alphabet"] == 3
+        assert doc["passed"] is True
 
     def test_pmf_length_mismatch(self, tmp_path, capsys):
         out = tmp_path / "disc.json"

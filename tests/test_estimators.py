@@ -18,13 +18,12 @@ from hoci import (
     delta_quantities,
     mi_estimate,
     mi_estimate_full,
-    mi_estimate_joint,
     mi_xi_xj,
     sample_ensemble,
 )
 from hoci.channels import UNDERFLOW_SPREAD, unit_scaled
 from hoci.estimators import _bin_index, _pearson
-from hoci.estimators import _binned_joint, _clamp, _raw_mi
+from hoci.estimators import _binned_joint, _clamp, _joint_mi, _raw_mi
 from hoci.estimators import _content_jitter, _ksg, _prepare, _standardize, _strict_range_counts
 from hoci.estimators import PreparedColumns
 
@@ -74,7 +73,7 @@ class TestExactIdentities:
     @pytest.mark.parametrize("cfg", [GAUSSIAN, BINNED, KNN])
     def test_joint_width_one_reduces_to_pairwise(self, cfg):
         x, y = correlated_pair(0.3, 1500, seed=2)
-        assert mi_estimate_joint(x[:, None], y, cfg) == mi_estimate(x, y, cfg)
+        assert mi_estimate(x[:, None], y, cfg) == mi_estimate(x, y, cfg)
 
     @pytest.mark.parametrize("cfg", [GAUSSIAN, BINNED, KNN])
     def test_self_pair_flagged(self, cfg):
@@ -201,7 +200,7 @@ class TestBinKernel:
 
     @staticmethod
     def _counts2d(x, y, bins):
-        cells = _bin_index(x, bins, "x") * bins + _bin_index(y, bins, "y")
+        cells = _bin_index(x, bins) * bins + _bin_index(y, bins)
         return np.bincount(cells, minlength=bins * bins).reshape(bins, bins).astype(np.float64)
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -225,7 +224,7 @@ class TestBinKernel:
              rng.standard_normal(n)]
         )
         want, _ = np.histogramdd(sample, bins=bins)
-        idx = [_bin_index(sample[:, c], bins, f"c{c}") for c in range(3)]
+        idx = [_bin_index(sample[:, c], bins) for c in range(3)]
         flat = np.ravel_multi_index(idx, (bins,) * 3)
         assert np.array_equal(np.bincount(flat, minlength=bins**3).reshape((bins,) * 3), want)
 
@@ -258,7 +257,7 @@ class TestBinKernel:
                 return mi_estimate(col, other, cfg)
             if where == "y":
                 return mi_estimate(other, col, cfg)
-            return mi_estimate_joint(np.column_stack([other, col]), other, cfg)
+            return mi_estimate(np.column_stack([other, col]), other, cfg)
 
         assert estimate(wide) == estimate(unit)
 
@@ -324,21 +323,35 @@ class TestJointBlocks:
     def test_two_column_block_against_log_det_truth(self, cfg, tol):
         spec = GaussianEnsembleSpec(1.0, 1.0, 0.3, n=3)
         m = sample_ensemble(spec, 10_000, seed=9)
-        est = mi_estimate_joint(m.data[:2].T, m.data[2], cfg)
+        est = mi_estimate(m.data[:2].T, m.data[2], cfg)
         assert est == pytest.approx(self._block_truth(spec), abs=tol)
 
     def test_duplicated_column_is_degenerate(self):
         x, y = correlated_pair(0.3, 2000, seed=4)
         block = np.column_stack([x, x])
         with pytest.raises(DegenerateInputError):
-            mi_estimate_joint(block, y, GAUSSIAN)
+            mi_estimate(block, y, GAUSSIAN)
 
     def test_binned_joint_runs(self):
         spec = GaussianEnsembleSpec(1.0, 1.0, 0.5, n=3)
         m = sample_ensemble(spec, 20_000, seed=12)
         cfg = EstimatorConfig(method="binned", bins=8)
-        est = mi_estimate_joint(m.data[:2].T, m.data[2], cfg)
+        est = mi_estimate(m.data[:2].T, m.data[2], cfg)
         assert est > 0.1
+
+    @pytest.mark.parametrize("cfg", [GAUSSIAN, BINNED, KNN], ids=lambda c: c.method)
+    def test_a_block_is_read_as_its_columns(self, cfg):
+        m = sample_ensemble(GaussianEnsembleSpec(1.0, 1.0, 0.3, n=4), 2000, seed=13)
+        want = _joint_mi(list(m.data[:3]), m.data[3], cfg)
+        assert mi_estimate(m.data[:3].T, m.data[3], cfg) == want > 0.0
+        # row-major and column-major blocks, and a table that is not read
+        table = PreparedColumns(cfg, list(m.data))
+        assert mi_estimate(np.ascontiguousarray(m.data[:3].T), m.data[3], cfg, columns=table) == want
+
+    def test_a_block_of_no_columns_is_degenerate(self):
+        y = np.random.default_rng(0).standard_normal(100)
+        with pytest.raises(DegenerateInputError, match="block of no columns"):
+            mi_estimate(np.empty((100, 0)), y)
 
 
 class TestTimeSeries:
@@ -493,8 +506,8 @@ def _binned_joint_dense(xb, y, bins):
         nz = counts[counts > 0] / float(idx[0].size)
         return float(-(nz * np.log2(nz)).sum())
 
-    bx = [_bin_index(xb[:, c], bins, "x") for c in range(xb.shape[1])]
-    by = [_bin_index(y, bins, "y")]
+    bx = [_bin_index(xb[:, c], bins) for c in range(xb.shape[1])]
+    by = [_bin_index(y, bins)]
     return plugin_entropy(bx) + plugin_entropy(by) - plugin_entropy(bx + by)
 
 
@@ -668,7 +681,7 @@ class TestOneKnnKernel:
         xb, y, k = _knn_case(_KNN_CASES.index((3, 4, False, False)))
         cfg = EstimatorConfig(method="knn", k=k)
         assert mi_estimate(xb[:, 0], y, cfg) == _clamp(_knn_mi_reference(xb[:, 0], y, k))
-        assert mi_estimate_joint(xb, y, cfg) == _clamp(_knn_joint_reference(xb, y, k))
+        assert mi_estimate(xb, y, cfg) == _clamp(_knn_joint_reference(xb, y, k))
 
     def test_errors_name_the_constant_column(self):
         x = np.random.default_rng(0).standard_normal(100)
@@ -678,7 +691,7 @@ class TestOneKnnKernel:
         with pytest.raises(DegenerateInputError, match="^y is constant$"):
             mi_estimate(x, flat, KNN)
         with pytest.raises(DegenerateInputError, match="^block column 1 is constant$"):
-            mi_estimate_joint(np.column_stack([x, flat]), x[::-1], KNN)
+            mi_estimate(np.column_stack([x, flat]), x[::-1], KNN)
 
 
 def _prepared_cases():
@@ -783,13 +796,13 @@ class TestConstantByRange:
         with pytest.raises(DegenerateInputError, match="^x is constant$"):
             mi_estimate(d[1], d[0], KNN)
         with pytest.raises(DegenerateInputError, match="^block column 1 is constant$"):
-            mi_estimate_joint(np.column_stack([d[0], d[1]]), d[2], KNN)
+            mi_estimate(np.column_stack([d[0], d[1]]), d[2], KNN)
 
     def test_gaussian_block_raises(self):
         d = _constant_row_data()
         text = "correlation undefined for a constant column"
         with pytest.raises(DegenerateInputError, match=text):
-            mi_estimate_joint(np.column_stack([d[0], d[1]]), d[2])
+            mi_estimate(np.column_stack([d[0], d[1]]), d[2])
         with pytest.raises(DegenerateInputError, match=text):
             bidirectional_te_mi(d[1], d[0])
 
@@ -884,7 +897,7 @@ class TestGaussianBlockReadsPreparedColumns:
         # the columns of a C-ordered samples-by-channels array are strided
         m = s[:, None] + rng.standard_normal((2000, 4)) + np.array([0.0, 1e4, -3.0, 0.5])
         want = _clamp(_gaussian_joint_corrcoef(m[:, :3], m[:, 3]))
-        assert abs(mi_estimate_joint(m[:, :3], m[:, 3]) - want) <= 1e-12
+        assert abs(mi_estimate(m[:, :3], m[:, 3]) - want) <= 1e-12
 
     @pytest.mark.parametrize("lag", [2, 3, 6])
     def test_exact_lagged_copy_diverges_by_the_pairs_rule(self, lag):
@@ -907,7 +920,7 @@ class TestGaussianBlockReadsPreparedColumns:
             xs, ys = x * scale, y * scale
             if call == "te":
                 return bidirectional_te_mi(xs, ys)
-            return mi_estimate_joint(np.column_stack([xs, ys]), np.roll(ys, 1))
+            return mi_estimate(np.column_stack([xs, ys]), np.roll(ys, 1))
 
         assert estimate(1e155) == pytest.approx(estimate(1.0), abs=1e-12)
 

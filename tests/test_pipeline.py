@@ -231,6 +231,20 @@ class TestLagScan:
         with pytest.raises(DegenerateInputError):
             lag_max_correlation_samples(x, x, 0, 999)
 
+    def test_columns_are_checked_as_an_estimator_pair(self):
+        x = np.random.default_rng(0).standard_normal(100)
+        bad = x.copy()
+        bad[7] = np.inf
+        for args, message in [
+            ((bad, x), "x contains non-finite values"),
+            ((x, bad), "y contains non-finite values"),
+            ((x, x[:99]), "length mismatch: 100 vs 99"),
+            ((x[:9], x[:9]), "x has 9 samples; need >= 10"),
+            ((np.stack([x, x]), x), "x must be a 1-D sample column"),
+        ]:
+            with pytest.raises(DegenerateInputError, match=message):
+                lag_max_correlation_samples(*args, 0, 3)
+
     def test_constant_overlap_names_the_lag(self):
         x = np.random.default_rng(0).standard_normal(100)
         y = np.concatenate([np.ones(10), x[10:]])

@@ -112,6 +112,13 @@ class TestBuildSci:
         with pytest.raises(ConfigurationError):
             build_sci(m.data[0], m.data[1], seed=-1)
 
+    def test_columns_are_checked_as_an_estimator_pair(self, ensemble_unit):
+        m = ensemble_unit
+        with pytest.raises(DegenerateInputError, match="x must be a 1-D sample column"):
+            build_sci(m.data[:2].T, m.data[0], seed=1)
+        with pytest.raises(DegenerateInputError, match="length mismatch: 100 vs 99"):
+            build_sci(m.data[0][:100], m.data[1][:99], seed=1)
+
     def test_mi_decreases_monotonically_in_noise_variance(self):
         # the quantity the bisection inverts must actually be monotone
         spec = GaussianEnsembleSpec(1.0, 1.0, 0.0, n=2)
@@ -167,7 +174,7 @@ class TestClosedFormTuning:
         real = hoci.sci.mi_estimate
         calls = []
 
-        def check_call_off(t, carrier, cfg):
+        def check_call_off(t, carrier, cfg, columns=None):
             calls.append(None)
             # the first call is the target MI, the second the closed-form check
             return real(t, carrier, cfg) + (1.0 if len(calls) == 2 else 0.0)
@@ -227,4 +234,9 @@ class TestVerifySci:
     def test_length_mismatch_rejected(self, built):
         m, _, t = built
         with pytest.raises(DegenerateInputError):
+            verify_sci(t[:-1], m, 0, 1)
+
+    def test_length_mismatch_is_the_estimators_check(self, built):
+        m, _, t = built
+        with pytest.raises(DegenerateInputError, match=f"length mismatch: {t.size - 1} vs {t.size}"):
             verify_sci(t[:-1], m, 0, 1)

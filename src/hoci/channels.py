@@ -95,8 +95,12 @@ class ChannelMatrix:
 
         The statistics are reduced in the stored memory order (the
         constructor keeps the caller's layout, and the last bits of a
-        reduction follow it); only the result is copied row by row, so that
-        every estimator call reads a contiguous channel.  A channel whose
+        reduction follow it); only the result is written row by row, so
+        that every estimator call reads a contiguous channel.  Elementwise
+        arithmetic rounds alike in any layout, so the result is written in
+        C order directly: besides this matrix, standardizing holds at most
+        two working copies of it at once (the result and the constructor's
+        copy), three when a channel is rescaled.  A channel whose
         deviation is not a finite float64 at or above ``UNDERFLOW_SPREAD``
         is reduced after ``unit_scaled``'s exact power-of-two rescaling,
         which moves no bit of the result.  A constant channel (its min
@@ -116,5 +120,6 @@ class ChannelMatrix:
             data = data.copy(order="K")
             data[rescale] = unit_scaled(data[rescale])
             stds = data.std(axis=1)
-        out = (data - data.mean(axis=1)[:, None]) / stds[:, None]
-        return ChannelMatrix(names=self.names, data=np.ascontiguousarray(out))
+        out = np.subtract(data, data.mean(axis=1)[:, None], order="C")
+        out /= stds[:, None]
+        return ChannelMatrix(names=self.names, data=out)

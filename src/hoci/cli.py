@@ -24,8 +24,10 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, replace
+from itertools import chain
 
 import numpy as np
 
@@ -82,52 +84,67 @@ def _parses(cell: str) -> bool:
     return True
 
 
-def _raise_first_bad_cell(rows, names, width: int | None, transpose: bool) -> None:
-    """Walk the kept lines in file order and raise at the first ragged row or
-    bad cell.
-
-    ``rows`` holds (line number, line) pairs, each split here with
-    ``csv.reader``; a transposed line still carries its name cell, and its
-    ``width`` (None) is the first line's sample count.
-    """
-    unit = "samples" if transpose else "cells"
-    for pos, (num, line) in enumerate(rows):
-        cells = next(csv.reader([line]))
-        if transpose:
-            cells = cells[1:]
-        if width is None:
-            width = len(cells)
-        if len(cells) != width:
-            raise IngestionError(f"row {num} has {len(cells)} {unit}; expected {width}")
-        for col, cell in enumerate(cells):
-            if not _parses(cell):
-                kind = "non-numeric"
-            elif not math.isfinite(float(cell)):
-                kind = "non-finite"
-            else:
-                continue
-            name = names[pos] if transpose else names[col]
-            raise IngestionError(f"row {num}, column {name!r}: {kind} cell {cell.strip()!r}")
+# characters of text read per block; a block ends at its last line break
+_BLOCK_CHARS = 1 << 20
+# the line break before each line that may hold no data: a blank line, or
+# one whose first visible character is '#', ',' or '"'
+_MAYBE_SKIPPED = re.compile(r'\n[^\S\n]*(?=[#,"\n]|\Z)')
 
 
-def _data_lines(text: str) -> list[tuple[int, str]]:
-    """(1-based line number, line) of every line that holds data.
+def _skipped(line: str) -> bool:
+    """Whether a line holds no data.
 
     Skipped: blank lines, lines whose cells are all whitespace, and lines
     whose first cell starts with ``#`` after leading whitespace.  Only a line
     that opens with a quote or a comma is split with ``csv.reader`` to decide.
     """
-    kept = []
-    for num, line in enumerate(text.split("\n"), start=1):
-        head = line.lstrip()[:1]
-        if head in ("", "#"):
-            continue
-        if head in ',"':
-            cells = next(csv.reader([line]))
-            if cells[0].lstrip().startswith("#") or all(not c.strip() for c in cells):
-                continue
-        kept.append((num, line))
-    return kept
+    head = line.lstrip()[:1]
+    if head in ("", "#"):
+        return True
+    if head in ',"':
+        cells = next(csv.reader([line]))
+        return cells[0].lstrip().startswith("#") or all(not c.strip() for c in cells)
+    return False
+
+
+def _runs(fh):
+    """Yield (1-based number of the first line, lines) for each run of
+    consecutive data lines of the text file ``fh``.
+
+    The file is read once, in blocks of whole lines.  In each block only the
+    lines that ``_MAYBE_SKIPPED`` finds go through ``_skipped``; every other
+    line holds data.
+    """
+    num = 0  # lines before the block
+    pending = ["\n"]  # a line break, then the pieces of an unfinished line
+    while True:
+        chunk = fh.read(_BLOCK_CHARS)
+        pending.append(chunk)
+        if chunk and "\n" not in chunk:
+            continue  # a line longer than a block
+        text = "".join(pending)
+        lines = text.split("\n")  # lines[k] follows the text's k-th line break
+        end = len(text)
+        if chunk:  # the last line is unfinished
+            pending = ["\n", lines.pop()]
+            end -= len(pending[1]) + 1
+        first, k, pos = 1, 1, 0
+        for match in _MAYBE_SKIPPED.finditer(text, 0, end):
+            k += text.count("\n", pos, match.start())
+            pos = match.start()
+            if _skipped(lines[k]):
+                if k > first:
+                    yield num + first, lines[first:k]
+                first = k + 1
+        if len(lines) > first:
+            yield num + first, lines[first:]
+        if not chunk:
+            return
+        num += len(lines) - 1
+
+
+def _header_names(line: str) -> list[str]:
+    return [c.strip() for c in next(csv.reader([line]))]
 
 
 def _split_name(line: str) -> tuple[str, str]:
@@ -147,6 +164,96 @@ def _split_name(line: str) -> tuple[str, str]:
     return next(csv.reader([line[:stop]]))[0], line[stop + 1 :]
 
 
+def _bad_cell(num: int, line: str, names, width: int, transpose: bool) -> str | None:
+    """What is wrong with data line ``num``: a ragged row or its first bad
+    cell, None for a good line.
+
+    The line is split with ``csv.reader``; a transposed line loses its name
+    cell, which is already the last of ``names``.
+    """
+    cells = next(csv.reader([line]))
+    if transpose:
+        cells = cells[1:]
+    if len(cells) != width:
+        unit = "samples" if transpose else "cells"
+        return f"row {num} has {len(cells)} {unit}; expected {width}"
+    for col, cell in enumerate(cells):
+        if not _parses(cell):
+            kind = "non-numeric"
+        elif not math.isfinite(float(cell)):
+            kind = "non-finite"
+        else:
+            continue
+        name = names[-1] if transpose else names[col]
+        return f"row {num}, column {name!r}: {kind} cell {cell.strip()!r}"
+    return None
+
+
+def _raise_bad_input(path: str, transpose: bool) -> None:
+    """Stream the file again and raise what failed its parse: a bad channel
+    name first, then the first ragged row or bad cell in file order.
+
+    The file is read to its end either way, so an undecodable byte anywhere
+    in it still raises UnicodeDecodeError.
+    """
+    names, width, found = [], None, None
+    with open(path) as fh:
+        rows = ((num, line) for first, run in _runs(fh) for num, line in enumerate(run, first))
+        if not transpose:
+            names = _header_names(next(rows)[1])
+            width = len(names)
+        for num, line in rows:
+            if transpose:
+                names.append(_split_name(line)[0].strip())
+                if width is None:  # the first row's sample count
+                    width = len(next(csv.reader([line]))) - 1
+            if found is None:
+                found = _bad_cell(num, line, names, width, transpose)
+    check_names(names, "row" if transpose else "column")
+    if found is not None:
+        raise IngestionError(found)
+
+
+def _parse(lines, transpose: bool) -> tuple[list[str], np.ndarray | None]:
+    """Channel names and the body parsed by one ``np.loadtxt`` call: samples
+    by channels, or channels by samples with ``transpose``; None for no data
+    lines.  A body that does not parse raises ValueError."""
+    names: list[str] = []
+    if transpose:
+
+        def cells():
+            for line in lines:
+                name, rest = _split_name(line)
+                names.append(name.strip())
+                if not rest:  # loadtxt would drop a line without cells
+                    raise ValueError("a row has no cells")
+                yield rest
+
+        body = cells()
+    else:
+        header = next(lines, None)
+        if header is None:
+            return names, None
+        names = _header_names(header)
+        body = lines
+    first = next(body, None)
+    if first is None:
+        return names, (None if transpose else np.empty((0, len(names))))
+    data = np.loadtxt(
+        chain((first,), body),
+        delimiter=",",
+        quotechar='"',
+        comments=None,
+        ndmin=2,
+        dtype=np.float64,
+    )
+    if not transpose and data.shape[1] != len(names):
+        raise ValueError("row width differs from the header")
+    if not np.isfinite(data).all():
+        raise ValueError("non-finite cell")
+    return names, data
+
+
 def ingest_csv(path: str, transpose: bool = False) -> ChannelMatrix:
     """Read a channel CSV and return the standardized matrix.
 
@@ -157,49 +264,34 @@ def ingest_csv(path: str, transpose: bool = False) -> ChannelMatrix:
     ``csv.reader``; the whole body goes through one ``np.loadtxt`` call, so
     numbers follow numpy's syntax (no digit-group underscores, ASCII digits
     only).  All shape and value problems raise an ingestion error naming the
-    offending row and column.
+    offending row and column; a bad channel name is named first.
+
+    Memory: the file is read once, in blocks of whole lines (about a
+    mebibyte of text each) that stream into the parse, so its text is never
+    held whole.  Ingest holds the parsed matrix plus at most two working
+    copies of it (three when ``standardized`` rescales a channel).
     """
     try:
-        with open(path) as fh:
-            rows = _data_lines(fh.read())
-    except (OSError, UnicodeDecodeError) as err:
-        raise IngestionError(f"cannot read {path}: {err}") from err
-    if not rows:
-        raise IngestionError(f"{path} contains no data rows")
-
-    if transpose:
-        names, body = zip(*(_split_name(line) for _, line in rows))
-        names = [name.strip() for name in names]
-        width = None
-    else:
-        names = [c.strip() for c in next(csv.reader([rows[0][1]]))]
-        rows = rows[1:]
-        body = [line for _, line in rows]
-        width = len(names)
-    try:
-        check_names(names, "row" if transpose else "column")
-        # one parse for the whole body; ragged rows fail it too
         try:
-            if not all(body):  # loadtxt would drop a line without cells
-                raise ValueError("a row has no cells")
-            if body:
-                data = np.loadtxt(
-                    body, delimiter=",", quotechar='"', comments=None, ndmin=2, dtype=np.float64
-                )
-            else:
-                data = np.empty((0, width))
-            if width is not None and data.shape[1] != width:
-                raise ValueError("row width differs from the header")
-            if not np.isfinite(data).all():
-                raise ValueError("non-finite cell")
+            with open(path) as fh:
+                lines = chain.from_iterable(run for _, run in _runs(fh))
+                names, data = _parse(lines, transpose)
+        except UnicodeDecodeError:  # a ValueError, but not the body's
+            raise
         except ValueError as err:
-            _raise_first_bad_cell(rows, names, width, transpose)
+            _raise_bad_input(path, transpose)
             raise IngestionError(f"{path}: {err}") from None
+        if data is None:
+            raise IngestionError(f"{path} contains no data rows")
+        check_names(names, "row" if transpose else "column")
         # both orientations hand over the same layout (each time step
         # contiguous), so they standardize to the same bits
-        channels = np.asfortranarray(data) if transpose else data.T
-        matrix = ChannelMatrix(names=tuple(names), data=channels)
+        data = np.asfortranarray(data) if transpose else data.T
+        matrix = ChannelMatrix(names=tuple(names), data=data)
+        del data  # the matrix holds its own copy
         return matrix.standardized()
+    except (OSError, UnicodeDecodeError) as err:
+        raise IngestionError(f"cannot read {path}: {err}") from err
     except DegenerateInputError as err:
         raise IngestionError(f"{path}: {err}") from err
 
@@ -550,6 +642,16 @@ def _cmd_lagscan(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Appends each flag's default to its help, except a default of None,
+    whose help states the real default where there is one."""
+
+    def _get_help_string(self, action):
+        if action.default is None:
+            return action.help
+        return super()._get_help_string(action)
+
+
 def _add_io_flags(sub, needs_input: bool = True) -> None:
     if needs_input:
         sub.add_argument("--input", required=True, help="channel CSV (rows=time, header of names)")
@@ -581,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hoci",
         description="Higher-order common information: closed forms, exact discrete "
         "checks, and noise-injection estimation.",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        formatter_class=_HelpFormatter,
     )
     parser.add_argument("--version", action="version", version=f"hoci {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -589,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = subs.add_parser(
         "gaussian",
         help="closed-form curve table over (rho, sigma_n2)",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        formatter_class=_HelpFormatter,
     )
     g.add_argument("--sigma-x2", type=float, default=1.0, help="source variance")
     g.add_argument(
@@ -604,7 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
     d = subs.add_parser(
         "discrete",
         help="exact check of the discrete construction",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        formatter_class=_HelpFormatter,
     )
     d.add_argument("--n", type=int, default=4, help="number of variables")
     d.add_argument("--alphabet", type=int, help="base alphabet size (default: len(--pmf), else 2)")
@@ -615,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = subs.add_parser(
         "estimate",
         help="common-information report from sampled channels",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        formatter_class=_HelpFormatter,
     )
     _add_io_flags(e)
     _add_estimator_flags(e)
@@ -630,7 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser(
         "sci",
         help="tune + verify one noise-injection variable",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        formatter_class=_HelpFormatter,
     )
     _add_io_flags(s)
     _add_estimator_flags(s)
@@ -640,7 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
     l = subs.add_parser(
         "lagscan",
         help="max |correlation| over a lag range, per channel",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        formatter_class=_HelpFormatter,
     )
     _add_io_flags(l)
     l.add_argument("--ref-channel", required=True, help="reference channel (name or index)")

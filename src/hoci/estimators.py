@@ -235,12 +235,19 @@ def _binned_pair(cx: np.ndarray, cy: np.ndarray, bins: int) -> float:
 
 
 def _strict_range_counts(a: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Per point, the count of other points within a strictly smaller distance."""
+    """Per point, the count of other points within a strictly smaller distance.
+
+    The needles are searched in the column's sorted order, so each search
+    walks the sorted column once; the counts go back to sample order after.
+    """
     order = np.argsort(a)
     sa = a[order]
-    hi = np.searchsorted(sa, a + radii, side="left")
-    lo = np.searchsorted(sa, a - radii, side="right")
-    return hi - lo - 1  # the point itself always falls inside
+    r = radii[order]
+    hi = np.searchsorted(sa, sa + r, side="left")
+    lo = np.searchsorted(sa, sa - r, side="right")
+    counts = np.empty_like(order)
+    counts[order] = hi - lo - 1  # the point itself always falls inside
+    return counts
 
 
 def _clamp(raw: float) -> float:

@@ -694,6 +694,34 @@ class TestOneKnnKernel:
             mi_estimate(np.column_stack([x, flat]), x[::-1], KNN)
 
 
+
+def _strict_range_counts_in_sample_order(a, radii):
+    # the marginal counts before their needles were searched in sorted order, verbatim
+    order = np.argsort(a)
+    sa = a[order]
+    hi = np.searchsorted(sa, a + radii, side="left")
+    lo = np.searchsorted(sa, a - radii, side="right")
+    return hi - lo - 1
+
+
+class TestStrictRangeCounts:
+    """Needles searched in the column's sorted order give the sample-order counts."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_matches_the_sample_order_search(self, seed, tied):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(50, 3000))
+        a = rng.standard_normal(n)
+        radii = rng.exponential(0.3, n)
+        if tied:  # values and radii on a coarse grid, so needles land on points
+            a, radii = np.round(4.0 * a) / 4.0, np.round(4.0 * radii) / 4.0
+        got = _strict_range_counts(a, radii)
+        want = _strict_range_counts_in_sample_order(a, radii)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 def _prepared_cases():
     rng = np.random.default_rng(21)
     s = rng.standard_normal(3000)

@@ -52,7 +52,10 @@ class ChannelMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.data, dtype=np.float64, copy=True)
+        self._own(np.array(self.data, dtype=np.float64, copy=True))
+
+    def _own(self, arr: np.ndarray) -> None:
+        """Check ``arr``, a float64 array that no caller holds, and keep it read-only."""
         if arr.ndim != 2:
             raise DegenerateInputError("channel data must be 2-D (channels x samples)")
         if len(self.names) != arr.shape[0]:
@@ -98,14 +101,14 @@ class ChannelMatrix:
         reduction follow it); only the result is written row by row, so
         that every estimator call reads a contiguous channel.  Elementwise
         arithmetic rounds alike in any layout, so the result is written in
-        C order directly: besides this matrix, standardizing holds at most
-        two working copies of it at once (the result and the constructor's
-        copy), three when a channel is rescaled.  A channel whose
-        deviation is not a finite float64 at or above ``UNDERFLOW_SPREAD``
-        is reduced after ``unit_scaled``'s exact power-of-two rescaling,
-        which moves no bit of the result.  A constant channel (its min
-        equals its max, even where the mean rounds off the value) cannot be
-        standardized and raises.
+        C order directly, and the new matrix takes it without a copy: besides
+        this matrix, standardizing holds one working copy of it at a time
+        (the deviations, then the result), up to four while channels are
+        rescaled.  A channel whose deviation is not a finite float64 at or
+        above ``UNDERFLOW_SPREAD`` is reduced after ``unit_scaled``'s exact
+        power-of-two rescaling, which moves no bit of the result.  A constant
+        channel (its min equals its max, even where the mean rounds off the
+        value) cannot be standardized and raises.
         """
         data = self.data
         for name, lo, hi in zip(self.names, data.min(axis=1), data.max(axis=1)):
@@ -122,4 +125,8 @@ class ChannelMatrix:
             stds = data.std(axis=1)
         out = np.subtract(data, data.mean(axis=1)[:, None], order="C")
         out /= stds[:, None]
-        return ChannelMatrix(names=self.names, data=out)
+        # the result is private: the matrix takes it without the constructor's copy
+        matrix = object.__new__(ChannelMatrix)
+        object.__setattr__(matrix, "names", self.names)
+        matrix._own(out)
+        return matrix

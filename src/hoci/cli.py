@@ -268,8 +268,8 @@ def ingest_csv(path: str, transpose: bool = False) -> ChannelMatrix:
 
     Memory: the file is read once, in blocks of whole lines (about a
     mebibyte of text each) that stream into the parse, so its text is never
-    held whole.  Ingest holds the parsed matrix plus at most two working
-    copies of it (three when ``standardized`` rescales a channel).
+    held whole.  Ingest holds the parsed matrix plus at most one working
+    copy of it (up to four while ``standardized`` rescales channels).
     """
     try:
         try:

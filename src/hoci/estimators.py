@@ -226,12 +226,14 @@ def _binned_pair(cx: np.ndarray, cy: np.ndarray, bins: int) -> float:
     cells = cx.astype(np.intp)
     cells *= bins
     cells += cy
-    counts = np.bincount(cells, minlength=bins * bins).reshape(bins, bins).astype(np.float64)
-    p = counts / counts.sum()
-    px = p.sum(axis=1, keepdims=True)
-    py = p.sum(axis=0, keepdims=True)
-    nz = p > 0.0
-    return float((p[nz] * np.log2(p[nz] / (px @ py)[nz])).sum())
+    counts = np.bincount(cells, minlength=bins * bins)
+    p = counts.reshape(bins, bins) / cells.size
+    px = p.sum(axis=1)
+    py = p.sum(axis=0)
+    # the occupied cells in C order: the sum runs over the same terms as over the full table
+    nz = np.flatnonzero(counts)
+    pn = p.ravel()[nz]
+    return float((pn * np.log2(pn / (px[nz // bins] * py[nz % bins]))).sum())
 
 
 def _strict_range_counts(a: np.ndarray, radii: np.ndarray) -> np.ndarray:

@@ -6,16 +6,12 @@ matches the estimated MI between x_i and x_j.
 
 The injected noise is made exactly orthogonal to the carrier column (in
 sample), centred and of unit variance, so under the parametric
-``gaussian_logdet`` estimator MI(T; x_j) = 1/2 log2(1 + var(x_j)/v) exactly.
-That estimator's tuning therefore solves v in closed form,
-v = var(x_j) / (2^(2 I) - 1), and spends one estimator call to check it.
-The ``binned`` and ``knn`` estimators have no such form: since I(x_j + Z;
-x_j) is strictly decreasing in v, they tune by a bracketed bisection in
-log-variance.  For the Gaussian observation model the tuned variance also
-has a population value, delta*delta1/delta_rho^2
-(``analytic_sci_variance``), used for validation.  Noise is seeded per
-descriptor, so rebuilding with the same inputs and seed reproduces T bit
-for bit.
+``gaussian_logdet`` estimator MI(T; x_j) = 1/2 log2(1 + var(x_j)/v) exactly,
+and v = var(x_j) / (2^(2 I) - 1) solves the tuning in closed form.  Every
+tuning starts there; ``binned`` and ``knn`` go on with a safeguarded root
+search in ln v (``_tune``).  The observation model's tuned variance has a
+population value, ``analytic_sci_variance``, used for validation.  Noise is
+seeded per descriptor: the same inputs and seed rebuild T bit for bit.
 
 A target MI at or below epsilon is reported as a no-common-information
 signal rather than a failure: there is nothing for the construction to
@@ -39,14 +35,12 @@ from .errors import (
 from .estimators import EstimatorConfig, PreparedColumns, _pair, mi_estimate, mi_estimate_full
 from .gaussian import GaussianEnsembleSpec, delta_quantities, mmse_coefficients
 
-# bisection also terminates on bracket width, not residual alone: a wide
-# bracket can straddle the target with a lucky midpoint while the variance
-# is still far off
+# accept only inside a bracket this narrow (hi/lo): a wide one can hold a
+# point within epsilon while the variance is still far off
 _BRACKET_REL_TOL = 1.005
-# the bisection starts at this fraction of the carrier variance and grows or
-# shrinks the bracket by this factor until it straddles the target
-_START_VARIANCE_FRACTION = 1e-3
-_BRACKET_GROWTH = 2.0
+# shortest search step in ln v, just inside the bracket tolerance
+_PROBE = math.log(1.0045)
+_MAX_REACH = 8.0  # longest step in ln v while the target is not bracketed
 _LN2 = math.log(2.0)
 _MIN_NORMAL = float(np.finfo(np.float64).tiny)
 # statistical slack for chain and SCI checks: 0.02 bits at 1e5 samples, ~ N^(-1/2)
@@ -152,6 +146,33 @@ def _orthogonal_unit_noise(carrier: np.ndarray, rng: np.random.Generator) -> np.
     return e / s
 
 
+def _y(bits: float) -> float:
+    """ln(2^(2 bits) - 1): ln(var / v) under the Gaussian model."""
+    a = 2.0 * bits * _LN2
+    return a + math.log(-math.expm1(-a)) if bits > 0.0 else -math.inf
+
+
+def _model_root(pts: list[tuple[float, float]], bracketed: bool) -> float:
+    """Zero of a model of r(u) through the points (u, r), newest last: slope
+    -1 through one; unbracketed, a secant with its slope kept in [-4, -1/4];
+    bracketed, Muller's quadratic through three, else a secant, or NaN."""
+    u, r = pts[-1]
+    if len(pts) == 1:
+        return u + r
+    a, ra = pts[-2]
+    s = (r - ra) / (u - a)
+    if not bracketed:
+        return u - r / min(max(s, -4.0), -0.25)
+    if len(pts) > 2 and s != 0.0:
+        b, rb = pts[-3]
+        q = (s - (ra - rb) / (a - b)) / (u - b)
+        w = s + q * (u - a)  # the quadratic's slope at u
+        disc = w * w - 4.0 * r * q
+        if disc >= 0.0 and w != 0.0:
+            return u - 2.0 * r / (w + math.copysign(math.sqrt(disc), w))
+    return u - r / s if s < 0.0 else math.nan
+
+
 def _tune(
     carrier: np.ndarray,
     target: float,
@@ -162,24 +183,18 @@ def _tune(
 ) -> tuple[float, float, int, np.ndarray]:
     """Find v with |MI(carrier + sqrt(v) e; carrier) - target| < epsilon.
 
-    Returns (variance, residual, iterations, T); ``iterations`` counts
-    estimator calls.  Under ``gaussian_logdet`` the estimate is exactly
-    1/2 log2(1 + var(carrier)/v), because e is centred, unit-variance and
-    sample-orthogonal to the carrier; v is then solved in closed form and
-    checked with one call.  The bracket-width test below does not apply to
-    it: v is fixed analytically, not by a midpoint.
-
-    Otherwise (binned, knn, or a closed-form check that misses epsilon) a
-    bisection runs from 1e-3 * var(carrier): MI(v) is strictly decreasing,
-    so after bracketing [lo, hi] with MI(lo) >= target >= MI(hi) a
-    log-space bisection converges; success additionally requires the
-    bracket to have collapsed (hi/lo < _BRACKET_REL_TOL) so the variance
-    itself, not just the residual, is pinned down.
-
-    ``columns``, the run's table of prepared columns if there is one, goes
-    to every estimator call: it holds the carrier's preparation, and each
-    candidate T is prepared by the call that reads it, only the last one
-    being held.
+    Returns (variance, residual, iterations, T), T from the last of the
+    ``iterations`` estimator calls (each given ``columns``).  The first is at
+    the closed form, which ``gaussian_logdet`` accepts on its residual alone.
+    The search runs in u = ln v against r = y(MI) - y(target), where the
+    Gaussian model is a line of slope -1, under Brent's safeguards: no step
+    shorter than ``_PROBE``; unbracketed, none longer than ``_MAX_REACH``,
+    and doubled where |r| fell by less than half; bracketed, a bisection
+    unless the step stays inside and is under half the step before last.  A
+    point within epsilon is probed ``_PROBE`` across, and accepted once the
+    bracket [lo, hi], MI(lo) >= target > MI(hi), has hi/lo <
+    ``_BRACKET_REL_TOL`` (the variance, not just the residual, is pinned); a
+    probe that closes the bracket off epsilon steps back beside the point.
     """
     rng = np.random.default_rng(_check_seed(seed))
     with np.errstate(over="ignore"):  # refused below
@@ -188,58 +203,53 @@ def _tune(
     if not _MIN_NORMAL <= var < math.inf:
         raise DegenerateInputError(f"carrier variance {var:.6g} is not a normal float64")
     e = _orthogonal_unit_noise(carrier, rng)
-    iterations = 0
-
-    def g(v: float) -> tuple[float, np.ndarray]:
-        nonlocal iterations
-        iterations += 1
-        if iterations > bis.max_iterations:
-            raise ConvergenceError(
-                f"SCI tuning exceeded {bis.max_iterations} iterations "
-                f"(target {target:.6g} bits unreachable on this data)"
-            )
+    v = var / math.expm1(2.0 * target * _LN2)
+    u = math.log(v)
+    lo = hi = None  # (u, v, residual) of the tightest points with MI >= and < target
+    pts: list[tuple[float, float]] = []  # (u, r) of the points with a finite r
+    steps, reach, r_prev, probed = [math.inf, math.inf], 0.0, math.inf, False  # steps in u
+    for iterations in range(1, bis.max_iterations + 1):
         t = carrier + math.sqrt(v) * e
-        return mi_estimate(t, carrier, cfg, columns=columns), t
-
-    if cfg.method == "gaussian_logdet":
-        v = var / math.expm1(2.0 * target * _LN2)
-        gv, t = g(v)
-        residual = abs(gv - target)
-        if residual < bis.epsilon:
+        bits = mi_estimate(t, carrier, cfg, columns=columns)
+        residual = abs(bits - target)
+        if iterations == 1 and cfg.method == "gaussian_logdet" and residual < bis.epsilon:
             return v, residual, iterations, t
-    v0 = _START_VARIANCE_FRACTION * var
-
-    if g(v0)[0] >= target:
-        lo, hi = v0, v0 * _BRACKET_GROWTH
-        while g(hi)[0] > target:
-            lo = hi
-            hi *= _BRACKET_GROWTH
-    else:
-        lo, hi = v0 / _BRACKET_GROWTH, v0
-        while g(lo)[0] < target:
-            hi = lo
-            lo /= _BRACKET_GROWTH
-
-    best_res = None
-    while True:
-        # the product keeps its bits while normal; roots keep it from over- or underflowing
-        prod = lo * hi
-        mid = math.sqrt(prod) if _MIN_NORMAL <= prod < math.inf else math.sqrt(lo) * math.sqrt(hi)
-        gm, t = g(mid)
-        residual = abs(gm - target)
-        if best_res is None or residual < best_res:
-            best_res = residual
-        if residual < bis.epsilon and hi / lo < _BRACKET_REL_TOL:
-            return mid, residual, iterations, t
-        if mid == lo or mid == hi:
-            raise ConvergenceError(
-                f"SCI bracket collapsed at v={mid:.6g} with residual "
-                f"{best_res:.6g} bits >= epsilon {bis.epsilon:.6g}"
-            )
-        if gm >= target:
-            lo = mid
+        lo, hi = ((u, v, residual), hi) if bits >= target else (lo, (u, v, residual))
+        closed = lo and hi and hi[1] < lo[1] * _BRACKET_REL_TOL
+        if closed and residual < bis.epsilon:
+            return v, residual, iterations, t
+        r = _y(bits) - _y(target)
+        if math.isfinite(r):
+            pts.append((u, r))
+        d = _model_root(pts, bool(lo and hi)) - u if math.isfinite(r) else math.nan
+        if abs(d) < _PROBE:
+            d = math.copysign(_PROBE, d)
+        probed = residual < bis.epsilon and not probed  # never two probes in a row
+        if probed:
+            d = _PROBE if bits >= target else -_PROBE
+        elif closed and min(lo[2], hi[2]) < bis.epsilon:  # back beside the end within epsilon
+            d = 0.999 * ((lo if lo[2] < hi[2] else hi)[0] - u)
+        elif lo and hi:
+            if not (lo[0] < u + d < hi[0] and abs(d) < 0.5 * steps[-2]):
+                d = 0.5 * (lo[0] + hi[0]) - u
         else:
-            hi = mid
+            if not abs(d) <= _MAX_REACH:
+                d = math.copysign(_MAX_REACH, r)
+            if abs(r) > 0.5 * abs(r_prev) and abs(d) <= reach:
+                d = math.copysign(2.0 * reach, r)
+            reach = abs(d)
+        steps.append(abs(d))
+        r_prev, u = r, u + d
+        v = math.exp(u)
+        if lo and hi and not lo[1] < v < hi[1]:
+            raise ConvergenceError(
+                f"SCI bracket collapsed at v={v:.6g} with residual "
+                f"{min(lo[2], hi[2]):.6g} bits >= epsilon {bis.epsilon:.6g}"
+            )
+    raise ConvergenceError(
+        f"SCI tuning exceeded {bis.max_iterations} iterations "
+        f"(target {target:.6g} bits unreachable on this data)"
+    )
 
 
 def _target_mi(
@@ -283,13 +293,8 @@ def build_sci(
     target = _target_mi(xi, xj, cfg, bis.epsilon, columns)
     v, residual, iterations, t = _tune(xj, target, cfg, bis, seed, columns)
     desc = SciDescriptor(
-        base_channel=base_channel,
-        partner_channel=partner_channel,
-        noise_variance=v,
-        seed=int(seed),
-        residual=residual,
-        iterations=iterations,
-        order=2,
+        base_channel=base_channel, partner_channel=partner_channel, noise_variance=v,
+        seed=int(seed), residual=residual, iterations=iterations,
     )
     return desc, t
 
@@ -339,10 +344,5 @@ def verify_sci(
                 passed=passed,
             )
         )
-    return SciVerification(
-        i=ii,
-        j=jj,
-        delta_bits=delta_bits,
-        checks=tuple(checks),
-        passed=all(c.passed for c in checks),
-    )
+    passed = all(c.passed for c in checks)
+    return SciVerification(i=ii, j=jj, delta_bits=delta_bits, checks=tuple(checks), passed=passed)

@@ -22,7 +22,7 @@ from hoci import (
     sample_ensemble,
 )
 from hoci.channels import UNDERFLOW_SPREAD, unit_scaled
-from hoci.estimators import _bin_index, _pearson
+from hoci.estimators import _bin_index, _binned_pair, _pearson
 from hoci.estimators import _binned_joint, _clamp, _joint_mi, _raw_mi
 from hoci.estimators import _content_jitter, _ksg, _prepare, _standardize, _strict_range_counts
 from hoci.estimators import PreparedColumns
@@ -244,6 +244,28 @@ class TestBinKernel:
             assert _raw_mi(x, y, EstimatorConfig(method="binned", bins=bins)) == (
                 _binned_mi_reference(x, y, bins)
             )
+
+    @staticmethod
+    def _pair_over_full_table(cx, cy, bins):
+        # the pair kernel's former form: the outer product and the mask over all bins^2 cells
+        counts = np.bincount(cx * bins + cy, minlength=bins * bins).reshape(bins, bins)
+        p = counts.astype(np.float64) / counts.sum()
+        px = p.sum(axis=1, keepdims=True)
+        py = p.sum(axis=0, keepdims=True)
+        nz = p > 0.0
+        return float((p[nz] * np.log2(p[nz] / (px @ py)[nz])).sum())
+
+    @pytest.mark.parametrize("bins", [2, 16, 128, 2048])
+    def test_pair_reads_only_occupied_cells_bit_for_bit(self, bins):
+        rng = np.random.default_rng([11, bins])
+        n = 5_000
+        columns = [_kernel_columns(kind, n, rng) for kind in self.KINDS]
+        base = rng.standard_normal(n)
+        columns += [base + scale * rng.standard_normal(n) for scale in (1e-3, 0.1, 1.0, 10.0)]
+        for x in columns:
+            for y in (base, _kernel_columns("place_value", n, rng), x):
+                cx, cy = _bin_index(x, bins), _bin_index(y, bins)
+                assert _binned_pair(cx, cy, bins) == self._pair_over_full_table(cx, cy, bins)
 
     @pytest.mark.parametrize("where", ["x", "y", "block"])
     def test_range_beyond_float64_is_rescaled(self, where):

@@ -319,8 +319,17 @@ class TestRunEstimate:
         with pytest.raises(ConfigurationError):
             run_estimate(gaussian4, seed=-2)
 
-    def test_every_construction_failing_raises(self):
+    def test_every_construction_failing_raises(self, monkeypatch):
+        import hoci.sci
+
         m = sample_ensemble(GaussianEnsembleSpec(1.0, 1.0, 0.3, n=3), 20_000, seed=3)
+        real = hoci.sci.mi_estimate
+
+        def never_reaches(x, y, cfg, columns=None):
+            # the target reads a channel row; no surrogate column shares information
+            return real(x, y, cfg, columns=columns) if np.shares_memory(x, m.data) else 0.0
+
+        monkeypatch.setattr(hoci.sci, "mi_estimate", never_reaches)
         with pytest.raises(PipelineError) as exc:
             run_estimate(
                 m,
@@ -408,6 +417,30 @@ class TestChannelMatrix:
             ChannelMatrix(names=("a", "", "c"), data=data)
         with pytest.raises(DegenerateInputError, match=r"duplicate channel name 'a' \(rows 1 and 3\)"):
             ChannelMatrix(names=("a", "b", "a"), data=data)
+
+    def test_standardized_holds_one_working_copy(self):
+        import tracemalloc
+
+        m = ChannelMatrix(
+            names=tuple("abcdefgh"), data=np.random.default_rng(1).standard_normal((8, 200_000))
+        )
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = m.standardized()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # the result (and the deviations before it), not also a copy of the result
+        assert peak <= 1.25 * m.data.nbytes
+        assert not out.data.flags.writeable and out.data.flags.c_contiguous
+
+    def test_matrix_holds_its_own_copy(self):
+        data = np.random.default_rng(2).standard_normal((3, 40))
+        m = ChannelMatrix(names=("a", "b", "c"), data=data)
+        data[0, 0] = 99.0
+        assert m.data[0, 0] != 99.0 and not m.data.flags.writeable
+        assert not np.shares_memory(m.standardized().data, m.data)
 
 
 class TestLargeFiniteChannels:

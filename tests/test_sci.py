@@ -1,5 +1,5 @@
-"""Noise-injection construction: analytic variances, the bisection tuner, and
-the defining-inequality verifier."""
+"""Noise-injection construction: analytic variances, the safeguarded tuner,
+and the defining-inequality verifier."""
 
 import math
 
@@ -16,12 +16,21 @@ from hoci import (
     NoCommonInformationError,
     ParameterDomainError,
     analytic_sci_variance,
+    build_ensemble,
     build_sci,
     mi_estimate,
     mmse_coefficients,
+    run_estimate,
+    sample_channels,
     sample_ensemble,
     verify_sci,
 )
+
+
+# mean tuning calls per surrogate: the discrete construction's MI has flat
+# shoulders, where a point within epsilon can lie further from the root than
+# the bracket tolerance, so it takes about one more call than Gaussian data
+CALLS_PER_SURROGATE = {"binned": 7, "knn": 6}
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +199,96 @@ class TestClosedFormTuning:
         desc, _ = build_sci(m.data[1], m.data[0], EstimatorConfig(method="binned"), seed=5)
         assert desc.iterations > 1
         assert desc.residual < 1e-3
+
+
+def _spy(monkeypatch, step=None):
+    """Record every (column, bits) that build_sci's estimator returns; with
+    ``step``, every call after the first (the target) reads the nearest
+    point of a grid of that step whose points lie half a step off the target."""
+    import hoci.sci
+
+    real = hoci.sci.mi_estimate
+    seen = []
+
+    def spy(x, y, cfg, columns=None):
+        bits = real(x, y, cfg, columns=columns)
+        if step is not None and seen:
+            off = seen[0][1] + 0.5 * step
+            bits = off + round((bits - off) / step) * step
+        seen.append((x, bits))
+        return bits
+
+    monkeypatch.setattr(hoci.sci, "mi_estimate", spy)
+    return seen
+
+
+class TestSafeguardedSearch:
+    """binned and knn tune by a bracketed root search from the closed form."""
+
+    @pytest.mark.parametrize("method", ["binned", "knn"])
+    def test_accepted_variance_lies_in_a_closed_bracket(self, monkeypatch, method):
+        m = sample_ensemble(GaussianEnsembleSpec(1.0, 1.0, 0.3, n=3), 4000, seed=12)
+        seen = _spy(monkeypatch)
+        desc, t = build_sci(m.data[1], m.data[0], EstimatorConfig(method=method), seed=4)
+        (_, target), tuning = seen[0], seen[1:]
+        assert len(tuning) == desc.iterations
+        assert tuning[-1][0] is t  # the accepted column is the last one evaluated
+        assert abs(tuning[-1][1] - target) == desc.residual < BisectionConfig().epsilon
+        v = desc.noise_variance
+        assert float(np.var(t - m.data[0])) == pytest.approx(v, rel=1e-9)
+        tried = [(float(np.var(x - m.data[0])), bits) for x, bits in tuning]
+        lo = max(w for w, bits in tried if bits >= target and w <= v * (1 + 1e-9))
+        hi = min(w for w, bits in tried if bits < target and w >= v * (1 - 1e-9))
+        assert lo <= v * (1 + 1e-9) and hi >= v * (1 - 1e-9)
+        assert hi / lo < 1.005
+
+    @pytest.mark.parametrize(
+        "cfg, channels",
+        [
+            (
+                EstimatorConfig(method="binned", bins=128),
+                lambda: sample_channels(build_ensemble(4, (0.5, 0.5)), 50_000, seed=1),
+            ),
+            (
+                EstimatorConfig(method="knn"),
+                lambda: sample_ensemble(GaussianEnsembleSpec(1.0, 1.0, 0.3, n=4), 2000, seed=2),
+            ),
+        ],
+    )
+    def test_few_calls_per_surrogate(self, cfg, channels):
+        rep = run_estimate(channels().standardized(), cfg, seed=44, order=3)
+        calls = [d.iterations for d in rep.sci_descriptors]
+        assert len(calls) == 12 and not rep.exclusions
+        assert sum(calls) / len(calls) <= CALLS_PER_SURROGATE[cfg.method]
+
+    def test_a_stepped_estimator_is_not_accepted(self, monkeypatch):
+        # MI read in 0.01-bit steps that straddle the target never comes within
+        # epsilon of it: the search must fail, not accept a point off the target
+        m = sample_ensemble(GaussianEnsembleSpec(1.0, 1.0, 0.3, n=3), 4000, seed=12)
+        seen = _spy(monkeypatch, step=0.01)
+        with pytest.raises(ConvergenceError):
+            build_sci(m.data[1], m.data[0], EstimatorConfig(method="binned"), seed=4)
+        target = seen[0][1]
+        assert min(abs(bits - target) for _, bits in seen[1:]) > 0.004
+
+    def test_exhausted_budget_raises(self, monkeypatch):
+        import hoci.sci
+
+        m = sample_ensemble(GaussianEnsembleSpec(1.0, 1.0, 0.3, n=3), 4000, seed=12)
+        real = hoci.sci.mi_estimate
+        calls = []
+
+        def never_reaches(x, y, cfg, columns=None):
+            calls.append(None)
+            return real(x, y, cfg, columns=columns) if len(calls) == 1 else 0.0
+
+        monkeypatch.setattr(hoci.sci, "mi_estimate", never_reaches)
+        with pytest.raises(ConvergenceError, match="exceeded 10 iterations"):
+            build_sci(
+                m.data[1], m.data[0], EstimatorConfig(method="binned"),
+                BisectionConfig(max_iterations=10), seed=4,
+            )
+        assert len(calls) == 11  # the target, then every call the budget allows
 
 
 @pytest.fixture(scope="module")

@@ -43,6 +43,7 @@ _PROBE = math.log(1.0045)
 _MAX_REACH = 8.0  # longest step in ln v while the target is not bracketed
 _LN2 = math.log(2.0)
 _MIN_NORMAL = float(np.finfo(np.float64).tiny)
+_LN_V_RANGE = (math.log(_MIN_NORMAL), math.log(float(np.finfo(np.float64).max)))
 # statistical slack for chain and SCI checks: 0.02 bits at 1e5 samples, ~ N^(-1/2)
 SLACK_BITS_AT_REFERENCE = 0.02
 REFERENCE_SAMPLES = 10**5
@@ -188,13 +189,14 @@ def _tune(
     the closed form, which ``gaussian_logdet`` accepts on its residual alone.
     The search runs in u = ln v against r = y(MI) - y(target), where the
     Gaussian model is a line of slope -1, under Brent's safeguards: no step
-    shorter than ``_PROBE``; unbracketed, none longer than ``_MAX_REACH``,
-    and doubled where |r| fell by less than half; bracketed, a bisection
-    unless the step stays inside and is under half the step before last.  A
-    point within epsilon is probed ``_PROBE`` across, and accepted once the
-    bracket [lo, hi], MI(lo) >= target > MI(hi), has hi/lo <
-    ``_BRACKET_REL_TOL`` (the variance, not just the residual, is pinned); a
-    probe that closes the bracket off epsilon steps back beside the point.
+    shorter than ``_PROBE``; unbracketed, none longer than ``_MAX_REACH``;
+    bracketed, a bisection unless the step stays inside and is under half
+    the step before last.  A point within epsilon is probed ``_PROBE``
+    across, and accepted once the bracket [lo, hi], MI(lo) >= target >
+    MI(hi), has hi/lo < ``_BRACKET_REL_TOL`` (the variance, not just the
+    residual, is pinned); a probe that closes the bracket off epsilon steps
+    back beside the point.  A search whose v leaves the normal float64 range
+    fails as unreachable, like one that spends its budget.
     """
     rng = np.random.default_rng(_check_seed(seed))
     with np.errstate(over="ignore"):  # refused below
@@ -207,8 +209,13 @@ def _tune(
     u = math.log(v)
     lo = hi = None  # (u, v, residual) of the tightest points with MI >= and < target
     pts: list[tuple[float, float]] = []  # (u, r) of the points with a finite r
-    steps, reach, r_prev, probed = [math.inf, math.inf], 0.0, math.inf, False  # steps in u
+    steps, probed = [math.inf, math.inf], False  # steps in u
     for iterations in range(1, bis.max_iterations + 1):
+        if not _LN_V_RANGE[0] <= u < _LN_V_RANGE[1]:
+            raise ConvergenceError(
+                f"SCI tuning left the normal float64 range at v = e^{u:.6g} "
+                f"(target {target:.6g} bits unreachable on this data)"
+            )
         t = carrier + math.sqrt(v) * e
         bits = mi_estimate(t, carrier, cfg, columns=columns)
         residual = abs(bits - target)
@@ -232,15 +239,11 @@ def _tune(
         elif lo and hi:
             if not (lo[0] < u + d < hi[0] and abs(d) < 0.5 * steps[-2]):
                 d = 0.5 * (lo[0] + hi[0]) - u
-        else:
-            if not abs(d) <= _MAX_REACH:
-                d = math.copysign(_MAX_REACH, r)
-            if abs(r) > 0.5 * abs(r_prev) and abs(d) <= reach:
-                d = math.copysign(2.0 * reach, r)
-            reach = abs(d)
+        elif not abs(d) <= _MAX_REACH:
+            d = math.copysign(_MAX_REACH, r)
         steps.append(abs(d))
-        r_prev, u = r, u + d
-        v = math.exp(u)
+        u += d
+        v = math.exp(min(u, _LN_V_RANGE[1]))  # a u out of range is refused above
         if lo and hi and not lo[1] < v < hi[1]:
             raise ConvergenceError(
                 f"SCI bracket collapsed at v={v:.6g} with residual "
@@ -293,8 +296,13 @@ def build_sci(
     target = _target_mi(xi, xj, cfg, bis.epsilon, columns)
     v, residual, iterations, t = _tune(xj, target, cfg, bis, seed, columns)
     desc = SciDescriptor(
-        base_channel=base_channel, partner_channel=partner_channel, noise_variance=v,
-        seed=int(seed), residual=residual, iterations=iterations,
+        base_channel=base_channel,
+        partner_channel=partner_channel,
+        noise_variance=v,
+        seed=int(seed),
+        residual=residual,
+        iterations=iterations,
+        order=2,
     )
     return desc, t
 
@@ -344,5 +352,10 @@ def verify_sci(
                 passed=passed,
             )
         )
-    passed = all(c.passed for c in checks)
-    return SciVerification(i=ii, j=jj, delta_bits=delta_bits, checks=tuple(checks), passed=passed)
+    return SciVerification(
+        i=ii,
+        j=jj,
+        delta_bits=delta_bits,
+        checks=tuple(checks),
+        passed=all(c.passed for c in checks),
+    )

@@ -103,7 +103,7 @@ class ChannelMatrix:
         arithmetic rounds alike in any layout, so the result is written in
         C order directly, and the new matrix takes it without a copy: besides
         this matrix, standardizing holds one working copy of it at a time
-        (the deviations, then the result), up to four while channels are
+        (the deviations, then the result), two while channels are
         rescaled.  A channel whose deviation is not a finite float64 at or
         above ``UNDERFLOW_SPREAD`` is reduced after ``unit_scaled``'s exact
         power-of-two rescaling, which moves no bit of the result.  A constant
@@ -121,7 +121,8 @@ class ChannelMatrix:
         rescale = ~((stds >= UNDERFLOW_SPREAD) & (stds < math.inf))
         if rescale.any():
             data = data.copy(order="K")
-            data[rescale] = unit_scaled(data[rescale])
+            for row in np.flatnonzero(rescale):  # one channel's temporaries at a time
+                data[row] = unit_scaled(data[row])
             stds = data.std(axis=1)
         out = np.subtract(data, data.mean(axis=1)[:, None], order="C")
         out /= stds[:, None]

@@ -20,11 +20,11 @@ files.  Errors exit nonzero with a machine-readable ``{"error": code,
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import json
 import math
 import os
-import re
 import sys
 from dataclasses import asdict, replace
 from itertools import chain
@@ -84,19 +84,17 @@ def _parses(cell: str) -> bool:
     return True
 
 
-# characters of text read per block; a block ends at its last line break
+# characters of text read per block; a block is cut after its last line
+# break, and a line longer than a block spans several
 _BLOCK_CHARS = 1 << 20
-# the line break before each line that may hold no data: a blank line, or
-# one whose first visible character is '#', ',' or '"'
-_MAYBE_SKIPPED = re.compile(r'\n[^\S\n]*(?=[#,"\n]|\Z)')
 
 
 def _skipped(line: str) -> bool:
     """Whether a line holds no data.
 
     Skipped: blank lines, lines whose cells are all whitespace, and lines
-    whose first cell starts with ``#`` after leading whitespace.  Only a line
-    that opens with a quote or a comma is split with ``csv.reader`` to decide.
+    whose first cell, quoted or not, starts with ``#`` after whitespace.  Only
+    a line that opens with a quote or a comma is split with ``csv.reader``.
     """
     head = line.lstrip()[:1]
     if head in ("", "#"):
@@ -107,40 +105,17 @@ def _skipped(line: str) -> bool:
     return False
 
 
-def _runs(fh):
-    """Yield (1-based number of the first line, lines) for each run of
-    consecutive data lines of the text file ``fh``.
-
-    The file is read once, in blocks of whole lines.  In each block only the
-    lines that ``_MAYBE_SKIPPED`` finds go through ``_skipped``; every other
-    line holds data.
-    """
-    num = 0  # lines before the block
-    pending = ["\n"]  # a line break, then the pieces of an unfinished line
-    while True:
-        chunk = fh.read(_BLOCK_CHARS)
+def _data_blocks(fh):
+    """Yield the data lines of the text file ``fh``, read once in blocks of
+    whole lines, as one list per block."""
+    pending = []  # the pieces of an unfinished line
+    while chunk := fh.read(_BLOCK_CHARS):
         pending.append(chunk)
-        if chunk and "\n" not in chunk:
-            continue  # a line longer than a block
-        text = "".join(pending)
-        lines = text.split("\n")  # lines[k] follows the text's k-th line break
-        end = len(text)
-        if chunk:  # the last line is unfinished
-            pending = ["\n", lines.pop()]
-            end -= len(pending[1]) + 1
-        first, k, pos = 1, 1, 0
-        for match in _MAYBE_SKIPPED.finditer(text, 0, end):
-            k += text.count("\n", pos, match.start())
-            pos = match.start()
-            if _skipped(lines[k]):
-                if k > first:
-                    yield num + first, lines[first:k]
-                first = k + 1
-        if len(lines) > first:
-            yield num + first, lines[first:]
-        if not chunk:
-            return
-        num += len(lines) - 1
+        if "\n" in chunk:  # else a line longer than a block goes on
+            lines = "".join(pending).split("\n")
+            pending = [lines.pop()]
+            yield [line for line in lines if not _skipped(line)]
+    yield [line for line in ["".join(pending)] if not _skipped(line)]
 
 
 def _header_names(line: str) -> list[str]:
@@ -190,15 +165,13 @@ def _bad_cell(num: int, line: str, names, width: int, transpose: bool) -> str | 
 
 
 def _raise_bad_input(path: str, transpose: bool) -> None:
-    """Stream the file again and raise what failed its parse: a bad channel
-    name first, then the first ragged row or bad cell in file order.
-
-    The file is read to its end either way, so an undecodable byte anywhere
-    in it still raises UnicodeDecodeError.
-    """
+    """Read the file again and raise what failed its parse: a bad channel
+    name first, then the first ragged row or bad cell in file order.  The
+    file is read to its end, so an undecodable byte anywhere still raises."""
     names, width, found = [], None, None
     with open(path) as fh:
-        rows = ((num, line) for first, run in _runs(fh) for num, line in enumerate(run, first))
+        lines = enumerate((line.rstrip("\n") for line in fh), 1)
+        rows = ((num, line) for num, line in lines if not _skipped(line))
         if not transpose:
             names = _header_names(next(rows)[1])
             width = len(names)
@@ -212,6 +185,25 @@ def _raise_bad_input(path: str, transpose: bool) -> None:
     check_names(names, "row" if transpose else "column")
     if found is not None:
         raise IngestionError(found)
+
+
+def _decode_failure(path: str, err: UnicodeDecodeError) -> str:
+    """``err``'s message with the position counted in the file, not in the
+    text reader's read block: the file is decoded again, in binary."""
+    decoder = codecs.getincrementaldecoder(err.encoding)()
+    with open(path, "rb") as fh:
+        while True:
+            base = fh.tell() - len(decoder.getstate()[0])  # where the bytes decoded next start
+            block = fh.read(_BLOCK_CHARS)
+            try:
+                decoder.decode(block, final=not block)
+            except UnicodeDecodeError as bad:
+                start, stop = base + bad.start, base + bad.end - 1
+                what = f"byte 0x{bad.object[bad.start]:02x}" if start == stop else "bytes"
+                where = start if start == stop else f"{start}-{stop}"
+                return f"'{bad.encoding}' codec can't decode {what} in position {where}: {bad.reason}"
+            if not block:
+                return str(err)  # the file changed since the text read
 
 
 def _parse(lines, transpose: bool) -> tuple[list[str], np.ndarray | None]:
@@ -259,22 +251,23 @@ def ingest_csv(path: str, transpose: bool = False) -> ChannelMatrix:
 
     Default orientation: first row is the header of channel names, each
     later row one time sample.  With ``transpose`` each row is one channel,
-    its name in the first cell, with no header row.  Comment lines starting
-    with ``#`` and blank lines are skipped.  The header is split with
+    its name in the first cell, with no header row.  Lines that hold no
+    data (``_skipped``) are skipped.  The header is split with
     ``csv.reader``; the whole body goes through one ``np.loadtxt`` call, so
     numbers follow numpy's syntax (no digit-group underscores, ASCII digits
     only).  All shape and value problems raise an ingestion error naming the
-    offending row and column; a bad channel name is named first.
+    offending row and column; a bad channel name is named first.  An
+    undecodable byte is named by its offset in the file.
 
     Memory: the file is read once, in blocks of whole lines (about a
     mebibyte of text each) that stream into the parse, so its text is never
     held whole.  Ingest holds the parsed matrix plus at most one working
-    copy of it (up to four while ``standardized`` rescales channels).
+    copy of it (two while ``standardized`` rescales channels).
     """
     try:
         try:
             with open(path) as fh:
-                lines = chain.from_iterable(run for _, run in _runs(fh))
+                lines = chain.from_iterable(_data_blocks(fh))
                 names, data = _parse(lines, transpose)
         except UnicodeDecodeError:  # a ValueError, but not the body's
             raise
@@ -290,7 +283,9 @@ def ingest_csv(path: str, transpose: bool = False) -> ChannelMatrix:
         matrix = ChannelMatrix(names=tuple(names), data=data)
         del data  # the matrix holds its own copy
         return matrix.standardized()
-    except (OSError, UnicodeDecodeError) as err:
+    except UnicodeDecodeError as err:
+        raise IngestionError(f"cannot read {path}: {_decode_failure(path, err)}") from err
+    except OSError as err:
         raise IngestionError(f"cannot read {path}: {err}") from err
     except DegenerateInputError as err:
         raise IngestionError(f"{path}: {err}") from err

@@ -66,7 +66,9 @@ _METHODS = ("gaussian_logdet", "binned", "knn")
 _LN2 = math.log(2.0)
 _JITTER_SCALE = 1e-10
 _DIVERGENT_ONE_MINUS_R2 = 4.0 * float(np.finfo(np.float64).eps)
-_LOG_DIVERGENT = math.log(_DIVERGENT_ONE_MINUS_R2)
+# a block's 1 - R^2 rounds further: affine lagged copies read up to 9 eps,
+# a lagged copy plus 1e-7 noise (about 45 eps) no less than 32 eps
+_LOG_DIVERGENT_BLOCK = math.log(16.0 * float(np.finfo(np.float64).eps))
 _MAX_PAIR_CELLS = 2**22  # bins = 2048; its tables peak near 105 MB
 MIN_LENGTH = 10
 
@@ -372,8 +374,8 @@ def _gaussian_joint(px: list[_Centred], py: _Centred) -> float:
     sign_f, logdet_f = np.linalg.slogdet(full)
     if sign_xx <= 0.0:
         raise DegenerateInputError("block correlation matrix is singular")
-    # 1 - R^2 = det(full) / det(xx), read as divergent by the pair's rule
-    if sign_f <= 0.0 or logdet_f - logdet_xx <= _LOG_DIVERGENT:
+    # 1 - R^2 = det(full) / det(xx)
+    if sign_f <= 0.0 or logdet_f - logdet_xx <= _LOG_DIVERGENT_BLOCK:
         return math.inf
     return (logdet_xx - logdet_f) / (2.0 * _LN2)
 

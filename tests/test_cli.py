@@ -431,6 +431,52 @@ class TestLoadtxtParse:
         with pytest.raises(IngestionError, match="cannot read"):
             ingest_csv(str(path), transpose=transpose)
 
+    @pytest.mark.parametrize("where", ["first block", "past the second", "cut at the end"])
+    def test_undecodable_byte_is_named_by_its_file_offset(self, tmp_path, where):
+        # a two-byte name: the offset counts bytes, not characters
+        cells = _cells(3, self._samples_past(2.5, 3), seed=7)
+        path = tmp_path / "bad.csv"
+        _write_channels(path, ("\u00fc", "v", "w"), cells, False)
+        raw = path.read_bytes()
+        if where == "cut at the end":  # the first two bytes of a three-byte character
+            cut, bad, what = len(raw), b"\xe2\x82", rf"bytes in position {len(raw)}-{len(raw) + 1}"
+        else:
+            cut = raw.index(b",", 1000 if where == "first block" else 2 * _BLOCK_CHARS + 1)
+            bad, what = b"\xff", rf"byte 0xff in position {cut}"
+        path.write_bytes(raw[:cut] + bad + raw[cut:])
+        with pytest.raises(IngestionError, match=rf"cannot read .*: 'utf-8' codec can't decode {what}: "):
+            ingest_csv(str(path))
+
+    # the skip rule strips Unicode whitespace, as str.lstrip and str.strip do
+    UNICODE_SKIPPED = [
+        "\u00a0# after a no-break space",
+        "\u3000#x,1,2",
+        "\x0c# after a form feed",
+        '"\u00a0#quoted",1',
+        "\u00a0",
+        "\u3000\x0c\u00a0",
+        "\u00a0,\u3000,\x0c",
+    ]
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("block_chars", [7, 50, _BLOCK_CHARS])
+    def test_unicode_whitespace_lines_read_as_the_reference(
+        self, tmp_path, monkeypatch, transpose, block_chars
+    ):
+        monkeypatch.setattr("hoci.cli._BLOCK_CHARS", block_chars)
+        kinds = self.UNICODE_SKIPPED
+        cells = _cells(3, 40 if block_chars < 100 else self._samples_past(1.5, 3), seed=8)
+        if transpose:  # every kind before and after every channel line
+            extra = [(pos, text) for pos in range(3, -1, -1) for text in kinds]
+        else:
+            step = 1 if block_chars < 100 else 499
+            positions = range(len(cells[0]) + 1, -1, -step)
+            extra = [(pos, kinds[i % len(kinds)]) for i, pos in enumerate(positions)]
+        path = _write_channels(tmp_path / "u.csv", self.NAMES, cells, transpose, extra=extra)
+        if block_chars == _BLOCK_CHARS and not transpose:
+            assert os.path.getsize(path) > _BLOCK_CHARS
+        self._check(path, transpose)
+
     def test_memory_is_a_small_multiple_of_the_matrix(self, tmp_path):
         # a few megabytes of CSV; numpy reports its buffers to tracemalloc
         cells = _cells(8, 40_000, seed=6)

@@ -961,6 +961,30 @@ class TestGaussianBlockReadsPreparedColumns:
                 finite.append(seed)
         assert finite == []
 
+    @pytest.mark.parametrize("lag", [2, 3, 6, 25])
+    def test_affine_lagged_copy_diverges(self, lag):
+        # an affine map leaves the block's 1 - R^2 up to 9 eps from 0
+        cfg = EstimatorConfig(ts_lag=lag)
+        finite = []
+        for seed in range(100):
+            x = np.random.default_rng(seed).standard_normal(2000)
+            if math.isfinite(bidirectional_te_mi(x, 1.7 * np.roll(x, 1) + 3, cfg)):
+                finite.append(seed)
+        assert finite == []
+
+    @pytest.mark.parametrize("lag", [2, 3, 6, 25])
+    def test_lagged_copy_with_tiny_noise_stays_finite(self, lag):
+        # 1e-7 noise leaves 1 - R^2 near 45 eps, a dependence a float64 block resolves
+        cfg = EstimatorConfig(ts_lag=lag)
+        divergent = []
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal(2000)
+            y = np.roll(x, 1) + 1e-7 * rng.standard_normal(2000)
+            if not math.isfinite(bidirectional_te_mi(x, y, cfg)):
+                divergent.append(seed)
+        assert divergent == []
+
     @pytest.mark.parametrize("call", ["te", "joint"])
     def test_overflowing_block_keeps_the_unit_scale_value(self, call):
         # np.corrcoef read the infinite covariances as a constant column

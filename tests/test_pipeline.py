@@ -435,6 +435,22 @@ class TestChannelMatrix:
         assert peak <= 1.25 * m.data.nbytes
         assert not out.data.flags.writeable and out.data.flags.c_contiguous
 
+    def test_rescaling_standardized_holds_two_working_copies(self):
+        import tracemalloc
+
+        data = 1e-200 * np.random.default_rng(1).standard_normal((8, 200_000))
+        m = ChannelMatrix(names=tuple("abcdefgh"), data=data)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = m.standardized()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # every channel is rescaled: the rescaled copy and one working copy
+        assert peak < 2.5 * m.data.nbytes
+        assert not out.data.flags.writeable and out.data.flags.c_contiguous
+
     def test_matrix_holds_its_own_copy(self):
         data = np.random.default_rng(2).standard_normal((3, 40))
         m = ChannelMatrix(names=("a", "b", "c"), data=data)

@@ -4,6 +4,8 @@ pipeline with CSV/JSON IO."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .channels import ChannelMatrix
 from .discrete import (
     DiscreteEnsemble,
@@ -72,60 +74,7 @@ from .sci import (
     verify_sci,
 )
 
-__all__ = [
-    "AsymptoticLimits",
-    "BisectionConfig",
-    "CapacityError",
-    "ChannelMatrix",
-    "CommonInfoReport",
-    "ConfigurationError",
-    "ConvergenceError",
-    "DegenerateInputError",
-    "DeltaQuantities",
-    "DiscreteEnsemble",
-    "EstimatorConfig",
-    "GaussianEnsembleSpec",
-    "HociError",
-    "IngestionError",
-    "LagCorrelation",
-    "LevelEstimate",
-    "LevelVerification",
-    "MiEstimate",
-    "MmseCoefficients",
-    "NoCommonInformationError",
-    "ParameterDomainError",
-    "PipelineError",
-    "SciDescriptor",
-    "SciVerification",
-    "Theorem5Verification",
-    "all_level_masks",
-    "analytic_sci_variance",
-    "approx_rtilde",
-    "asymptotic_limits",
-    "bidirectional_te_mi",
-    "build_ensemble",
-    "build_sci",
-    "build_t_level",
-    "chain_slack_bits",
-    "cond_mi_xi_xj_given_xk",
-    "delta_quantities",
-    "derive_sci_seed",
-    "enumerate_mask_mi",
-    "exact_entropy",
-    "interaction_information",
-    "lag_max_correlation",
-    "lag_max_correlation_samples",
-    "mask_mi",
-    "mi_estimate",
-    "mi_estimate_full",
-    "mi_x_xi",
-    "mi_xi_xj",
-    "mmse_coefficients",
-    "r3_lower",
-    "r4_lower",
-    "run_estimate",
-    "sample_channels",
-    "sample_ensemble",
-    "verify_sci",
-    "verify_theorem5",
-]
+# the public API: every public name the import blocks above bind, submodules aside
+__all__ = sorted(
+    n for n, v in globals().items() if not (n.startswith("_") or isinstance(v, _ModuleType))
+)

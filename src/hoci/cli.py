@@ -27,14 +27,16 @@ import math
 import os
 import sys
 from dataclasses import asdict, replace
+from functools import partial
 from itertools import chain
 
 import numpy as np
 
 from . import __version__
 from .channels import ChannelMatrix, check_names
-from .discrete import verify_theorem5
+from .discrete import ENUMERATION_CAP, verify_theorem5
 from .errors import (
+    CapacityError,
     ConfigurationError,
     DegenerateInputError,
     HociError,
@@ -314,9 +316,19 @@ def _jsonable(value):
 
 
 def _write_json(doc: dict, path: str) -> None:
+    """Write ``doc`` as JSON after the tool and version stamp."""
+    doc = {"tool": "hoci", "version": __version__, **doc}
     text = json.dumps(_jsonable(doc), indent=2, allow_nan=False) + "\n"
     with open(path, "w") as fh:
         fh.write(text)
+
+
+def _write_csv(path: str, meta: dict, header: str, rows) -> None:
+    """Write a CSV table: the tool and version stamp, one ``# key: value``
+    line per ``meta`` entry, ``header``, then ``rows`` (each a line of text)."""
+    lines = [f"# tool: hoci {__version__}", *(f"# {k}: {v}" for k, v in meta.items()), header]
+    with open(path, "w") as fh:
+        fh.writelines(f"{line}\n" for line in chain(lines, rows))
 
 
 def _csv_num(value: float) -> str:
@@ -342,8 +354,6 @@ def _level_doc(estimate) -> dict | None:
 def emit_report(report: CommonInfoReport, path: str) -> None:
     """Write a full estimation report as deterministic, stable-key-order JSON."""
     doc = {
-        "tool": "hoci",
-        "version": __version__,
         "seed": report.seed,
         "config": {
             "order": max(report.levels),
@@ -385,31 +395,27 @@ def emit_gaussian_curves(sigma_x2: float, rho_grid, sigma_n2_grid, path: str) ->
     noises = np.asarray(sigma_n2_grid, dtype=np.float64)
     if rhos.size == 0 or noises.size == 0:
         raise ConfigurationError("gaussian sweep needs non-empty rho and sigma_n2 grids")
-    lines = [
-        f"# tool: hoci {__version__}",
-        f"# sigma_x2: {_csv_num(sigma_x2)}",
-        f"# rho_grid: {','.join(_csv_num(r) for r in rhos)}",
-        f"# sigma_n2_grid: {','.join(_csv_num(s) for s in noises)}",
-        CURVE_HEADER,
-    ]
+    if rhos.size * noises.size > ENUMERATION_CAP:
+        raise CapacityError(
+            f"table of {rhos.size} x {noises.size} rows exceeds cap {ENUMERATION_CAP}"
+        )
+    rows = []
     for rho in rhos:
         for sn2 in noises:
             spec = GaussianEnsembleSpec(float(sigma_x2), float(sn2), float(rho))
             pairwise = mi_xi_xj(spec)
-            cells = [
-                _csv_num(rho),
-                _csv_num(sn2),
-                _csv_num(mi_x_xi(spec)),
-                _csv_num(pairwise),
-                _csv_num(_on_model(cond_mi_xi_xj_given_xk, spec, 3)),
-                _csv_num(pairwise),
-                _csv_num(_on_model(r3_lower, spec, 3)),
-                _csv_num(_on_model(r4_lower, spec, 4)),
-            ]
-            lines.append(",".join(cells))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return rhos.size * noises.size
+            cells = (
+                rho, sn2, mi_x_xi(spec), pairwise, _on_model(cond_mi_xi_xj_given_xk, spec, 3),
+                pairwise, _on_model(r3_lower, spec, 3), _on_model(r4_lower, spec, 4),
+            )
+            rows.append(",".join(_csv_num(c) for c in cells))
+    meta = {
+        "sigma_x2": _csv_num(sigma_x2),
+        "rho_grid": ",".join(_csv_num(r) for r in rhos),
+        "sigma_n2_grid": ",".join(_csv_num(s) for s in noises),
+    }
+    _write_csv(path, meta, CURVE_HEADER, rows)
+    return len(rows)
 
 
 # ------------------------------------------------------------ configuration
@@ -432,6 +438,8 @@ def parse_grid(text: str) -> np.ndarray:
             raise ConfigurationError(f"grid {text!r}: non-numeric bound or count") from None
         if num < 1:
             raise ConfigurationError(f"grid {text!r}: need at least 1 point")
+        if num > ENUMERATION_CAP:
+            raise CapacityError(f"grid {text!r}: {num} points exceed cap {ENUMERATION_CAP}")
         if scale == "log":
             if lo <= 0 or hi <= 0:
                 raise ConfigurationError(f"grid {text!r}: log spacing needs positive bounds")
@@ -513,6 +521,8 @@ def _cmd_gaussian(args) -> int:
 def _cmd_discrete(args) -> int:
     pmf = None if args.pmf is None else [float(p) for p in parse_grid(args.pmf)]
     alphabet = args.alphabet if args.alphabet is not None else (2 if pmf is None else len(pmf))
+    if alphabet > ENUMERATION_CAP:
+        raise CapacityError(f"alphabet of {alphabet} symbols exceeds cap {ENUMERATION_CAP}")
     if pmf is None:
         if alphabet < 2:
             raise ParameterDomainError(f"--alphabet must be at least 2, got {alphabet}")
@@ -521,8 +531,6 @@ def _cmd_discrete(args) -> int:
         raise ConfigurationError(f"--pmf has {len(pmf)} entries but --alphabet is {alphabet}")
     result = verify_theorem5(args.n, pmf)
     doc = {
-        "tool": "hoci",
-        "version": __version__,
         "config": {"n": args.n, "alphabet": alphabet, "pmf": pmf},
         "entropy_bits": result.entropy_bits,
         "levels": [asdict(lv) for lv in result.levels],
@@ -559,8 +567,6 @@ def _cmd_sci(args) -> int:
     desc, t = _pair_sci(matrix.data, i, j, cfg, bis, seed)
     verification = verify_sci(t, matrix, i, j, cfg)
     doc = {
-        "tool": "hoci",
-        "version": __version__,
         "seed": seed,
         "config": {
             "pair": [matrix.names[i], matrix.names[j]],
@@ -573,14 +579,9 @@ def _cmd_sci(args) -> int:
         "verification": {
             "delta_bits": verification.delta_bits,
             "passed": verification.passed,
+            # each check names its channel, in place of the index
             "checks": [
-                {
-                    "channel": c.name,
-                    "mi_with_t_bits": c.mi_with_t_bits,
-                    "bound_bits": c.bound_bits,
-                    "margin_bits": c.margin_bits,
-                    "passed": c.passed,
-                }
+                {**{k: v for k, v in asdict(c).items() if k != "name"}, "channel": c.name}
                 for c in verification.checks
             ],
         },
@@ -614,23 +615,21 @@ def _cmd_lagscan(args) -> int:
         lag_min, lag_max = _lag_range_samples(
             args.lag_min_ms / 1000.0, args.lag_max_ms / 1000.0, rate
         )
-    lines = [
-        f"# tool: hoci {__version__}",
-        f"# ref_channel: {matrix.names[ref]}",
-        f"# lag_range_samples: {lag_min},{lag_max}",
-        f"# sample_rate_hz: {_csv_num(rate) if rate is not None else 'none'}",
-        LAGSCAN_HEADER,
-    ]
+    meta = {
+        "ref_channel": matrix.names[ref],
+        "lag_range_samples": f"{lag_min},{lag_max}",
+        "sample_rate_hz": _csv_num(rate) if rate is not None else "none",
+    }
+    rows = []
     for g in range(matrix.n_channels):
         if g == ref:
             continue
         res = lag_max_correlation_samples(matrix.data[ref], matrix.data[g], lag_min, lag_max)
         lag_ms = res.lag_samples / rate * 1000.0 if rate is not None else math.nan
-        lines.append(
+        rows.append(
             f"{matrix.names[g]},{res.lag_samples},{_csv_num(lag_ms)},{_csv_num(res.abs_corr)}"
         )
-    with open(args.out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(args.out, meta, LAGSCAN_HEADER, rows)
     print(f"scanned lags {lag_min}..{lag_max} samples for {matrix.n_channels - 1} channels -> {args.out}")
     return 0
 
@@ -665,11 +664,12 @@ def _add_estimator_flags(sub) -> None:
         default="gaussian",
         help="MI estimator",
     )
-    sub.add_argument("--k", type=int, default=4, help="neighbor count (knn)")
-    sub.add_argument("--bins", type=int, default=16, help="bins per axis (binned)")
-    sub.add_argument("--ts-lag", type=int, default=3, help="time-series embedding lag, samples")
-    sub.add_argument("--epsilon", type=float, default=1e-3, help="tuning residual target, bits")
-    sub.add_argument("--max-iters", type=int, default=60, help="tuning iteration budget")
+    e, b = EstimatorConfig(), BisectionConfig()  # whose defaults the flags take
+    sub.add_argument("--k", type=int, default=e.k, help="neighbor count (knn)")
+    sub.add_argument("--bins", type=int, default=e.bins, help="bins per axis (binned)")
+    sub.add_argument("--ts-lag", type=int, default=e.ts_lag, help="time-series embedding lag, samples")
+    sub.add_argument("--epsilon", type=float, default=b.epsilon, help="tuning residual target, bits")
+    sub.add_argument("--max-iters", type=int, default=b.max_iterations, help="tuning iteration budget")
     sub.add_argument("--seed", type=int, default=None, help="run seed (default: $HOCI_SEED, else 0)")
 
 
@@ -681,13 +681,13 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=_HelpFormatter,
     )
     parser.add_argument("--version", action="version", version=f"hoci {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    g = subs.add_parser(
-        "gaussian",
-        help="closed-form curve table over (rho, sigma_n2)",
-        formatter_class=_HelpFormatter,
+    subs = parser.add_subparsers(
+        dest="command",
+        required=True,
+        parser_class=partial(argparse.ArgumentParser, formatter_class=_HelpFormatter),
     )
+
+    g = subs.add_parser("gaussian", help="closed-form curve table over (rho, sigma_n2)")
     g.add_argument("--sigma-x2", type=float, default=1.0, help="source variance")
     g.add_argument(
         "--sigma-n2-grid", default="5", help="noise variance grid: 'a,b,c' or lo:hi:num[:log]"
@@ -698,22 +698,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(g, needs_input=False)
     g.set_defaults(func=_cmd_gaussian)
 
-    d = subs.add_parser(
-        "discrete",
-        help="exact check of the discrete construction",
-        formatter_class=_HelpFormatter,
-    )
+    d = subs.add_parser("discrete", help="exact check of the discrete construction")
     d.add_argument("--n", type=int, default=4, help="number of variables")
     d.add_argument("--alphabet", type=int, help="base alphabet size (default: len(--pmf), else 2)")
     d.add_argument("--pmf", default=None, help="base pmf 'p0,p1,...' (default: uniform)")
     _add_io_flags(d, needs_input=False)
     d.set_defaults(func=_cmd_discrete)
 
-    e = subs.add_parser(
-        "estimate",
-        help="common-information report from sampled channels",
-        formatter_class=_HelpFormatter,
-    )
+    e = subs.add_parser("estimate", help="common-information report from sampled channels")
     _add_io_flags(e)
     _add_estimator_flags(e)
     e.add_argument("--order", type=int, choices=SUPPORTED_ORDERS, default=3, help="highest level")
@@ -724,21 +716,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     e.set_defaults(func=_cmd_estimate)
 
-    s = subs.add_parser(
-        "sci",
-        help="tune + verify one noise-injection variable",
-        formatter_class=_HelpFormatter,
-    )
+    s = subs.add_parser("sci", help="tune + verify one noise-injection variable")
     _add_io_flags(s)
     _add_estimator_flags(s)
     s.add_argument("--pair", required=True, help="channel pair 'i,j' (names or indices)")
     s.set_defaults(func=_cmd_sci)
 
-    l = subs.add_parser(
-        "lagscan",
-        help="max |correlation| over a lag range, per channel",
-        formatter_class=_HelpFormatter,
-    )
+    l = subs.add_parser("lagscan", help="max |correlation| over a lag range, per channel")
     _add_io_flags(l)
     l.add_argument("--ref-channel", required=True, help="reference channel (name or index)")
     l.add_argument("--lag-min-ms", type=float, default=190.0, help="smallest lag, ms")

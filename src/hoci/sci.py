@@ -313,21 +313,19 @@ def verify_sci(
     i: int | str,
     j: int | str,
     cfg: EstimatorConfig = EstimatorConfig(),
-    delta_bits: float | None = None,
 ) -> SciVerification:
     """Check the defining inequality of an SCI built for pair (i, j).
 
     For every channel g: MI(T; x_g) must not exceed
     min(MI(x_i; x_g), MI(x_j; x_g)) by more than the statistical slack
-    ``delta_bits`` (default ``chain_slack_bits`` of the sample count: 0.02
-    bits at 1e5 samples, scaled as the inverse square root).  Self-pairs on the bound side carry
-    divergent MI and never bind.  Report-only: violations are recorded, not
-    raised.
+    ``delta_bits``, the ``chain_slack_bits`` of the sample count (0.02 bits
+    at 1e5 samples, scaled as the inverse square root).  Self-pairs on the
+    bound side carry divergent MI and never bind.  Report-only: violations
+    are recorded, not raised.
     """
     ii = channels.index_of(i)
     jj = channels.index_of(j)
-    if delta_bits is None:
-        delta_bits = chain_slack_bits(channels.n_samples)
+    delta_bits = chain_slack_bits(channels.n_samples)
 
     def bound_side(a: int, g: int) -> float:
         if a == g:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from hoci import (
+    CapacityError,
     ConfigurationError,
     GaussianEnsembleSpec,
     IngestionError,
@@ -37,12 +38,14 @@ from hoci.cli import (
     _BLOCK_CHARS,
     CURVE_HEADER,
     LAGSCAN_HEADER,
+    emit_gaussian_curves,
     emit_report,
     ingest_csv,
     main,
     parse_grid,
     resolve_seed,
 )
+from hoci.discrete import ENUMERATION_CAP
 
 
 def write_csv(path, names, data):
@@ -220,6 +223,13 @@ class TestIngestion:
         p.write_text("# nothing\n\n")
         with pytest.raises(IngestionError, match="no data rows"):
             ingest_csv(str(p))
+
+    def test_transposed_names_without_cells(self, tmp_path):
+        # each quoted name runs to the end of its line, so no row has a cell
+        p = tmp_path / "names_only.csv"
+        p.write_text('"u"\n"v, w"\n')
+        with pytest.raises(IngestionError, match=r"names_only\.csv: a row has no cells$"):
+            ingest_csv(str(p), transpose=True)
 
 
 def _reference_parse(path, transpose=False):
@@ -520,6 +530,12 @@ class TestParseGrid:
         with pytest.raises(ConfigurationError):
             parse_grid(bad)
 
+    def test_point_count_is_capped(self):
+        assert parse_grid(f"0:1:{ENUMERATION_CAP}").size == ENUMERATION_CAP
+        for num in (ENUMERATION_CAP + 1, 10**11):
+            with pytest.raises(CapacityError, match=f"{num} points exceed cap"):
+                parse_grid(f"0:1:{num}")
+
 
 class TestResolveSeed:
     def test_explicit_wins(self, monkeypatch):
@@ -619,6 +635,28 @@ class TestGaussianCommand:
             cond_mi_xi_xj_given_xk(spec), mi_xi_xj(spec), r3_lower(spec), r4_lower(spec)
         ]
 
+    @pytest.mark.parametrize(
+        "grids",
+        [
+            ["--rho-grid", "0:0.5:100000000000"],
+            ["--sigma-n2-grid", f"1:5:{ENUMERATION_CAP + 1}"],
+            # 101 x 9901 = 10^6 + 1 rows from two grids within the cap
+            ["--rho-grid", "0:0.5:101", "--sigma-n2-grid", "1:5:9901"],
+        ],
+        ids=["grid-1e11", "grid-cap+1", "table-cap+1"],
+    )
+    def test_oversized_grid_or_table_is_capacity(self, tmp_path, capsys, grids):
+        out = tmp_path / "curves.csv"
+        assert main(["gaussian", *grids, "--out", str(out)]) == 1
+        assert stderr_code(capsys) == "capacity"
+        assert not out.exists()
+
+    def test_empty_grid_is_a_configuration_error(self, tmp_path):
+        out = tmp_path / "curves.csv"
+        with pytest.raises(ConfigurationError, match="non-empty rho and sigma_n2 grids"):
+            emit_gaussian_curves(1.0, [], [1.0], str(out))
+        assert not out.exists()
+
 
 class TestDiscreteCommand:
     def test_verification_report(self, tmp_path, capsys):
@@ -666,6 +704,14 @@ class TestDiscreteCommand:
     def test_n_beyond_level_cap_is_capacity(self, tmp_path, capsys):
         out = tmp_path / "disc.json"
         rc = main(["discrete", "--n", "30", "--out", str(out)])
+        assert rc == 1
+        assert stderr_code(capsys) == "capacity"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alphabet", [ENUMERATION_CAP + 1, 10**10])
+    def test_alphabet_beyond_the_cap_is_capacity(self, tmp_path, capsys, alphabet):
+        out = tmp_path / "disc.json"
+        rc = main(["discrete", "--n", "3", "--alphabet", str(alphabet), "--out", str(out)])
         assert rc == 1
         assert stderr_code(capsys) == "capacity"
         assert not out.exists()
@@ -848,6 +894,22 @@ class TestSciCommand:
         out = tmp_path / "sci.json"
         assert main(["sci", "--input", ensemble_csv, "--pair", "x1,x1", "--out", str(out)]) == 1
         assert stderr_code(capsys) == "configuration"
+
+    def test_a_pair_names_two_channels(self, ensemble_csv, tmp_path, capsys):
+        out = tmp_path / "sci.json"
+        assert main(["sci", "--input", ensemble_csv, "--pair", "x1,x2,x3", "--out", str(out)]) == 1
+        assert stderr_code(capsys) == "configuration"
+        assert not out.exists()
+
+    def test_checks_name_their_channel(self, ensemble_csv, tmp_path):
+        out = tmp_path / "sci.json"
+        assert main(["sci", "--input", ensemble_csv, "--pair", "x1,x2", "--out", str(out)]) == 0
+        checks = json.loads(out.read_text())["verification"]["checks"]
+        assert [c["channel"] for c in checks] == ["x1", "x2", "x3"]
+        assert all(
+            list(c) == ["channel", "mi_with_t_bits", "bound_bits", "margin_bits", "passed"]
+            for c in checks
+        )
 
 
 @pytest.fixture(scope="module")

@@ -375,6 +375,12 @@ class TestJointBlocks:
         with pytest.raises(DegenerateInputError, match="block of no columns"):
             mi_estimate(np.empty((100, 0)), y)
 
+    @pytest.mark.parametrize("cfg", [GAUSSIAN, BINNED, KNN], ids=lambda c: c.method)
+    def test_a_block_and_a_short_y_are_a_length_mismatch(self, cfg):
+        rng = np.random.default_rng(0)
+        with pytest.raises(DegenerateInputError, match="length mismatch: 100 vs 99"):
+            mi_estimate(rng.standard_normal((100, 2)), rng.standard_normal(99), cfg)
+
 
 class TestTimeSeries:
     def test_lagged_copy_is_strongly_coupled(self):

@@ -79,6 +79,10 @@ class TestSeedsAndSlack:
         assert chain_slack_bits(25_000) == 0.04
         assert chain_slack_bits(10_000) == pytest.approx(0.02 * math.sqrt(10))
 
+    def test_slack_needs_a_sample(self):
+        with pytest.raises(ParameterDomainError, match="num_samples must be positive"):
+            chain_slack_bits(0)
+
 
 class TestLevelEstimates:
     def test_r2_matches_closed_form(self, report4, gaussian4):
@@ -230,6 +234,11 @@ class TestLagScan:
             lag_max_correlation_samples(x, x, 5, 4)
         with pytest.raises(DegenerateInputError):
             lag_max_correlation_samples(x, x, 0, 999)
+
+    def test_reversed_seconds_range_is_a_domain_error(self):
+        x = np.random.default_rng(0).standard_normal(1000)
+        with pytest.raises(ParameterDomainError, match=r"lag_min_s <= lag_max_s, got \[0.3, 0.19\]"):
+            lag_max_correlation(x, x, 0.3, 0.19, sample_rate_hz=100.0)
 
     def test_columns_are_checked_as_an_estimator_pair(self):
         x = np.random.default_rng(0).standard_normal(100)
@@ -457,6 +466,28 @@ class TestChannelMatrix:
         data[0, 0] = 99.0
         assert m.data[0, 0] != 99.0 and not m.data.flags.writeable
         assert not np.shares_memory(m.standardized().data, m.data)
+
+    @pytest.mark.parametrize(
+        "names,data,message",
+        [
+            (("a",), np.ones(40), "must be 2-D"),
+            (("a", "b"), np.ones((3, 40)), "2 names for 3 channel rows"),
+            (("a", "b"), np.array([[1.0] * 39 + [np.nan], [2.0] * 40]), "non-finite entries"),
+        ],
+        ids=["1-D", "name-count", "non-finite"],
+    )
+    def test_unusable_data_is_degenerate(self, names, data, message):
+        with pytest.raises(DegenerateInputError, match=message):
+            ChannelMatrix(names=names, data=data)
+
+    def test_index_of_refuses_unknown_names_and_outside_indices(self):
+        m = ChannelMatrix(names=("a", "b"), data=np.random.default_rng(3).standard_normal((2, 40)))
+        assert (m.index_of("b"), m.index_of(np.int64(0))) == (1, 0)
+        with pytest.raises(ConfigurationError, match="unknown channel 'z'"):
+            m.index_of("z")
+        for idx in (2, -1):
+            with pytest.raises(ConfigurationError, match=f"channel index {idx} out of range"):
+                m.index_of(idx)
 
 
 class TestLargeFiniteChannels:

@@ -2,7 +2,8 @@
 
 Channel names are validated here, in ``check_names``, for every producer:
 ``ChannelMatrix`` calls it on construction, and CSV ingest calls it on the
-header before any cell is parsed.
+header before any cell is parsed.  Seeds are validated here too, in
+``check_seed``, for the samplers, surrogate tuning, the pipeline and the CLI.
 """
 from __future__ import annotations
 
@@ -22,6 +23,13 @@ def unit_scaled(a: np.ndarray) -> np.ndarray:
     """``a`` (per row) times the power of two putting max|a| in [0.5, 1); a flat row becomes 0."""
     flat = a.min(axis=-1, keepdims=True) == a.max(axis=-1, keepdims=True)
     return np.where(flat, 0.0, np.ldexp(a, -np.frexp(np.abs(a).max(axis=-1, keepdims=True))[1]))
+
+
+def check_seed(seed) -> int:
+    """The one seed rule of every seeded entry point: a nonnegative integer, as ``int``."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ConfigurationError(f"seed must be a nonnegative integer, got {seed!r}")
+    return int(seed)
 
 
 def check_names(names, where: str = "row") -> None:

@@ -33,7 +33,7 @@ from itertools import chain
 import numpy as np
 
 from . import __version__
-from .channels import ChannelMatrix, check_names
+from .channels import ChannelMatrix, check_names, check_seed
 from .discrete import ENUMERATION_CAP, verify_theorem5
 from .errors import (
     CapacityError,
@@ -463,19 +463,14 @@ def parse_grid(text: str) -> np.ndarray:
 
 def resolve_seed(explicit: int | None) -> int:
     """--seed flag, else HOCI_SEED environment variable, else 0."""
-    if explicit is not None:
-        seed = explicit
-    elif "HOCI_SEED" in os.environ:
-        raw = os.environ["HOCI_SEED"]
+    seed = explicit
+    if seed is None:
+        raw = os.environ.get("HOCI_SEED", "0")
         try:
             seed = int(raw)
         except ValueError:
             raise ConfigurationError(f"HOCI_SEED={raw!r} is not an integer") from None
-    else:
-        seed = 0
-    if seed < 0:
-        raise ConfigurationError(f"seed must be nonnegative, got {seed}")
-    return seed
+    return check_seed(seed)
 
 
 def _estimator_from_args(args) -> EstimatorConfig:

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import ChannelMatrix
+from .channels import ChannelMatrix, check_seed
 from .errors import CapacityError, ParameterDomainError
 
 ENUMERATION_CAP = 10**6
@@ -273,15 +273,15 @@ def sample_channels(
     blurring all of them simultaneously.  A dense radix (= alphabet_size) is
     still valid and injective, just without that separation.
     """
-    if num_samples < 1:
-        raise ParameterDomainError("num_samples must be positive")
+    if not (isinstance(num_samples, (int, np.integer)) and num_samples >= 1):
+        raise ParameterDomainError(f"num_samples must be a positive integer, got {num_samples!r}")
     if radix is None:
         radix = RADIX_FACTOR * ensemble.alphabet_size
     if radix < ensemble.alphabet_size:
         raise ParameterDomainError(
             f"radix {radix} cannot injectively encode alphabet of size {ensemble.alphabet_size}"
         )
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(check_seed(seed))
     z = rng.choice(ensemble.alphabet_size, size=(ensemble.n, num_samples), p=ensemble.base_pmf)
     rows = []
     for mask in ensemble.membership_masks:

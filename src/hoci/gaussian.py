@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelMatrix
+from .channels import ChannelMatrix, check_seed
 from .errors import ParameterDomainError
 
 _PSD_TOL = 1e-12
@@ -213,10 +213,10 @@ def sample_ensemble(spec: GaussianEnsembleSpec, num_samples: int, seed: int) -> 
     eigenbasis, which stays valid on the PSD boundary rho = -1/(n-1).
     Deterministic for a fixed seed.
     """
-    if num_samples < 1:
-        raise ParameterDomainError("num_samples must be positive")
+    if not (isinstance(num_samples, (int, np.integer)) and num_samples >= 1):
+        raise ParameterDomainError(f"num_samples must be a positive integer, got {num_samples!r}")
     n = spec.n
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(check_seed(seed))
     x = math.sqrt(spec.sigma_x2) * rng.standard_normal(num_samples)
     g = rng.standard_normal((n, num_samples))
     a = math.sqrt(max(1.0 - spec.rho, 0.0))

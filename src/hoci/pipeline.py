@@ -35,7 +35,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from .channels import ChannelMatrix
+from .channels import ChannelMatrix, check_seed
 from .errors import (
     ConfigurationError,
     ConvergenceError,
@@ -52,7 +52,6 @@ from .sci import (
     SciDescriptor,
     build_sci,
     chain_slack_bits,
-    _check_seed,
 )
 
 __all__ = [
@@ -78,7 +77,7 @@ SUPPORTED_ORDERS = tuple(_LEVEL_WHAT)
 
 def derive_sci_seed(run_seed: int, i: int, j: int, order: int) -> int:
     """Deterministic per-construction seed from the run seed and identity."""
-    seq = np.random.SeedSequence([_check_seed(run_seed), i, j, order])
+    seq = np.random.SeedSequence([check_seed(run_seed), i, j, order])
     return int(seq.generate_state(1, np.uint64)[0])
 
 
@@ -275,11 +274,19 @@ def lag_max_correlation_samples(
     return LagCorrelation(abs_corr=best[0], lag_samples=best[1])
 
 
-def _lag_range_samples(lag_min_s: float, lag_max_s: float, rate_hz: float) -> tuple[int, int]:
-    """Integer lags whose real time lies in [lag_min_s, lag_max_s]; none is a domain error."""
-    if not (0 <= lag_min_s <= lag_max_s and math.isfinite(lag_max_s)):
+def _lag_range_samples(lag_min_s: float, lag_max_s: float, rate_hz: float | None) -> tuple[int, int]:
+    """The one lag-window rule: integer lags whose real time lies in [lag_min_s, lag_max_s]
+    at a positive, finite ``rate_hz``; none, or a window past float64's range in samples,
+    is a domain error."""
+    if rate_hz is None or not 0 < rate_hz < math.inf:
+        raise ConfigurationError("a positive, finite sample_rate_hz is required for lags in seconds")
+    if not 0 <= lag_min_s <= lag_max_s:
         raise ParameterDomainError(
             f"need 0 <= lag_min_s <= lag_max_s, got [{lag_min_s}, {lag_max_s}]"
+        )
+    if not math.isfinite(lag_max_s * rate_hz):
+        raise ParameterDomainError(
+            f"lag window [{lag_min_s}, {lag_max_s}] s at {rate_hz} Hz is not finite in samples"
         )
     lag_min = math.ceil(lag_min_s * rate_hz - 1e-9)
     lag_max = math.floor(lag_max_s * rate_hz + 1e-9)
@@ -300,12 +307,8 @@ def lag_max_correlation(
     """Lag scan with the range given in seconds at a known sample rate.
 
     The scanned integer lags are those whose real time lies inside
-    [lag_min_s, lag_max_s]; an empty set is a domain error.
+    [lag_min_s, lag_max_s], by the rule of ``_lag_range_samples``.
     """
-    if sample_rate_hz is None or not 0 < sample_rate_hz < math.inf:
-        raise ConfigurationError(
-            "a positive, finite sample_rate_hz is required for lags in seconds"
-        )
     lag_min, lag_max = _lag_range_samples(lag_min_s, lag_max_s, sample_rate_hz)
     res = lag_max_correlation_samples(x, y, lag_min, lag_max)
     return LagCorrelation(
@@ -335,7 +338,7 @@ def run_estimate(
         raise ParameterDomainError(
             f"order {order} needs at least {order} channels, got {channels.n_channels}"
         )
-    _check_seed(seed)
+    seed = check_seed(seed)
 
     n = channels.n_channels
     # one view per channel row, so that the table finds each row by identity
@@ -374,7 +377,7 @@ def run_estimate(
         rtilde=rtilde,
         estimator=cfg,
         bisection=bis,
-        seed=int(seed),
+        seed=seed,
         time_series=time_series,
         channel_names=channels.names,
         num_samples=channels.n_samples,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelMatrix
+from .channels import ChannelMatrix, check_seed
 from .errors import (
     ConfigurationError,
     ConvergenceError,
@@ -105,12 +105,6 @@ class SciVerification:
     delta_bits: float
     checks: tuple[SciChannelCheck, ...]
     passed: bool
-
-
-def _check_seed(seed: int) -> int:
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ConfigurationError(f"seed must be a nonnegative integer, got {seed!r}")
-    return int(seed)
 
 
 def chain_slack_bits(num_samples: int) -> float:
@@ -198,7 +192,7 @@ def _tune(
     back beside the point.  A search whose v leaves the normal float64 range
     fails as unreachable, like one that spends its budget.
     """
-    rng = np.random.default_rng(_check_seed(seed))
+    rng = np.random.default_rng(check_seed(seed))
     with np.errstate(over="ignore"):  # refused below
         var = float(carrier.var())
     # a subnormal variance has lost digits and would make subnormal noise

@@ -1094,6 +1094,32 @@ class TestErrorReporting:
         assert rc == 1
         assert stderr_code(capsys) == "io_error"
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            # 1e300 ms at 1e308 Hz overflows float64 in samples
+            (["lagscan", "--ref-channel", "x1", "--sample-rate-hz", "1e308",
+              "--lag-min-ms", "0", "--lag-max-ms", "1e300"], "parameter_domain"),
+            (["estimate", "--seed", "-1"], "configuration"),
+            (["discrete", "--alphabet", "1"], "parameter_domain"),
+            (["gaussian", "--rho-grid", "nan"], "parameter_domain"),
+            (["sci", "--pair", "0,0"], "configuration"),
+        ],
+        ids=["lagscan-overflow", "estimate-negative-seed", "discrete-alphabet-1",
+             "gaussian-nan-rho", "sci-self-pair"],
+    )
+    def test_each_subcommand_fails_with_one_json_line(
+        self, ensemble_csv, tmp_path, capsys, argv, code
+    ):
+        out = tmp_path / "o.out"
+        needs_input = argv[0] in ("estimate", "sci", "lagscan")
+        rc = main([*argv, *(["--input", ensemble_csv] if needs_input else []), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == code
+        assert not out.exists()
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

@@ -8,6 +8,7 @@ import pytest
 
 from hoci import (
     CapacityError,
+    ConfigurationError,
     DegenerateInputError,
     ParameterDomainError,
     all_level_masks,
@@ -268,6 +269,16 @@ class TestSampling:
             sample_channels(ens, 0, seed=1)
         with pytest.raises(DegenerateInputError):
             sample_channels(ens, 10, seed=1)  # below the channel minimum
+
+    @pytest.mark.parametrize("seed", [-1, 2.7])
+    def test_seed_follows_the_run_seed_rule(self, seed):
+        # handed to numpy, -1 would raise with no hoci error code and 2.7 would sample as 2
+        with pytest.raises(ConfigurationError, match="seed must be a nonnegative integer"):
+            sample_channels(build_ensemble(3, UNIFORM2), 100, seed=seed)
+
+    def test_sample_count_must_be_an_integer(self):
+        with pytest.raises(ParameterDomainError, match="positive integer, got 100.5"):
+            sample_channels(build_ensemble(3, UNIFORM2), 100.5, seed=1)
 
 
 def _joint_mi_dense(probs, a, b):

@@ -956,9 +956,9 @@ class TestGaussianBlockReadsPreparedColumns:
         assert abs(mi_estimate(m[:, :3], m[:, 3]) - want) <= 1e-12
 
     @pytest.mark.parametrize("lag", [2, 3, 6])
-    def test_exact_lagged_copy_diverges_by_the_pairs_rule(self, lag):
-        # 1 - R^2 = det(full) / det(xx) within 4 eps of 0 is divergent, as for
-        # a pair; slogdet's rounding used to leave a finite 26.5 bits
+    def test_exact_lagged_copy_diverges_by_the_blocks_rule(self, lag):
+        # 1 - R^2 = det(full) / det(xx) within 16 eps of 0 is divergent (a
+        # pair's rule is 4 eps); slogdet's rounding used to leave a finite 26.5 bits
         cfg = EstimatorConfig(ts_lag=lag)
         finite = []
         for seed in range(100):

@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 from hoci import (
     AsymptoticLimits,
     ChannelMatrix,
+    ConfigurationError,
     GaussianEnsembleSpec,
     ParameterDomainError,
     asymptotic_limits,
@@ -291,3 +292,13 @@ class TestSampling:
     def test_num_samples_validation(self):
         with pytest.raises(ParameterDomainError):
             sample_ensemble(GaussianEnsembleSpec(1.0, 1.0, 0.0), 0, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, 2.7])
+    def test_seed_follows_the_run_seed_rule(self, seed):
+        # handed to numpy, -1 would raise with no hoci error code and 2.7 would sample as 2
+        with pytest.raises(ConfigurationError, match="seed must be a nonnegative integer"):
+            sample_ensemble(GaussianEnsembleSpec(1.0, 1.0, 0.0), 100, seed=seed)
+
+    def test_num_samples_must_be_an_integer(self):
+        with pytest.raises(ParameterDomainError, match="positive integer, got 100.5"):
+            sample_ensemble(GaussianEnsembleSpec(1.0, 1.0, 0.0), 100.5, seed=1)

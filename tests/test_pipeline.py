@@ -240,6 +240,14 @@ class TestLagScan:
         with pytest.raises(ParameterDomainError, match=r"lag_min_s <= lag_max_s, got \[0.3, 0.19\]"):
             lag_max_correlation(x, x, 0.3, 0.19, sample_rate_hz=100.0)
 
+    def test_window_past_float64_in_samples_is_a_domain_error(self):
+        # 1e300 s at 1e308 Hz is not a finite number of samples
+        x = np.random.default_rng(0).standard_normal(1000)
+        with pytest.raises(ParameterDomainError, match="not finite in samples"):
+            lag_max_correlation(x, x, 0.0, 1e300, sample_rate_hz=1e308)
+        with pytest.raises(ParameterDomainError, match="not finite in samples"):
+            lag_max_correlation(x, x, 0.0, math.inf, sample_rate_hz=100.0)
+
     def test_columns_are_checked_as_an_estimator_pair(self):
         x = np.random.default_rng(0).standard_normal(100)
         bad = x.copy()

@@ -184,15 +184,15 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     return _correlation(_centred(x), _centred(y))
 
 
-def _gaussian_mi(px: _Centred, py: _Centred) -> float:
-    r = _correlation(px, py)
+def _gaussian_bits(r: float) -> float:
+    """-1/2 log2(1 - r^2), the Gaussian MI of a correlation, clamped to +0.0."""
     one_minus = (1.0 - r) * (1.0 + r)
     # identical columns leave r up to 2 ulps short of 1, so 1 - r^2 lands
     # within a few eps of 0 instead of on it; a real dependence that close
     # to exact is below the resolution of a float64 correlation
     if one_minus <= _DIVERGENT_ONE_MINUS_R2:
         return math.inf
-    return -0.5 * math.log2(one_minus)
+    return _clamp(-0.5 * math.log2(one_minus))
 
 
 def _bin_index(a: np.ndarray, bins: int) -> np.ndarray:
@@ -330,7 +330,7 @@ def _raw_mi(x, y, cfg: EstimatorConfig, columns: PreparedColumns | None = None) 
         raise ConfigurationError("the prepared columns were made for another estimator config")
     px, py = columns.pair(x, y)
     if cfg.method == "gaussian_logdet":
-        return _gaussian_mi(px, py)
+        return _gaussian_bits(_correlation(px, py))
     if cfg.method == "binned":
         return _binned_pair(px, py, cfg.bins)
     return _ksg([px], py, cfg.k)

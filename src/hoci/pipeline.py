@@ -5,17 +5,26 @@ Higher orders are lower-bounded through tuned noise-injection variables: a
 T built for pair (i, j) carries exactly the pair's shared information, so
 min over k of MI(T_{i,j}; x_k) bounds the third-order quantity and min over
 disjoint pairs of MI(T_{i,j}; T_{k,m}) the fourth.  ``run_estimate`` is the
-one estimation path: it scans the pairs, tunes the surrogates and scans the
-triples and disjoint pairs once, one candidate list per level, and reads
-every level and average off those lists.  The module also provides the
-closed-form scaling approximation and lag-scanned correlation for
-time-aligned references.
+one estimation path: it scans the pairs, then reads every higher level and
+average off one set of candidates per level, in one scan order.
+
+Under ``binned`` and ``knn`` it tunes one sampled surrogate per ordered pair
+and scans the triples and disjoint pairs with one estimator call each.
+Under ``gaussian_logdet`` every candidate is a closed form of the sample
+correlation matrix R: T_{i,j} is tuned to corr(T_{i,j}, x_j)^2 = R_ij^2, so
+its r3 candidate is -1/2 log2(1 - R_ij^2 R_jk^2) and its r4 candidate
+-1/2 log2(1 - R_ij^2 R_jm^2 R_km^2).  Those are the sampled construction's
+values once its noise is orthogonal to every channel and every other noise,
+so the run samples no surrogate, lists no descriptor, and makes no estimator
+call past the pairs.  The module also provides the closed-form scaling
+approximation and lag-scanned correlation for time-aligned references.
 
 Conventions used throughout:
 
 * One estimator config per run; every MI evaluation inside a report uses it.
 * Construction seeds are derived deterministically from (run seed, i, j,
-  order), so identical inputs give bit-identical reports.
+  order), so identical inputs give bit-identical reports; a
+  ``gaussian_logdet`` report draws no noise and does not depend on the seed.
 * Pairs whose target MI is below the tuning resolution are "no common
   information" signals: they are excluded from the min and recorded.  When
   every pair is such a signal the higher-order estimate is exactly 0 --
@@ -24,8 +33,9 @@ Conventions used throughout:
   recorded; if every construction fails outright the run errors instead of
   silently reporting 0.
 * Time-series mode swaps the pairwise estimator for the bidirectional
-  lag-embedded variant; the noise-injection tuning itself always uses plain
-  MI, since injected noise is i.i.d. and carries no temporal structure.
+  lag-embedded variant; the noise-injection tuning and the correlations
+  always use plain MI, since injected noise is i.i.d. and carries no
+  temporal structure.
 """
 from __future__ import annotations
 
@@ -45,11 +55,12 @@ from .errors import (
     PipelineError,
 )
 from .estimators import EstimatorConfig, PreparedColumns, bidirectional_te_mi, mi_estimate
-from .estimators import _pair, _pearson
+from .estimators import _correlation, _gaussian_bits, _pair, _pearson
 from .sci import (
     SLACK_BITS_AT_REFERENCE,
     BisectionConfig,
     SciDescriptor,
+    _checked_target,
     build_sci,
     chain_slack_bits,
 )
@@ -73,6 +84,10 @@ _ALL_NCI_REASON = "no channel pair shares information above the tuning resolutio
 # what each level's minimum is, as named in a failed run's error
 _LEVEL_WHAT = {2: "the pairwise minimum", 3: "the third-order bound", 4: "the fourth-order bound"}
 SUPPORTED_ORDERS = tuple(_LEVEL_WHAT)
+_LN2 = math.log(2.0)
+# r4 candidates read off the correlations per block of first surrogates, so a
+# block's arrays stay near 2 MiB each however many channels there are
+_R4_BLOCK = 2**18
 
 
 def derive_sci_seed(run_seed: int, i: int, j: int, order: int) -> int:
@@ -168,6 +183,11 @@ def _pair_sci(
     )
 
 
+def _exclusion(channels: ChannelMatrix, i: int, j: int, err: Exception) -> SciExclusion:
+    pair = (channels.names[i], channels.names[j])
+    return SciExclusion(pair=pair, code=err.code, message=str(err))
+
+
 def _build_all_scis(
     channels: ChannelMatrix,
     rows: list[np.ndarray],
@@ -187,8 +207,7 @@ def _build_all_scis(
         try:
             desc, t = _pair_sci(rows, i, j, columns.cfg, bis, seed, columns)
         except (NoCommonInformationError, ConvergenceError) as err:
-            pair = (channels.names[i], channels.names[j])
-            exclusions.append(SciExclusion(pair=pair, code=err.code, message=str(err)))
+            exclusions.append(_exclusion(channels, i, j, err))
         except DegenerateInputError as err:
             raise _pair_error(channels, i, j, err) from err
         else:
@@ -207,21 +226,104 @@ def _scan(entry_pairs, columns: PreparedColumns) -> list[tuple[tuple[int, ...], 
     ]
 
 
-def _level(
+def _gaussian_surrogates(
+    channels: ChannelMatrix, rows: list[np.ndarray], columns: PreparedColumns, epsilon: float
+) -> tuple[np.ndarray, list[tuple[int, int]], list[SciExclusion]]:
+    """Squared sample correlations R^2, and the ordered pairs (i, j) whose
+    tuning target, the Gaussian MI of R_ij, passes the target rule.
+
+    Each R_ij is the one the pairwise estimator reads off the prepared rows,
+    so a target equals its plain pairwise MI bit for bit.  A pair that fails
+    the rule is an exclusion, with the code and message tuning would give.
+    """
+    n = channels.n_channels
+    r = np.eye(n)
+    for a, b in combinations(range(n), 2):
+        r[a, b] = r[b, a] = _correlation(*columns.pair(rows[a], rows[b]))
+    surrogates: list[tuple[int, int]] = []
+    exclusions: list[SciExclusion] = []
+    for i, j in permutations(range(n), 2):
+        try:
+            _checked_target(_gaussian_bits(float(r[i, j])), epsilon)
+        except (NoCommonInformationError, ConvergenceError) as err:
+            exclusions.append(_exclusion(channels, i, j, err))
+        else:
+            surrogates.append((i, j))
+    return r * r, surrogates, exclusions
+
+
+def _product_bits(p: np.ndarray) -> np.ndarray:
+    """-1/2 log2(1 - p), elementwise, for squared correlations p in [0, 1]."""
+    return np.log1p(-p) * (-0.5 / _LN2)
+
+
+def _correlation_levels(
+    rsq: np.ndarray, surrogates: list[tuple[int, int]], order: int
+) -> tuple[dict[int, tuple[tuple[int, ...], float] | None], float]:
+    """The r3 and r4 minima of the Gaussian construction, whose candidates
+    the module docstring gives, read off squared correlations ``rsq`` for
+    the given surrogates; and the mean of the r3 candidates.
+
+    The candidates are the sampled scans', in their order, and the first
+    minimum wins, as (channel indices, bits), or None with no candidate.
+    An r4 product is R_jm^2 (R_ij^2 R_km^2), so both readings of a candidate
+    give the same bits, and no level depends on column order.
+    """
+    n = rsq.shape[0]
+    best: dict[int, tuple[tuple[int, ...], float] | None] = dict.fromkeys(range(3, order + 1))
+    if not surrogates:
+        return best, 0.0
+    i, j = np.array(surrogates).T
+    t = rsq[i, j]
+    # r3: surrogate s against each channel k outside its pair, k ascending
+    k = np.arange(n)
+    outside = (k != i[:, None]) & (k != j[:, None])
+    bits3 = _product_bits((t[:, None] * rsq[j])[outside])
+    first = int(np.argmin(bits3))
+    s, kk = divmod(int(np.flatnonzero(outside)[first]), n)
+    best[3] = ((int(i[s]), int(j[s]), kk), float(bits3[first]))
+    if order >= 4:
+        # r4: each pair of surrogates a < b whose channel pairs are disjoint,
+        # taken a block of first surrogates at a time
+        m = len(surrogates)
+        b = np.arange(m)
+        step = max(1, _R4_BLOCK // m)
+        for lo in range(0, m, step):
+            a = np.arange(lo, min(lo + step, m))[:, None]
+            ia, ja = i[a], j[a]
+            disjoint = (b > a) & (i != ia) & (i != ja) & (j != ia) & (j != ja)
+            bits4 = np.where(disjoint, _product_bits(rsq[ja, j] * (t[a] * t)), np.inf)
+            cell = int(np.argmin(bits4))
+            bits = float(bits4.flat[cell])
+            if disjoint.flat[cell] and (best[4] is None or bits < best[4][1]):
+                sa, sb = divmod(cell, m)
+                sa += lo
+                best[4] = ((int(i[sa]), int(j[sa]), int(i[sb]), int(j[sb])), bits)
+    return best, math.fsum(bits3.tolist()) / bits3.size
+
+
+def _minimum(
     candidates: list[tuple[tuple[int, ...], float]],
+) -> tuple[tuple[int, ...], float] | None:
+    """The first minimum candidate, or None with no candidate."""
+    return min(candidates, key=lambda item: item[1], default=None)
+
+
+def _level(
+    best: tuple[tuple[int, ...], float] | None,
     names: tuple[str, ...],
     exclusions: list[SciExclusion],
     what: str,
 ) -> LevelEstimate:
-    """The minimum candidate, witnessed by its channels.
+    """A level's minimum candidate, witnessed by its channels.
 
-    With no candidates the level is the all-NCI zero when some pair was a
+    With no candidate the level is the all-NCI zero when some pair was a
     no-common-information signal; otherwise every construction failed and
     the run errors instead of silently reporting 0.
     """
-    if candidates:
-        idx, best = min(candidates, key=lambda item: item[1])
-        return LevelEstimate(bits=best, channels=tuple(names[i] for i in idx))
+    if best is not None:
+        idx, bits = best
+        return LevelEstimate(bits=bits, channels=tuple(names[i] for i in idx))
     if any(e.code == NoCommonInformationError.code for e in exclusions):
         return LevelEstimate(bits=0.0, channels=None, reason=_ALL_NCI_REASON)
     detail = "; ".join(f"({e.pair[0]},{e.pair[1]}): {e.message}" for e in exclusions)
@@ -288,8 +390,11 @@ def _lag_range_samples(lag_min_s: float, lag_max_s: float, rate_hz: float | None
         raise ParameterDomainError(
             f"lag window [{lag_min_s}, {lag_max_s}] s at {rate_hz} Hz is not finite in samples"
         )
-    lag_min = math.ceil(lag_min_s * rate_hz - 1e-9)
-    lag_max = math.floor(lag_max_s * rate_hz + 1e-9)
+    # widen by 1e-9 of the window in samples, which absorbs the products' rounding
+    # at any rate without reaching an integer lag the window leaves out
+    slack = 1e-9 * lag_max_s * rate_hz
+    lag_min = math.ceil(lag_min_s * rate_hz - slack)
+    lag_max = math.floor(lag_max_s * rate_hz + slack)
     if lag_min > lag_max:
         raise ParameterDomainError(
             f"no integer lag lies in [{lag_min_s}, {lag_max_s}] s at {rate_hz} Hz"
@@ -344,27 +449,31 @@ def run_estimate(
     # one view per channel row, so that the table finds each row by identity
     rows = list(channels.data)
     columns = PreparedColumns(cfg, rows)
-    candidates = {
-        2: [
-            ((a, b), _pair_value(channels, rows, a, b, columns, time_series))
-            for a, b in combinations(range(n), 2)
-        ]
-    }
+    pairwise = [
+        ((a, b), _pair_value(channels, rows, a, b, columns, time_series))
+        for a, b in combinations(range(n), 2)
+    ]
+    minima = {2: _minimum(pairwise)}
+    rbar = {2: _mean(pairwise)}
     descriptors: tuple[SciDescriptor, ...] = ()
     exclusions: list[SciExclusion] = []
-    if order >= 3:
+    if order >= 3 and cfg.method == "gaussian_logdet":
+        rsq, pairs, exclusions = _gaussian_surrogates(channels, rows, columns, bis.epsilon)
+        found, rbar[3] = _correlation_levels(rsq, pairs, order)
+        minima.update(found)
+    elif order >= 3:
         built, exclusions = _build_all_scis(channels, rows, columns, bis, seed)
         descriptors = tuple(desc for desc, _ in built.values())
         surrogates = [(pair, t) for pair, (_, t) in built.items()]
         singles = [((k,), rows[k]) for k in range(n)]
-        candidates[3] = _scan(product(surrogates, singles), columns)
+        candidates = _scan(product(surrogates, singles), columns)
+        minima[3], rbar[3] = _minimum(candidates), _mean(candidates)
         if order >= 4:
-            candidates[4] = _scan(combinations(surrogates, 2), columns)
+            minima[4] = _minimum(_scan(combinations(surrogates, 2), columns))
     levels = {
-        lvl: _level(found, channels.names, exclusions, _LEVEL_WHAT[lvl])
-        for lvl, found in candidates.items()
+        lvl: _level(best, channels.names, exclusions, _LEVEL_WHAT[lvl])
+        for lvl, best in minima.items()
     }
-    rbar = {lvl: _mean(candidates[lvl]) for lvl in (2, 3) if lvl in candidates}
 
     rtilde = {lvl: approx_rtilde(levels[2].bits, n, lvl) for lvl in levels} if n > 2 else {}
 

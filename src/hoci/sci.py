@@ -249,10 +249,10 @@ def _tune(
     )
 
 
-def _target_mi(
-    x_other, carrier, cfg: EstimatorConfig, epsilon: float, columns: PreparedColumns | None
-) -> float:
-    bits = mi_estimate(x_other, carrier, cfg, columns=columns)
+def _checked_target(bits: float, epsilon: float) -> float:
+    """The tuning target rule: a pair's MI in bits is a target unless it is
+    divergent (``ConvergenceError``) or at or below epsilon (the
+    no-common-information signal)."""
     if math.isinf(bits):
         raise ConvergenceError(
             "target MI is divergent (identical columns?); no finite noise "
@@ -287,7 +287,7 @@ def build_sci(
     one, so the caller can keep that at no cost.
     """
     xi, xj = _pair(x_i, x_j)
-    target = _target_mi(xi, xj, cfg, bis.epsilon, columns)
+    target = _checked_target(mi_estimate(xi, xj, cfg, columns=columns), bis.epsilon)
     v, residual, iterations, t = _tune(xj, target, cfg, bis, seed, columns)
     desc = SciDescriptor(
         base_channel=base_channel,

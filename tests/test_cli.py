@@ -742,7 +742,7 @@ class TestEstimateCommand:
         assert doc["r3_lower"]["bits"] <= doc["r2"]["bits"] + doc["chain"]["slack_bits"]
         assert doc["chain"]["ok"] is True
         assert set(doc["rbar"]) == {"2", "3"}
-        assert len(doc["sci"]) == 6
+        assert doc["sci"] == []  # gaussian r3 is read off the correlations
         assert doc["exclusions"] == []
 
     def test_byte_identical_reruns(self, ensemble_csv, tmp_path):
@@ -871,13 +871,16 @@ class TestSciCommand:
         assert len(doc["verification"]["checks"]) == 3
 
     def test_descriptor_matches_the_estimate_run(self, ensemble_csv, tmp_path):
-        # one surrogate recipe: the pair's descriptor equals run_estimate's
+        # one surrogate recipe: the pair's descriptor equals that of a run
+        # that samples surrogates; a gaussian_logdet run samples none
         out = tmp_path / "sci.json"
         args = ["sci", "--input", ensemble_csv, "--pair", "x1,x2", "--seed", "2", "--out", str(out)]
-        assert main(args) == 0
-        rep = run_estimate(ingest_csv(ensemble_csv), seed=2, order=3)
+        assert main(args + ["--estimator", "binned"]) == 0
+        matrix = ingest_csv(ensemble_csv)
+        rep = run_estimate(matrix, EstimatorConfig(method="binned"), seed=2, order=3)
         (desc,) = [d for d in rep.sci_descriptors if (d.partner_channel, d.base_channel) == (0, 1)]
         assert json.loads(out.read_text())["descriptor"] == asdict(desc)
+        assert run_estimate(matrix, seed=2, order=3).sci_descriptors == ()
 
     def test_numeric_pair(self, ensemble_csv, tmp_path):
         out = tmp_path / "sci.json"

@@ -4,7 +4,7 @@ averages and scaling approximations, lag scans, and the report invariants."""
 import math
 import warnings
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -248,6 +248,13 @@ class TestLagScan:
         with pytest.raises(ParameterDomainError, match="not finite in samples"):
             lag_max_correlation(x, x, 0.0, math.inf, sample_rate_hz=100.0)
 
+    @pytest.mark.parametrize("rate", [4e-9, 1e-300])
+    def test_window_under_one_sample_at_a_tiny_rate_holds_no_lag(self, rate):
+        # the 190-300 ms window is a fraction of a sample wide and above lag 0
+        x = np.random.default_rng(0).standard_normal(1000)
+        with pytest.raises(ParameterDomainError, match="no integer lag lies in"):
+            lag_max_correlation(x, x, sample_rate_hz=rate)
+
     def test_columns_are_checked_as_an_estimator_pair(self):
         x = np.random.default_rng(0).standard_normal(100)
         bad = x.copy()
@@ -287,7 +294,7 @@ class TestRunEstimate:
         assert max(rep.levels) == 4
         assert rep.num_samples == 100_000
         assert rep.channel_names == gaussian4.names
-        assert len(rep.sci_descriptors) == 12  # one per ordered pair
+        assert rep.sci_descriptors == ()  # gaussian_logdet samples no surrogate
         assert rep.exclusions == ()
         assert sorted(rep.rbar) == [2, 3]
         assert sorted(rep.rtilde) == [2, 3, 4]
@@ -375,7 +382,9 @@ class TestRunEstimate:
 
     def test_estimator_calls_match_the_report(self, monkeypatch):
         # the identity a traced benchmark run rebuilds from the report: an
-        # engine that skips or adds estimator calls breaks it
+        # engine that skips or adds estimator calls breaks it.  Four bins
+        # put the noise channel's pairs below epsilon, so every exclusion
+        # costs its one target call
         import hoci.pipeline
         import hoci.sci
 
@@ -396,7 +405,7 @@ class TestRunEstimate:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
-        rep = run_estimate(m, seed=0, order=4)
+        rep = run_estimate(m, EstimatorConfig(method="binned", bins=4), seed=0, order=4)
         n = m.n_channels
         pairs = [{d.base_channel, d.partner_channel} for d in rep.sci_descriptors]
         expected = (
@@ -408,6 +417,145 @@ class TestRunEstimate:
         )
         assert len(rep.sci_descriptors) == 12 and len(rep.exclusions) == 8
         assert len(calls) == expected
+
+
+class TestGaussianLevelsFromCorrelations:
+    """Under gaussian_logdet r3 and r4 are read off the sample correlations:
+    no surrogate is sampled, and no estimator call is made past the pairs."""
+
+    @staticmethod
+    def _with_noise_channel():
+        spec = GaussianEnsembleSpec(1.0, 1.0, 0.3, n=4)
+        data = sample_ensemble(spec, 20_000, seed=6).data
+        noise = np.random.default_rng(7).standard_normal(20_000)
+        return ChannelMatrix(names=("a", "b", "c", "d", "e"), data=np.vstack([data, noise]))
+
+    @pytest.mark.parametrize("excluded", [0, 8])
+    def test_only_the_pairwise_estimator_calls(self, monkeypatch, gaussian4, excluded):
+        import hoci.pipeline
+        import hoci.sci
+
+        m = self._with_noise_channel() if excluded else gaussian4
+        calls = []
+        for module, name in (
+            (hoci.pipeline, "mi_estimate"),
+            (hoci.pipeline, "bidirectional_te_mi"),
+            (hoci.pipeline, "build_sci"),
+            (hoci.sci, "mi_estimate"),
+            (hoci.sci, "mi_estimate_full"),
+        ):
+            fn = getattr(module, name)
+
+            def counted(*args, _name=name, _fn=fn, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        rep = run_estimate(m, seed=0, order=4)
+        assert len(rep.exclusions) == excluded
+        assert rep.sci_descriptors == ()
+        assert calls == ["mi_estimate"] * math.comb(m.n_channels, 2)
+
+    def test_exclusions_are_those_of_tuning(self):
+        # the same pairs, codes and messages as a tuned run on the same targets
+        from hoci.errors import HociError
+        from hoci.sci import build_sci
+
+        m = self._with_noise_channel()
+        rep = run_estimate(m, seed=0, order=3)
+        want = []
+        for i, j in permutations(range(m.n_channels), 2):
+            try:
+                build_sci(m.data[i], m.data[j], seed=0)
+            except HociError as err:
+                want.append(((m.names[i], m.names[j]), err.code, str(err)))
+        assert [(e.pair, e.code, e.message) for e in rep.exclusions] == want
+        assert len(want) == 8
+
+    @pytest.mark.parametrize(
+        "perm", [(3, 0, 4, 2, 1), (4, 3, 2, 1, 0), (1, 0, 2, 3, 4), (2, 4, 1, 0, 3)]
+    )
+    def test_levels_do_not_depend_on_column_order(self, perm):
+        m = sample_ensemble(GaussianEnsembleSpec(1.0, 1.0, 0.3, n=5), 20_000, seed=9)
+        permuted = ChannelMatrix(tuple(m.names[p] for p in perm), m.data[list(perm)])
+        want = run_estimate(m, seed=0, order=4).levels
+        got = run_estimate(permuted, seed=0, order=4).levels
+        assert [got[lvl].bits for lvl in got] == [want[lvl].bits for lvl in want]
+        assert [set(got[lvl].channels) for lvl in got] == [set(want[lvl].channels) for lvl in want]
+
+    def test_population_matrix_gives_the_construction_limits(self):
+        # the exchangeable ensemble on the acceptance-1 grid: inter-channel
+        # correlation r = delta_rho / delta, so every candidate reads r^4 (r3)
+        # or r^6 (r4); r3's limit is r3_lower.  Near r = 1 both sides carry the
+        # rounding of 1 - r^4 (r3_lower through delta1), about eps / (1 - r^4)
+        # bits: 2.8e-11 bits at the grid's corner for r3_lower alone
+        from hoci.gaussian import delta_quantities
+        from hoci.pipeline import _correlation_levels
+
+        eps = float(np.finfo(np.float64).eps)
+        pairs = list(permutations(range(4), 2))
+        worst = 0.0
+        for sx2 in (0.1, 1.0, 10.0):
+            for sn2 in np.geomspace(1e-3, 1e3, 61):
+                for rho in np.linspace(-0.9, 0.99, 201):
+                    spec = GaussianEnsembleSpec(sx2, float(sn2), float(rho))
+                    d = delta_quantities(spec)
+                    r = d.delta_rho / d.delta
+                    rsq = np.full((4, 4), r * r)
+                    np.fill_diagonal(rsq, 1.0)
+                    best, mean3 = _correlation_levels(rsq, pairs, 4)
+                    assert best[3][0] == (0, 1, 2) and best[4][0] == (0, 1, 2, 3)
+                    r4_limit = -0.5 * math.log2(1.0 - r**6)
+                    err = max(
+                        abs(best[3][1] - r3_lower(spec)),
+                        abs(mean3 - r3_lower(spec)),
+                        abs(best[4][1] - r4_limit),
+                    )
+                    worst = max(worst, err / (1e-12 + 4.0 * eps / (1.0 - r**4)))
+        assert worst <= 1.0
+
+    @pytest.mark.parametrize("block", [None, 1, 7])
+    def test_minima_follow_the_sampled_scan_order(self, monkeypatch, block):
+        # a loop over the sampled scans' candidates, in their order, is the
+        # reference; a small block forces the r4 minimum across many blocks
+        import hoci.pipeline
+        from hoci.pipeline import _correlation_levels
+
+        if block is not None:
+            monkeypatch.setattr(hoci.pipeline, "_R4_BLOCK", block)
+        rng = np.random.default_rng(3)
+        n = 6
+        rsq = rng.uniform(0.05, 0.9, (n, n))
+        rsq = np.triu(rsq, 1) + np.triu(rsq, 1).T + np.eye(n)
+        pairs = [p for p in permutations(range(n), 2) if p not in {(0, 3), (4, 1), (5, 2)}]
+
+        def bits(p):
+            return math.log1p(-p) * (-0.5 / math.log(2.0))
+
+        r3 = [
+            ((i, j, k), bits(rsq[i, j] * rsq[j, k]))
+            for (i, j), k in product(pairs, range(n))
+            if k not in (i, j)
+        ]
+        r4 = [
+            ((i, j, k, m), bits(rsq[j, m] * (rsq[i, j] * rsq[k, m])))
+            for (i, j), (k, m) in combinations(pairs, 2)
+            if not {i, j} & {k, m}
+        ]
+        best, mean3 = _correlation_levels(rsq, pairs, 4)
+        for lvl, candidates in ((3, r3), (4, r4)):
+            idx, value = min(candidates, key=lambda c: c[1])
+            assert best[lvl][0] == idx
+            assert best[lvl][1] == pytest.approx(value, abs=1e-15)
+        assert mean3 == pytest.approx(math.fsum(v for _, v in r3) / len(r3), abs=1e-15)
+
+    def test_no_surrogate_and_no_disjoint_pair(self):
+        from hoci.pipeline import _correlation_levels
+
+        rsq = np.full((4, 4), 0.25)
+        assert _correlation_levels(rsq, [], 4) == ({3: None, 4: None}, 0.0)
+        best, _ = _correlation_levels(rsq, [(0, 1), (1, 0), (2, 1)], 4)
+        assert best[3] is not None and best[4] is None
 
 
 class TestAgainstClosedFormsAcrossParameters:
@@ -516,13 +664,15 @@ class TestLargeFiniteChannels:
         assert got.channels == want.channels
         assert got.bits == pytest.approx(want.bits, abs=1e-12)
 
-    def test_order_3_names_the_pair_whose_carrier_variance_overflows(self, huge4):
-        # a surrogate descriptor reports its noise variance in the caller's units
-        with pytest.raises(
-            DegenerateInputError,
-            match=r"channel pair \(x1, x2\): carrier variance inf is not a normal float64",
-        ):
-            run_estimate(huge4, order=3)
+    def test_order_3_keeps_the_unit_scale_levels(self, unit4, huge4):
+        # gaussian_logdet reads r3 off the correlations, which a scale moves
+        # only in the last digits; it tunes no surrogate in the caller's units
+        want = run_estimate(unit4, order=3)
+        got = run_estimate(huge4, order=3)
+        assert got.sci_descriptors == ()
+        for lvl in (2, 3):
+            assert got.levels[lvl].channels == want.levels[lvl].channels
+            assert got.levels[lvl].bits == pytest.approx(want.levels[lvl].bits, abs=1e-12)
 
     def test_standardized_accepts_huge_channels(self, unit4, huge4):
         np.testing.assert_allclose(
@@ -717,7 +867,17 @@ class TestSurrogateTuningAtExtremeScales:
         )
 
     @pytest.mark.parametrize("scale", [1e-160, 1e-200])
-    @pytest.mark.parametrize("method", ["gaussian_logdet", "binned", "knn"])
+    def test_gaussian_keeps_the_unit_scale_levels(self, scale):
+        # no surrogate is tuned under gaussian_logdet, so no carrier variance is taken
+        want = run_estimate(self._scaled(1.0), order=4, seed=1)
+        got = run_estimate(self._scaled(scale), order=4, seed=1)
+        assert got.sci_descriptors == ()
+        for lvl in (2, 3, 4):
+            assert got.levels[lvl].channels == want.levels[lvl].channels
+            assert got.levels[lvl].bits == pytest.approx(want.levels[lvl].bits, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-200])
+    @pytest.mark.parametrize("method", ["binned", "knn"])
     def test_subnormal_carrier_variance_names_the_pair(self, method, scale):
         with pytest.raises(
             DegenerateInputError,

@@ -92,7 +92,8 @@ def delta_quantities(spec: GaussianEnsembleSpec) -> DeltaQuantities:
     return DeltaQuantities(
         delta=d,
         delta_rho=dr,
-        delta1=d * d - dr * dr,
+        # (delta - delta_rho)(delta + delta_rho): no cancellation as rho nears 1
+        delta1=((1.0 - spec.rho) * spec.sigma_n2) * (d + dr),
         delta2=d * d + dr * dr,
     )
 

@@ -148,6 +148,25 @@ class TestDeterminantOracle:
         assert cond_mi_xi_xj_given_xk(spec) == pytest.approx(expect, rel=1e-10)
 
 
+class TestNearUnitCorrelation:
+    """r3_lower against 60-digit arithmetic where delta and delta_rho nearly
+    coincide: delta^2 - delta_rho^2 taken in float64 loses about
+    log10(delta^2 / delta1) digits (2.8e-11 bits at rho = 0.99 below)."""
+
+    @staticmethod
+    def _r3_exact(sx2, sn2, rho):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            sx2, sn2, rho = (mpmath.mpf(v) for v in (sx2, sn2, rho))
+            d, dr = sx2 + sn2, sx2 + rho * sn2
+            return float(0.5 * mpmath.log(d**4 / ((d * d - dr * dr) * (d * d + dr * dr)), 2))
+
+    @pytest.mark.parametrize("rho", [0.99, *np.linspace(0.9, 0.999, 45).tolist()])
+    def test_r3_lower_within_8_ulps(self, rho):
+        want = self._r3_exact(10.0, 1e-3, rho)
+        assert abs(r3_lower(GaussianEnsembleSpec(10.0, 1e-3, rho)) - want) <= 8 * math.ulp(want)
+
+
 class TestDomainHandling:
     def test_parameter_validation(self):
         with pytest.raises(ParameterDomainError):

@@ -14,8 +14,9 @@ divergent values are written as ``"inf"`` in CSV and as ``{"divergent":
 true}`` objects in JSON; every output embeds the resolved configuration and
 seed, and contains no timestamps, so identical runs produce byte-identical
 files.  Errors exit nonzero with a machine-readable ``{"error": code,
-"message": ...}`` line on stderr.  The run seed falls back to the
-``HOCI_SEED`` environment variable, then to 0.
+"message": ...}`` line on stderr.  A run is set by its command line and
+its input alone: the seed is ``--seed`` (default 0), and every file is read
+and written as UTF-8 whatever the locale.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ import codecs
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, replace
 from functools import partial
@@ -33,7 +33,7 @@ from itertools import chain
 import numpy as np
 
 from . import __version__
-from .channels import ChannelMatrix, check_names, check_seed
+from .channels import ChannelMatrix, check_names
 from .discrete import ENUMERATION_CAP, verify_theorem5
 from .errors import (
     CapacityError,
@@ -155,13 +155,17 @@ def _bad_cell(num: int, line: str, names, width: int, transpose: bool) -> str | 
 def _raise_bad_input(path: str, transpose: bool) -> None:
     """Read the file again and raise what failed its parse: a bad channel
     name first, then the first ragged row or bad cell in file order.  The
-    file is read to its end, so an undecodable byte anywhere still raises."""
+    file is read to its end, so an undecodable byte anywhere still raises.
+    A file that reads empty the second time, as a pipe does, raises nothing."""
     names, width, found = [], None, None
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         lines = enumerate((line.rstrip("\n") for line in fh), 1)
         rows = ((num, line) for num, line in lines if not _skipped(line))
         if not transpose:
-            names = _header_names(next(rows)[1])
+            header = next(rows, None)
+            if header is None:
+                return
+            names = _header_names(header[1])
             width = len(names)
         for num, line in rows:
             if transpose:
@@ -267,7 +271,7 @@ def ingest_csv(path: str, transpose: bool = False) -> ChannelMatrix:
     """
     try:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 # a pipe cannot be read again: its body is filtered in its one pass
                 names, data = _parse(fh, transpose, raw=not transpose and fh.seekable())
         except UnicodeDecodeError:  # a ValueError, but not the body's
@@ -318,7 +322,7 @@ def _write_json(doc: dict, path: str) -> None:
     """Write ``doc`` as JSON after the tool and version stamp."""
     doc = {"tool": "hoci", "version": __version__, **doc}
     text = json.dumps(_jsonable(doc), indent=2, allow_nan=False) + "\n"
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
@@ -326,7 +330,7 @@ def _write_csv(path: str, meta: dict, header: str, rows) -> None:
     """Write a CSV table: the tool and version stamp, one ``# key: value``
     line per ``meta`` entry, ``header``, then ``rows`` (each a line of text)."""
     lines = [f"# tool: hoci {__version__}", *(f"# {k}: {v}" for k, v in meta.items()), header]
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f"{line}\n" for line in chain(lines, rows))
 
 
@@ -460,29 +464,10 @@ def parse_grid(text: str) -> np.ndarray:
     return np.array(values)
 
 
-def resolve_seed(explicit: int | None) -> int:
-    """--seed flag, else HOCI_SEED environment variable, else 0."""
-    seed = explicit
-    if seed is None:
-        raw = os.environ.get("HOCI_SEED", "0")
-        try:
-            seed = int(raw)
-        except ValueError:
-            raise ConfigurationError(f"HOCI_SEED={raw!r} is not an integer") from None
-    return check_seed(seed)
-
-
-def _estimator_from_args(args) -> EstimatorConfig:
+def _estimator_from_args(args, **fields) -> EstimatorConfig:
     return EstimatorConfig(
-        method=_ESTIMATOR_NAMES[args.estimator],
-        k=args.k,
-        bins=args.bins,
-        ts_lag=args.ts_lag,
+        method=_ESTIMATOR_NAMES[args.estimator], k=args.k, bins=args.bins, **fields
     )
-
-
-def _bisection_from_args(args) -> BisectionConfig:
-    return BisectionConfig(epsilon=args.epsilon, max_iterations=args.max_iters)
 
 
 def _parse_pair(matrix: ChannelMatrix, text: str) -> tuple[int, int]:
@@ -537,12 +522,11 @@ def _cmd_discrete(args) -> int:
 
 def _cmd_estimate(args) -> int:
     matrix = ingest_csv(args.input, transpose=args.transpose)
-    seed = resolve_seed(args.seed)
     report = run_estimate(
         matrix,
-        _estimator_from_args(args),
-        _bisection_from_args(args),
-        seed,
+        _estimator_from_args(args, ts_lag=args.ts_lag),
+        BisectionConfig(),
+        args.seed,
         order=args.order,
         time_series=args.time_series,
     )
@@ -555,13 +539,11 @@ def _cmd_estimate(args) -> int:
 def _cmd_sci(args) -> int:
     matrix = ingest_csv(args.input, transpose=args.transpose)
     i, j = _parse_pair(matrix, args.pair)
-    seed = resolve_seed(args.seed)
-    cfg = _estimator_from_args(args)
-    bis = _bisection_from_args(args)
-    desc, t = _pair_sci(matrix.data, i, j, cfg, bis, seed)
+    cfg, bis = _estimator_from_args(args), BisectionConfig()
+    desc, t = _pair_sci(matrix.data, i, j, cfg, bis, args.seed)
     verification = verify_sci(t, matrix, i, j, cfg)
     doc = {
-        "seed": seed,
+        "seed": args.seed,
         "config": {
             "pair": [matrix.names[i], matrix.names[j]],
             "estimator": asdict(cfg),
@@ -658,13 +640,9 @@ def _add_estimator_flags(sub) -> None:
         default="gaussian",
         help="MI estimator",
     )
-    e, b = EstimatorConfig(), BisectionConfig()  # whose defaults the flags take
-    sub.add_argument("--k", type=int, default=e.k, help="neighbor count (knn)")
-    sub.add_argument("--bins", type=int, default=e.bins, help="bins per axis (binned)")
-    sub.add_argument("--ts-lag", type=int, default=e.ts_lag, help="time-series embedding lag, samples")
-    sub.add_argument("--epsilon", type=float, default=b.epsilon, help="tuning residual target, bits")
-    sub.add_argument("--max-iters", type=int, default=b.max_iterations, help="tuning iteration budget")
-    sub.add_argument("--seed", type=int, default=None, help="run seed (default: $HOCI_SEED, else 0)")
+    sub.add_argument("--k", type=int, default=EstimatorConfig.k, help="neighbor count (knn)")
+    sub.add_argument("--bins", type=int, default=EstimatorConfig.bins, help="bins per axis (binned)")
+    sub.add_argument("--seed", type=int, default=0, help="run seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -707,6 +685,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--time-series",
         action="store_true",
         help="use the bidirectional lag-embedded estimator for pairwise terms",
+    )
+    e.add_argument(
+        "--ts-lag", type=int, default=EstimatorConfig.ts_lag, help="time-series embedding lag, samples"
     )
     e.set_defaults(func=_cmd_estimate)
 

@@ -65,21 +65,6 @@ from .sci import (
     chain_slack_bits,
 )
 
-__all__ = [
-    "ChannelMatrix",
-    "CommonInfoReport",
-    "LagCorrelation",
-    "LevelEstimate",
-    "SUPPORTED_ORDERS",
-    "SciExclusion",
-    "approx_rtilde",
-    "chain_slack_bits",
-    "derive_sci_seed",
-    "lag_max_correlation",
-    "lag_max_correlation_samples",
-    "run_estimate",
-]
-
 _ALL_NCI_REASON = "no channel pair shares information above the tuning resolution"
 # what each level's minimum is, as named in a failed run's error
 _LEVEL_WHAT = {2: "the pairwise minimum", 3: "the third-order bound", 4: "the fourth-order bound"}

@@ -1,5 +1,5 @@
-"""Command line layer: CSV ingestion, grid parsing, seed resolution, the
-five subcommands, report serialization, and error reporting."""
+"""Command line layer: CSV ingestion, grid parsing, the five subcommands,
+report serialization, and error reporting."""
 
 import csv
 import filecmp
@@ -43,7 +43,6 @@ from hoci.cli import (
     ingest_csv,
     main,
     parse_grid,
-    resolve_seed,
 )
 from hoci.discrete import ENUMERATION_CAP
 
@@ -553,6 +552,32 @@ class TestLoadtxtParse:
             os.close(read_end)
         assert np.array_equal(got.data, ingest_csv(path).data)
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_pipe_with_a_bad_last_cell(self, tmp_path, capsys, transpose):
+        # the pipe reads empty the second time, so the error is the parse's own
+        cells = _cells(2, 100, seed=11)
+        cells[1][-1] = "x"
+        path = _write_channels(tmp_path / "f.csv", ("a", "b"), cells, transpose)
+        text = (tmp_path / "f.csv").read_bytes()
+        out = tmp_path / "o.json"
+        read_end, write_end = os.pipe()
+        try:
+            assert os.write(write_end, text) == len(text)  # within the pipe's buffer
+            os.close(write_end)
+            flags = ["--transpose"] if transpose else []
+            rc = main(["estimate", "--input", f"/dev/fd/{read_end}", *flags, "--out", str(out)])
+        finally:
+            os.close(read_end)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "ingestion"
+        assert not out.exists()
+        # the file itself is read again, and its bad cell named
+        assert main(["estimate", "--input", path, *flags, "--out", str(out)]) == 1
+        assert "non-numeric cell 'x'" in json.loads(capsys.readouterr().err)["message"]
+
     def test_memory_is_a_small_multiple_of_the_matrix(self, tmp_path):
         # a few megabytes of CSV; numpy reports its buffers to tracemalloc
         cells = _cells(8, 40_000, seed=6)
@@ -615,28 +640,6 @@ class TestParseGrid:
         for num in (ENUMERATION_CAP + 1, 10**11):
             with pytest.raises(CapacityError, match=f"{num} points exceed cap"):
                 parse_grid(f"0:1:{num}")
-
-
-class TestResolveSeed:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("HOCI_SEED", "7")
-        assert resolve_seed(3) == 3
-
-    def test_environment_fallback(self, monkeypatch):
-        monkeypatch.setenv("HOCI_SEED", "7")
-        assert resolve_seed(None) == 7
-
-    def test_default_zero(self, monkeypatch):
-        monkeypatch.delenv("HOCI_SEED", raising=False)
-        assert resolve_seed(None) == 0
-
-    def test_invalid_values(self, monkeypatch):
-        monkeypatch.setenv("HOCI_SEED", "many")
-        with pytest.raises(ConfigurationError):
-            resolve_seed(None)
-        monkeypatch.delenv("HOCI_SEED", raising=False)
-        with pytest.raises(ConfigurationError):
-            resolve_seed(-1)
 
 
 class TestGaussianCommand:
@@ -832,13 +835,20 @@ class TestEstimateCommand:
         assert main(args + [str(b)]) == 0
         assert filecmp.cmp(a, b, shallow=False)
 
-    def test_env_seed_matches_flag(self, ensemble_csv, tmp_path, monkeypatch):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        monkeypatch.delenv("HOCI_SEED", raising=False)
-        assert main(["estimate", "--input", ensemble_csv, "--seed", "9", "--out", str(a)]) == 0
-        monkeypatch.setenv("HOCI_SEED", "9")
-        assert main(["estimate", "--input", ensemble_csv, "--out", str(b)]) == 0
-        assert filecmp.cmp(a, b, shallow=False)
+    def test_seed_is_the_flag_alone(self, ensemble_csv, tmp_path, monkeypatch, capsys):
+        # the environment is not read: the seed is 0 unless --seed says otherwise
+        monkeypatch.setenv("HOCI_SEED", "7")
+        out = tmp_path / "rep.json"
+        assert main(["estimate", "--input", ensemble_csv, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["seed"] == 0
+        out.unlink()
+        capsys.readouterr()
+        args = ["estimate", "--input", ensemble_csv, "--seed", "-1", "--out", str(out)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "configuration"
+        assert not out.exists()
 
     def test_order_two(self, independent_csv, tmp_path):
         out = tmp_path / "o2.json"
@@ -1227,8 +1237,25 @@ class TestHelpText:
             assert "base alphabet size (default: len(--pmf), else 2) --pmf" in text
             assert "number of variables (default: 4)" in text
         else:
-            assert "run seed (default: $HOCI_SEED, else 0) --order" in text
+            assert "run seed (default: 0) --order" in text
             assert "neighbor count (knn) (default: 4)" in text
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--epsilon", "0.01"],
+            ["estimate", "--max-iters", "5"],
+            ["sci", "--pair", "x1,x2", "--ts-lag", "4"],
+        ],
+        ids=["estimate-epsilon", "estimate-max-iters", "sci-ts-lag"],
+    )
+    def test_settings_no_caller_varies_are_not_flags(self, ensemble_csv, tmp_path, capsys, argv):
+        out = tmp_path / "o.json"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--input", ensemble_csv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+        assert not out.exists()
 
 class TestModuleEntryPoint:
     def test_python_dash_m_invocation(self, tmp_path):
@@ -1247,3 +1274,32 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+    def test_outputs_do_not_depend_on_the_locale(self, tmp_path):
+        # a channel name outside ASCII reads and writes as UTF-8 under the C locale too
+        data = np.random.default_rng(12).standard_normal((300, 3))
+        lines = ["a,µV,c", *(",".join(map(repr, row)) for row in data.tolist())]
+        path = tmp_path / "mu.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        locales = {
+            "utf8": (["-X", "utf8=1"], {}),
+            "c": (["-X", "utf8=0"], {"PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "LANG": "C"}),
+        }
+        outputs = {}
+        for tag, (flags, env) in locales.items():
+            runs = {
+                "json": ["estimate", "--order", "3"],
+                "csv": ["lagscan", "--ref-channel", "a", "--lag-min-samples", "0", "--lag-max-samples", "5"],
+            }
+            for ext, argv in runs.items():
+                out = tmp_path / f"{tag}.{ext}"
+                proc = subprocess.run(
+                    [sys.executable, *flags, "-m", "hoci", *argv, "--input", str(path), "--out", str(out)],
+                    capture_output=True,
+                    env={**os.environ, **env},
+                )
+                assert proc.returncode == 0, proc.stderr
+                outputs[tag, ext] = out.read_bytes()
+        assert "µV".encode() in outputs["utf8", "csv"]
+        for ext in ("json", "csv"):
+            assert outputs["c", ext] == outputs["utf8", ext]

@@ -6,12 +6,11 @@ from pathlib import Path
 import pytest
 
 import hoci
-import hoci.pipeline
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("module", [hoci, hoci.pipeline], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", [hoci], ids=lambda m: m.__name__)
 def test_all_names_resolve(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
 

@@ -9,8 +9,11 @@ Subcommands:
 * ``lagscan`` — per-channel lag-scanned correlation against a reference.
 
 Conventions: channel CSVs are rows=time with a header of channel names
-(``--transpose`` accepts channels-as-rows with the name in the first cell);
-divergent values are written as ``"inf"`` in CSV and as ``{"divergent":
+(``--transpose`` accepts channels-as-rows with the name in the first cell),
+and a leading byte-order mark is not part of the first name.  A channel on
+the command line (``--pair``, ``--ref-channel``) is its name, never an
+index.  ``lagscan`` takes its window in milliseconds at ``--sample-rate-hz``.
+Divergent values are written as ``"inf"`` in CSV and as ``{"divergent":
 true}`` objects in JSON; every output embeds the resolved configuration and
 seed, and contains no timestamps, so identical runs produce byte-identical
 files.  Errors exit nonzero with a machine-readable ``{"error": code,
@@ -25,6 +28,7 @@ import codecs
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, replace
 from functools import partial
@@ -88,6 +92,8 @@ def _parses(cell: str) -> bool:
 
 # bytes read per block while a decode failure is located
 _BLOCK_CHARS = 1 << 20
+# how an input CSV is decoded: UTF-8, less a leading byte-order mark
+_INPUT_ENCODING = "utf-8-sig"
 
 
 def _skipped(line: str) -> bool:
@@ -158,7 +164,7 @@ def _raise_bad_input(path: str, transpose: bool) -> None:
     file is read to its end, so an undecodable byte anywhere still raises.
     A file that reads empty the second time, as a pipe does, raises nothing."""
     names, width, found = [], None, None
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding=_INPUT_ENCODING) as fh:
         lines = enumerate((line.rstrip("\n") for line in fh), 1)
         rows = ((num, line) for num, line in lines if not _skipped(line))
         if not transpose:
@@ -271,7 +277,7 @@ def ingest_csv(path: str, transpose: bool = False) -> ChannelMatrix:
     """
     try:
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding=_INPUT_ENCODING) as fh:
                 # a pipe cannot be read again: its body is filtered in its one pass
                 names, data = _parse(fh, transpose, raw=not transpose and fh.seekable())
         except UnicodeDecodeError:  # a ValueError, but not the body's
@@ -470,18 +476,21 @@ def _estimator_from_args(args, **fields) -> EstimatorConfig:
     )
 
 
+def _channel(matrix: ChannelMatrix, token: str) -> int:
+    """The index of the channel a command-line token names.  The token is
+    read as UTF-8, whatever the locale decoded the argument as."""
+    try:
+        token = os.fsencode(token).decode("utf-8", "surrogateescape")
+    except UnicodeEncodeError:  # text no argument decodes to, as main() may be passed
+        pass
+    return matrix.index_of(token)
+
+
 def _parse_pair(matrix: ChannelMatrix, text: str) -> tuple[int, int]:
-    parts = [p.strip() for p in text.split(",")]
+    parts = text.split(",")
     if len(parts) != 2:
-        raise ConfigurationError(f"--pair wants 'i,j' (names or indices), got {text!r}")
-    resolved = []
-    for p in parts:
-        try:
-            key: int | str = int(p)
-        except ValueError:
-            key = p
-        resolved.append(matrix.index_of(key))
-    i, j = resolved
+        raise ConfigurationError(f"--pair wants 'name,name', got {text!r}")
+    i, j = (_channel(matrix, p.strip()) for p in parts)
     if i == j:
         raise ConfigurationError(f"--pair needs two distinct channels, got {text!r}")
     return i, j
@@ -572,36 +581,20 @@ def _cmd_sci(args) -> int:
 
 def _cmd_lagscan(args) -> int:
     matrix = ingest_csv(args.input, transpose=args.transpose)
-    ref = matrix.index_of(args.ref_channel)
+    ref = _channel(matrix, args.ref_channel)
     rate = args.sample_rate_hz
-    if rate is not None and not 0 < rate < math.inf:
-        raise ConfigurationError(f"--sample-rate-hz must be positive and finite, got {rate}")
-    if args.lag_min_samples is not None or args.lag_max_samples is not None:
-        if args.lag_min_samples is None or args.lag_max_samples is None:
-            raise ConfigurationError(
-                "--lag-min-samples and --lag-max-samples must be given together"
-            )
-        lag_min, lag_max = args.lag_min_samples, args.lag_max_samples
-    else:
-        if rate is None:
-            raise ConfigurationError(
-                "lag bounds in milliseconds need --sample-rate-hz "
-                "(or use --lag-min-samples/--lag-max-samples)"
-            )
-        lag_min, lag_max = _lag_range_samples(
-            args.lag_min_ms / 1000.0, args.lag_max_ms / 1000.0, rate
-        )
+    lag_min, lag_max = _lag_range_samples(args.lag_min_ms / 1000.0, args.lag_max_ms / 1000.0, rate)
     meta = {
         "ref_channel": matrix.names[ref],
         "lag_range_samples": f"{lag_min},{lag_max}",
-        "sample_rate_hz": _csv_num(rate) if rate is not None else "none",
+        "sample_rate_hz": _csv_num(rate),
     }
     rows = []
     for g in range(matrix.n_channels):
         if g == ref:
             continue
         res = lag_max_correlation_samples(matrix.data[ref], matrix.data[g], lag_min, lag_max)
-        lag_ms = res.lag_samples / rate * 1000.0 if rate is not None else math.nan
+        lag_ms = res.lag_samples / rate * 1000.0
         rows.append(
             f"{matrix.names[g]},{res.lag_samples},{_csv_num(lag_ms)},{_csv_num(res.abs_corr)}"
         )
@@ -694,17 +687,15 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("sci", help="tune + verify one noise-injection variable")
     _add_io_flags(s)
     _add_estimator_flags(s)
-    s.add_argument("--pair", required=True, help="channel pair 'i,j' (names or indices)")
+    s.add_argument("--pair", required=True, help="channel pair 'name,name'")
     s.set_defaults(func=_cmd_sci)
 
     l = subs.add_parser("lagscan", help="max |correlation| over a lag range, per channel")
     _add_io_flags(l)
-    l.add_argument("--ref-channel", required=True, help="reference channel (name or index)")
+    l.add_argument("--ref-channel", required=True, help="reference channel name")
     l.add_argument("--lag-min-ms", type=float, default=190.0, help="smallest lag, ms")
     l.add_argument("--lag-max-ms", type=float, default=300.0, help="largest lag, ms")
-    l.add_argument("--sample-rate-hz", type=float, default=None, help="sample rate for ms lags")
-    l.add_argument("--lag-min-samples", type=int, default=None, help="smallest lag, samples")
-    l.add_argument("--lag-max-samples", type=int, default=None, help="largest lag, samples")
+    l.add_argument("--sample-rate-hz", type=float, default=None, help="sample rate, Hz (no default)")
     l.set_defaults(func=_cmd_lagscan)
 
     return parser

@@ -828,6 +828,28 @@ class TestEstimateCommand:
         assert doc["sci"] == []  # gaussian r3 is read off the correlations
         assert doc["exclusions"] == []
 
+    @pytest.mark.parametrize("layout", ["rows", "transposed", "comment first"])
+    def test_byte_order_mark_is_not_part_of_a_name(self, ensemble_csv, tmp_path, layout):
+        # a spreadsheet's "CSV UTF-8" export opens the file with U+FEFF
+        data = ingest_csv(ensemble_csv).data
+        names = ("a", "b", "c")
+        if layout == "transposed":
+            lines = [k + "," + ",".join(map(repr, row)) for k, row in zip(names, data.tolist())]
+        else:
+            lines = [",".join(names), *(",".join(map(repr, s)) for s in data.T.tolist())]
+            if layout == "comment first":
+                lines.insert(0, "# a comment line")
+        text = "\n".join(lines) + "\n"
+        outputs = []
+        for tag, prefix in (("plain", ""), ("bom", "\ufeff")):
+            path, out = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.json"
+            path.write_text(prefix + text, encoding="utf-8")
+            flags = ["--transpose"] if layout == "transposed" else []
+            assert main(["estimate", *flags, "--input", str(path), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert json.loads(outputs[1])["channels"] == list(names)
+        assert outputs[1] == outputs[0]
+
     def test_byte_identical_reruns(self, ensemble_csv, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["estimate", "--input", ensemble_csv, "--seed", "4", "--out"]
@@ -972,10 +994,16 @@ class TestSciCommand:
         assert json.loads(out.read_text())["descriptor"] == asdict(desc)
         assert run_estimate(matrix, seed=2, order=3).sci_descriptors == ()
 
-    def test_numeric_pair(self, ensemble_csv, tmp_path):
-        out = tmp_path / "sci.json"
-        assert main(["sci", "--input", ensemble_csv, "--pair", "0,2", "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["config"]["pair"] == ["x1", "x3"]
+    def test_a_numeric_token_is_a_name_in_both_commands(self, ensemble_csv, tmp_path):
+        path = write_csv(tmp_path / "digits.csv", ("2", "1", "0"), ingest_csv(ensemble_csv).data)
+        sci, scan = tmp_path / "sci.json", tmp_path / "scan.csv"
+        assert main(["sci", "--input", path, "--pair", "0,1", "--out", str(sci)]) == 0
+        assert json.loads(sci.read_text())["config"]["pair"] == ["0", "1"]
+        window = ["--sample-rate-hz", "1000", "--lag-min-ms", "0", "--lag-max-ms", "5"]
+        assert main(["lagscan", "--input", path, "--ref-channel", "0", *window, "--out", str(scan)]) == 0
+        lines = scan.read_text().splitlines()
+        assert "# ref_channel: 0" in lines
+        assert [line.split(",")[0] for line in lines[-2:]] == ["2", "1"]
 
     def test_no_shared_information_fails_cleanly(self, independent_csv, tmp_path, capsys):
         out = tmp_path / "sci.json"
@@ -1039,42 +1067,10 @@ class TestLagscanCommand:
         assert float(rows["resp"][3]) > 0.9
         assert float(rows["noise"][3]) < 0.1
 
-    def test_sample_window_without_rate(self, lag_csv, tmp_path):
-        out = tmp_path / "scan.csv"
-        rc = main(
-            [
-                "lagscan",
-                "--input", lag_csv,
-                "--ref-channel", "stim",
-                "--lag-min-samples", "19",
-                "--lag-max-samples", "30",
-                "--out", str(out),
-            ]
-        )
-        assert rc == 0
-        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
-        rows = {l.split(",")[0]: l.split(",") for l in lines[1:]}
-        assert rows["resp"][1] == "25"
-        assert rows["resp"][2] == "nan"  # no rate, no millisecond conversion
-
     def test_ms_window_requires_rate(self, lag_csv, tmp_path, capsys):
         out = tmp_path / "scan.csv"
         rc = main(
             ["lagscan", "--input", lag_csv, "--ref-channel", "stim", "--out", str(out)]
-        )
-        assert rc == 1
-        assert stderr_code(capsys) == "configuration"
-
-    def test_one_sided_sample_window_rejected(self, lag_csv, tmp_path, capsys):
-        out = tmp_path / "scan.csv"
-        rc = main(
-            [
-                "lagscan",
-                "--input", lag_csv,
-                "--ref-channel", "stim",
-                "--lag-min-samples", "19",
-                "--out", str(out),
-            ]
         )
         assert rc == 1
         assert stderr_code(capsys) == "configuration"
@@ -1087,8 +1083,8 @@ class TestLagscanCommand:
                 "lagscan",
                 "--input", lag_csv,
                 "--ref-channel", "stim",
-                "--lag-min-samples", "19",
-                "--lag-max-samples", "30",
+                "--lag-min-ms", "19",
+                "--lag-max-ms", "30",
                 "--sample-rate-hz", rate,
                 "--out", str(out),
             ]
@@ -1197,9 +1193,11 @@ class TestErrorReporting:
             (["discrete", "--alphabet", "1"], "parameter_domain"),
             (["gaussian", "--rho-grid", "nan"], "parameter_domain"),
             (["sci", "--pair", "0,0"], "configuration"),
+            # a channel is its name: x1,x2,x3 has no channel "0"
+            (["sci", "--pair", "0,2"], "configuration"),
         ],
         ids=["lagscan-overflow", "estimate-negative-seed", "discrete-alphabet-1",
-             "gaussian-nan-rho", "sci-self-pair"],
+             "gaussian-nan-rho", "sci-self-pair", "sci-index-pair"],
     )
     def test_each_subcommand_fails_with_one_json_line(
         self, ensemble_csv, tmp_path, capsys, argv, code
@@ -1246,8 +1244,11 @@ class TestHelpText:
             ["estimate", "--epsilon", "0.01"],
             ["estimate", "--max-iters", "5"],
             ["sci", "--pair", "x1,x2", "--ts-lag", "4"],
+            ["lagscan", "--ref-channel", "x1", "--lag-min-samples", "0"],
+            ["lagscan", "--ref-channel", "x1", "--lag-max-samples", "5"],
         ],
-        ids=["estimate-epsilon", "estimate-max-iters", "sci-ts-lag"],
+        ids=["estimate-epsilon", "estimate-max-iters", "sci-ts-lag", "lagscan-lag-min-samples",
+             "lagscan-lag-max-samples"],
     )
     def test_settings_no_caller_varies_are_not_flags(self, ensemble_csv, tmp_path, capsys, argv):
         out = tmp_path / "o.json"
@@ -1289,7 +1290,7 @@ class TestModuleEntryPoint:
         for tag, (flags, env) in locales.items():
             runs = {
                 "json": ["estimate", "--order", "3"],
-                "csv": ["lagscan", "--ref-channel", "a", "--lag-min-samples", "0", "--lag-max-samples", "5"],
+                "csv": ["lagscan", "--ref-channel", "a", "--sample-rate-hz", "1000", "--lag-min-ms", "0", "--lag-max-ms", "5"],
             }
             for ext, argv in runs.items():
                 out = tmp_path / f"{tag}.{ext}"
@@ -1303,3 +1304,39 @@ class TestModuleEntryPoint:
         assert "µV".encode() in outputs["utf8", "csv"]
         for ext in ("json", "csv"):
             assert outputs["c", ext] == outputs["utf8", ext]
+
+    def test_channel_tokens_do_not_depend_on_the_locale(self, tmp_path):
+        # Python decodes argv with the locale's codec; a token is read back as UTF-8
+        g = np.random.default_rng(13)
+        data = g.standard_normal((300, 3)) + g.standard_normal((300, 1))  # a shared source
+        lines = ["a,µV,c", *(",".join(map(repr, row)) for row in data.tolist())]
+        path = tmp_path / "mu.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        locales = {
+            "utf8": (["-X", "utf8=1"], {}),
+            "c": (["-X", "utf8=0"], {"PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "LANG": "C"}),
+        }
+        runs = {
+            "csv": ["lagscan", "--ref-channel", "µV", "--sample-rate-hz", "1000", "--lag-min-ms", "0", "--lag-max-ms", "5"],
+            "json": ["sci", "--pair", "a,µV"],
+        }
+        # main() called from Python under the C locale, with text no argument decodes to
+        in_process = "import json, sys; from hoci.cli import main; sys.exit(main(json.load(open(sys.argv[1]))))"
+        outputs = {}
+        for tag, (flags, env) in {**locales, "c-main": locales["c"]}.items():
+            for ext, argv in runs.items():
+                out = tmp_path / f"{tag}.{ext}"
+                argv = [*argv, "--input", str(path), "--out", str(out)]
+                if tag == "c-main":
+                    (tmp_path / "argv.json").write_text(json.dumps(argv))
+                    command = ["-c", in_process, str(tmp_path / "argv.json")]
+                else:
+                    command = ["-m", "hoci", *argv]
+                proc = subprocess.run(
+                    [sys.executable, *flags, *command], capture_output=True, env={**os.environ, **env}
+                )
+                assert proc.returncode == 0, proc.stderr
+                outputs[tag, ext] = out.read_bytes()
+        assert "# ref_channel: µV".encode() in outputs["utf8", "csv"]
+        for ext in runs:
+            assert outputs["c", ext] == outputs["c-main", ext] == outputs["utf8", ext]

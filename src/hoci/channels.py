@@ -17,12 +17,33 @@ from .errors import ConfigurationError, DegenerateInputError
 MIN_SAMPLES = 32
 # below this spread, squared deviations can lose digits as subnormals
 UNDERFLOW_SPREAD = 2.0**-400
+# samples per block when the extremes of sample-major data are reduced
+_EXTREMES_BLOCK = 256
 
 
 def unit_scaled(a: np.ndarray) -> np.ndarray:
     """``a`` (per row) times the power of two putting max|a| in [0.5, 1); a flat row becomes 0."""
     flat = a.min(axis=-1, keepdims=True) == a.max(axis=-1, keepdims=True)
     return np.where(flat, 0.0, np.ldexp(a, -np.frexp(np.abs(a).max(axis=-1, keepdims=True))[1]))
+
+
+def _extremes(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's min and max.  Rows stored apart are reduced one by one; in
+    sample-major storage, whole blocks of ``_EXTREMES_BLOCK`` samples are
+    reduced first (every channel of a block side by side, in one long inner
+    loop), then each channel over the partial extremes and the samples left
+    over.  Min and max are exact in any order, so no bit depends on it."""
+    if data.flags.c_contiguous or data.shape[1] < _EXTREMES_BLOCK:
+        return data.min(axis=1), data.max(axis=1)
+    samples = data.T
+    whole = samples.shape[0] - samples.shape[0] % _EXTREMES_BLOCK
+    blocks = samples[:whole].reshape(-1, _EXTREMES_BLOCK * samples.shape[1])
+
+    def reduced(ufunc):
+        partial = ufunc.reduce(blocks, axis=0).reshape(_EXTREMES_BLOCK, -1)
+        return ufunc.reduce(np.concatenate([partial, samples[whole:]]), axis=0)
+
+    return reduced(np.minimum), reduced(np.maximum)
 
 
 def check_seed(seed) -> int:
@@ -104,9 +125,12 @@ class ChannelMatrix:
     def standardized(self) -> "ChannelMatrix":
         """Return a copy with zero-mean, unit-variance, C-contiguous rows.
 
-        The statistics are reduced in the stored memory order (the
-        constructor keeps the caller's layout, and the last bits of a
-        reduction follow it); only the result is written row by row, so
+        The mean and std are reduced in the stored memory order (the
+        constructor keeps the caller's layout, and the last bits of a sum
+        follow it).  The extremes, which are exact in any order, are reduced
+        by ``_extremes``: sample-major data in blocks of ``_EXTREMES_BLOCK``
+        samples, so that no reduction runs an inner loop as short as the
+        channel count.  Only the result is written row by row, so
         that every estimator call reads a contiguous channel.  Elementwise
         arithmetic rounds alike in any layout, so the result is written in
         C order directly, and the new matrix takes it without a copy: besides
@@ -119,7 +143,7 @@ class ChannelMatrix:
         value) cannot be standardized and raises.
         """
         data = self.data
-        for name, lo, hi in zip(self.names, data.min(axis=1), data.max(axis=1)):
+        for name, lo, hi in zip(self.names, *_extremes(data)):
             if lo == hi:
                 raise DegenerateInputError(
                     f"channel {name!r} is constant and cannot be standardized"

@@ -30,7 +30,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from functools import partial
 from itertools import chain
 
@@ -386,10 +386,20 @@ def emit_report(report: CommonInfoReport, path: str) -> None:
     _write_json(doc, path)
 
 
-def _on_model(quantity, spec: GaussianEnsembleSpec, n: int) -> float:
-    """``quantity`` of ``spec`` with n observations; nan where that model does not exist."""
+def _model(sigma_x2: float, sigma_n2: float, rho: float, n: int) -> GaussianEnsembleSpec | None:
+    """The model with n observations; None where it does not exist."""
     try:
-        return quantity(replace(spec, n=n))
+        return GaussianEnsembleSpec(sigma_x2, sigma_n2, rho, n)
+    except ParameterDomainError:
+        return None
+
+
+def _on_model(quantity, spec: GaussianEnsembleSpec | None) -> float:
+    """``quantity`` of ``spec``; nan where the model or the quantity does not exist."""
+    if spec is None:
+        return math.nan
+    try:
+        return quantity(spec)
     except ParameterDomainError:
         return math.nan
 
@@ -411,11 +421,13 @@ def emit_gaussian_curves(sigma_x2: float, rho_grid, sigma_n2_grid, path: str) ->
     rows = []
     for rho in rhos:
         for sn2 in noises:
-            spec = GaussianEnsembleSpec(float(sigma_x2), float(sn2), float(rho))
+            params = (float(sigma_x2), float(sn2), float(rho))
+            spec = GaussianEnsembleSpec(*params)
+            triple, quadruple = _model(*params, 3), _model(*params, 4)
             pairwise = mi_xi_xj(spec)
             cells = (
-                rho, sn2, mi_x_xi(spec), pairwise, _on_model(cond_mi_xi_xj_given_xk, spec, 3),
-                pairwise, _on_model(r3_lower, spec, 3), _on_model(r4_lower, spec, 4),
+                rho, sn2, mi_x_xi(spec), pairwise, _on_model(cond_mi_xi_xj_given_xk, triple),
+                pairwise, _on_model(r3_lower, triple), _on_model(r4_lower, quadruple),
             )
             rows.append(",".join(_csv_num(c) for c in cells))
     meta = {
@@ -583,6 +595,8 @@ def _cmd_lagscan(args) -> int:
     matrix = ingest_csv(args.input, transpose=args.transpose)
     ref = _channel(matrix, args.ref_channel)
     rate = args.sample_rate_hz
+    if rate is None:  # the library's rule would name its parameter and speak of seconds
+        raise ConfigurationError("lagscan needs --sample-rate-hz to place its millisecond window")
     lag_min, lag_max = _lag_range_samples(args.lag_min_ms / 1000.0, args.lag_max_ms / 1000.0, rate)
     meta = {
         "ref_channel": matrix.names[ref],

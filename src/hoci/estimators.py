@@ -7,8 +7,10 @@ Three methods, selected by :class:`EstimatorConfig`:
   case).  Fast and low-variance; exact in law for jointly Gaussian data.
 * ``binned`` — equal-width histogram plug-in.  Each column is binned over
   its own [min, max] with numpy's histogram edge rule (``bins + 1`` linspace
-  edges, the right edge in the last bin, a constant column widened by +-0.5),
-  and a pairwise call counts its cells with one ``np.bincount``; the counts
+  edges, the right edge in the last bin, a constant column widened by +-0.5):
+  one fused scale guesses each bin, every guess is checked against its two
+  edges, and the samples it missed are placed by ``searchsorted``.  A
+  pairwise call counts its cells with one ``np.bincount``; the counts
   equal ``np.histogram2d``/``np.histogramdd``'s exactly.  That table is
   dense, so a pairwise ``bins`` above 2048 is refused up front.  A block (the
   lag-embedded time-series path) bins each column the same way and counts
@@ -26,11 +28,13 @@ column passes ``_column``'s one check.  Every kernel reads prepared columns:
 ``_prepare`` keeps what its method's kernel reads of a validated column --
 the column (rescaled, if the scale rule below applies), its centring offset
 ``x.sum()/x.size`` and centred norm for ``gaussian_logdet``, the bin indices
-as ``uint16`` for ``binned`` (a pairwise call refuses more than 2048 bins),
-the standardized, jittered values for ``knn``.  A pair is prepared per call
-unless the caller passes a :class:`PreparedColumns` table; ``run_estimate``
-makes one per run, so each channel row and accepted surrogate is prepared
-once however many calls read it, and no bit moves.  A block (the time-series
+for ``binned``, the standardized, jittered values for ``knn``.  A pair is
+prepared per call unless the caller passes a :class:`PreparedColumns` table;
+``run_estimate`` makes one per run, so each channel row and accepted
+surrogate is prepared once however many calls read it, and no bit moves.
+The table holds a kept column's bin indices as ``uint16`` (a pairwise call
+refuses more than 2048 bins); a tuning candidate, which is never kept, stays
+in the kernel's ``intp`` form.  A block (the time-series
 lag windows, as views) reads no table; each column is checked and prepared
 as a pair's, though ``binned`` bins up to any intp-indexable grid.  A column
 whose min equals its max is constant, even where its mean rounds off.
@@ -201,9 +205,12 @@ def _bin_index(a: np.ndarray, bins: int) -> np.ndarray:
     The edges are numpy's, ``np.linspace(min, max, bins + 1)`` with a
     constant column widened by +-0.5, and the result is numpy's
     ``searchsorted(edges, a, 'right') - 1`` with the right edge folded into
-    the last bin.  The bin is found arithmetically and checked against the
-    edges; the few samples whose rounding missed (or whose edges coincide)
-    are placed by ``searchsorted`` itself.
+    the last bin.  The guess is one fused scale, ``(a - lo) * (bins /
+    width)`` truncated and clamped to ``bins - 1``; it may be off by a
+    rounding, so each sample is checked against its guessed bin's edges
+    (``edges[k] <= a < edges[k + 1]``, the last bin closed), and the few
+    samples the guess missed (or whose edges coincide) are placed by
+    ``searchsorted`` itself.  Whatever the guess, every bin is numpy's.
     """
     lo, hi = float(a.min()), float(a.max())
     if lo == hi:
@@ -215,18 +222,19 @@ def _bin_index(a: np.ndarray, bins: int) -> np.ndarray:
     if width == 0.0:  # +-0.5 vanished in rounding: every sample is on the right edge
         return np.full(a.size, bins - 1, dtype=np.intp)
     edges = np.linspace(lo, hi, bins + 1)
-    # (a - lo) <= width, so the quotient stays in [0, 1]
-    idx = np.minimum(((a - lo) / width * bins).astype(np.intp), bins - 1)
+    # 0 <= a - lo <= width, so the guess lies in [0, bins] up to rounding
+    idx = ((a - lo) * (bins / width)).astype(np.intp)
+    np.minimum(idx, bins - 1, out=idx)
     upper = np.append(edges[1:-1], np.inf)  # the last bin holds its right edge
-    missed = (a < edges[idx]) | (a >= upper[idx])
+    missed = a < edges[idx]
+    missed |= a >= upper[idx]
     if missed.any():
         idx[missed] = np.minimum(np.searchsorted(edges, a[missed], side="right") - 1, bins - 1)
     return idx
 
 
 def _binned_pair(cx: np.ndarray, cy: np.ndarray, bins: int) -> float:
-    cells = cx.astype(np.intp)
-    cells *= bins
+    cells = np.multiply(cx, bins, dtype=np.intp)
     cells += cy
     counts = np.bincount(cells, minlength=bins * bins)
     p = counts.reshape(bins, bins) / cells.size
@@ -268,7 +276,7 @@ def _prepare(a: np.ndarray, cfg: EstimatorConfig, name: str):
             raise ConfigurationError(
                 f"bins={cfg.bins} needs more than 2**22 pairwise cells; use <= 2048"
             )
-        return _bin_index(a, cfg.bins).astype(np.uint16)
+        return _bin_index(a, cfg.bins)
     return _jittered(a, name)
 
 
@@ -280,9 +288,9 @@ class PreparedColumns:
     while it is in use.  A kept array's preparation is held for the life of
     the table; it is made on the array's first use, so its errors read as
     they would without a table.  Any other column is prepared on every call,
-    and only the last one is held, until the next: keeping the column that
-    the previous call prepared (a surrogate that its last tuning call
-    accepted) prepares nothing.
+    and only the last one is held, until the next is prepared: keeping the
+    column that the previous call prepared (a surrogate that its last tuning
+    call accepted) prepares nothing.
     """
 
     def __init__(self, cfg: EstimatorConfig, kept=()):
@@ -292,7 +300,12 @@ class PreparedColumns:
 
     def keep(self, a: np.ndarray) -> None:
         if id(a) not in self._kept:
-            self._kept[id(a)] = self._last if self._last[0] is a else (a, None)
+            held, prepared = self._last
+            if held is a:
+                self._kept[id(a)] = (a, self._narrowed(prepared))
+                self._last = (None, None)
+            else:
+                self._kept[id(a)] = (a, None)
 
     def pair(self, x, y):
         """Both columns prepared for the config's kernel.  The checks run in
@@ -314,13 +327,19 @@ class PreparedColumns:
         held, prepared = self._kept.get(id(a), self._last)
         return prepared if held is a else None
 
+    def _narrowed(self, prepared):
+        # a kept column holds its bins as uint16 (a pairwise call refuses more than 2048)
+        return prepared.astype(np.uint16) if self.cfg.method == "binned" else prepared
+
     def _prepare(self, a: np.ndarray, name: str):
-        entry = (a, _prepare(a, self.cfg, name))
         if id(a) in self._kept:
-            self._kept[id(a)] = entry
+            prepared = self._narrowed(_prepare(a, self.cfg, name))
+            self._kept[id(a)] = (a, prepared)
         else:
-            self._last = entry
-        return entry[1]
+            self._last = (None, None)  # the last column (and its array) is freed first
+            prepared = _prepare(a, self.cfg, name)
+            self._last = (a, prepared)
+        return prepared
 
 
 def _raw_mi(x, y, cfg: EstimatorConfig, columns: PreparedColumns | None = None) -> float:

@@ -210,7 +210,8 @@ def _tune(
                 f"SCI tuning left the normal float64 range at v = e^{u:.6g} "
                 f"(target {target:.6g} bits unreachable on this data)"
             )
-        t = carrier + math.sqrt(v) * e
+        t = e * math.sqrt(v)  # one allocation: the same bits as carrier + sqrt(v) * e
+        t += carrier
         bits = mi_estimate(t, carrier, cfg, columns=columns)
         residual = abs(bits - target)
         if iterations == 1 and cfg.method == "gaussian_logdet" and residual < bis.epsilon:

@@ -1075,6 +1075,16 @@ class TestLagscanCommand:
         assert rc == 1
         assert stderr_code(capsys) == "configuration"
 
+    def test_missing_rate_names_the_flag(self, lag_csv, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        rc = main(["lagscan", "--input", lag_csv, "--ref-channel", "stim", "--out", str(out)])
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert rc == 1 and err["error"] == "configuration"
+        # the flag, not the library's parameter, and no window in seconds
+        assert "--sample-rate-hz" in err["message"] and "sample_rate_hz" not in err["message"]
+        assert "in seconds" not in err["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("rate", ["0", "-100", "nan", "inf"])
     def test_non_positive_rate_rejected(self, lag_csv, tmp_path, capsys, rate):
         out = tmp_path / "scan.csv"

@@ -267,6 +267,35 @@ class TestBinKernel:
                 cx, cy = _bin_index(x, bins), _bin_index(y, bins)
                 assert _binned_pair(cx, cy, bins) == self._pair_over_full_table(cx, cy, bins)
 
+    @staticmethod
+    def _on_and_below_edges(lo, hi, bins):
+        # every linspace edge, and the float one ulp below each edge above lo
+        edges = np.linspace(lo, hi, bins + 1)
+        return np.concatenate([edges, np.nextafter(edges[1:], -np.inf)])
+
+    @pytest.mark.parametrize("scale", [0, -700, 700])
+    @pytest.mark.parametrize("bins", [2, 16, 128, 2048])
+    def test_samples_on_and_one_ulp_below_the_edges(self, bins, scale):
+        # a power of two scales the edges exactly, so the samples stay on them
+        rng = np.random.default_rng([13, bins])
+        for lo, hi in ((-3.1, 7.3), (0.1, 0.7), (-1e-3, 5.0), (0.0, 1.0)):
+            x = np.ldexp(rng.permutation(self._on_and_below_edges(lo, hi, bins)), scale)
+            for y in (rng.standard_normal(x.size), x):
+                want, _, _ = np.histogram2d(x, y, bins=bins)
+                assert np.array_equal(self._counts2d(x, y, bins), want)
+                assert np.array_equal(self._counts2d(y, x, bins), want.T)
+
+    def test_samples_the_guess_misses_get_numpys_bins(self):
+        bins, lo, hi = 2048, -3.1, 7.3
+        x = self._on_and_below_edges(lo, hi, bins)
+        edges = np.linspace(lo, hi, bins + 1)
+        numpy_bins = np.minimum(np.searchsorted(edges, x, side="right") - 1, bins - 1)
+        guess = np.minimum(((x - lo) * (bins / (hi - lo))).astype(np.intp), bins - 1)
+        assert (guess != numpy_bins).sum() > 1000  # the edge check and fallback run
+        assert np.array_equal(_bin_index(x, bins), numpy_bins)
+        want, _, _ = np.histogram2d(x, x[::-1], bins=bins)
+        assert np.array_equal(self._counts2d(x, x[::-1], bins), want)
+
     @pytest.mark.parametrize("where", ["x", "y", "block"])
     def test_range_beyond_float64_is_rescaled(self, where):
         wide = np.tile([-1.7e308, 1.7e308, 0.0, 1.0], 5)

@@ -32,6 +32,7 @@ from hoci import (
     sample_channels,
     sample_ensemble,
 )
+from hoci.channels import _EXTREMES_BLOCK, _extremes
 
 R2_113 = 0.39605357417933357  # closed-form values at sigma_x2=sigma_n2=1, rho=0.3
 R3_113 = 0.14183924791340496
@@ -644,6 +645,49 @@ class TestChannelMatrix:
         for idx in (2, -1):
             with pytest.raises(ConfigurationError, match=f"channel index {idx} out of range"):
                 m.index_of(idx)
+
+
+class TestStandardizedExtremes:
+    """The constant-channel check reads each channel's min and max; sample-major
+    data is reduced in blocks of samples, exact as numpy's per-row reduction."""
+
+    SAMPLES = [1, 40, _EXTREMES_BLOCK - 1, _EXTREMES_BLOCK, 3 * _EXTREMES_BLOCK + 17]
+
+    @staticmethod
+    def _data(n, samples, layout):
+        rng = np.random.default_rng([n, samples])
+        data = rng.standard_normal((n, samples)) * 10.0 ** rng.integers(-300, 300, (n, 1))
+        data[:, -1] = np.where(rng.integers(0, 2, n) == 1, 1e308, -1e308)  # in the leftover samples
+        data = np.asfortranarray(data) if layout == "sample-major" else np.ascontiguousarray(data)
+        assert data.flags.c_contiguous == (layout == "channel-major" or n == 1 or samples == 1)
+        return data
+
+    @pytest.mark.parametrize("layout", ["sample-major", "channel-major"])
+    @pytest.mark.parametrize("samples", SAMPLES)
+    @pytest.mark.parametrize("n", [1, 4, 16])
+    def test_extremes_equal_numpys(self, n, samples, layout):
+        data = self._data(n, samples, layout)
+        lo, hi = _extremes(data)
+        assert np.array_equal(lo, data.min(axis=1))
+        assert np.array_equal(hi, data.max(axis=1))
+
+    @pytest.mark.parametrize("layout", ["sample-major", "channel-major"])
+    @pytest.mark.parametrize("samples", SAMPLES[1:])
+    def test_constant_channel_message(self, samples, layout):
+        data = self._data(4, samples, layout)
+        data[2] = 0.1  # its mean rounds off the value
+        with pytest.raises(
+            DegenerateInputError, match="^channel 'c' is constant and cannot be standardized$"
+        ):
+            ChannelMatrix(("a", "b", "c", "d"), data).standardized()
+
+    @pytest.mark.parametrize("where", [0, 2 * _EXTREMES_BLOCK + 5, -1])  # first, last whole, leftover
+    def test_one_differing_sample_is_seen_in_any_block(self, where):
+        data = self._data(4, 3 * _EXTREMES_BLOCK + 17, "sample-major")
+        data[2] = 0.1
+        data[2, where] = 0.2
+        out = ChannelMatrix(("a", "b", "c", "d"), data).standardized()
+        assert np.isfinite(out.data).all()
 
 
 class TestLargeFiniteChannels:

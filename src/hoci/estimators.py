@@ -8,10 +8,12 @@ Three methods, selected by :class:`EstimatorConfig`:
 * ``binned`` — equal-width histogram plug-in.  Each column is binned over
   its own [min, max] with numpy's histogram edge rule (``bins + 1`` linspace
   edges, the right edge in the last bin, a constant column widened by +-0.5):
-  one fused scale guesses each bin, every guess is checked against its two
-  edges, and the samples it missed are placed by ``searchsorted``.  A
-  pairwise call counts its cells with one ``np.bincount``; the counts
-  equal ``np.histogram2d``/``np.histogramdd``'s exactly.  That table is
+  one fused scale guesses each bin, and only a sample whose guess lies within
+  the margin 64u*bins*(1 + max(|lo|, |hi|)/width) of an edge between two
+  bins, over twice what rounding moves guess and edge (``_bin_index``), is
+  placed by ``searchsorted``.  A pairwise call counts its cells with one
+  ``np.bincount`` and divides only the occupied ones; the counts equal
+  ``np.histogram2d``/``np.histogramdd``'s exactly.  That table is
   dense, so a pairwise ``bins`` above 2048 is refused up front.  A block (the
   lag-embedded time-series path) bins each column the same way and counts
   only its occupied cells, with ``np.unique``, so its memory follows the
@@ -205,12 +207,14 @@ def _bin_index(a: np.ndarray, bins: int) -> np.ndarray:
     The edges are numpy's, ``np.linspace(min, max, bins + 1)`` with a
     constant column widened by +-0.5, and the result is numpy's
     ``searchsorted(edges, a, 'right') - 1`` with the right edge folded into
-    the last bin.  The guess is one fused scale, ``(a - lo) * (bins /
-    width)`` truncated and clamped to ``bins - 1``; it may be off by a
-    rounding, so each sample is checked against its guessed bin's edges
-    (``edges[k] <= a < edges[k + 1]``, the last bin closed), and the few
-    samples the guess missed (or whose edges coincide) are placed by
-    ``searchsorted`` itself.  Whatever the guess, every bin is numpy's.
+    the last bin.  The guess truncates ``g = (a - lo) * (bins / width)``.
+    In bin units g is within 3u*bins of its sample (u = 2**-53), and numpy's
+    edge k, ``fl(fl(k * step) + lo)``, within 2u*bins + u*bins*M/width of k
+    (M = max(|lo|, |hi|)).  So a guess whose fractional part lies at least
+    the margin 64u*bins*(1 + M/width), over twice both bounds, from 0 and 1
+    is numpy's bin; within the margin of lo's or hi's edge the bin is 0 or
+    bins - 1.  Only samples within the margin of an edge between two bins,
+    or every sample where the margin reaches 1/2, go to ``searchsorted``.
     """
     lo, hi = float(a.min()), float(a.max())
     if lo == hi:
@@ -221,15 +225,19 @@ def _bin_index(a: np.ndarray, bins: int) -> np.ndarray:
     width = hi - lo
     if width == 0.0:  # +-0.5 vanished in rounding: every sample is on the right edge
         return np.full(a.size, bins - 1, dtype=np.intp)
-    edges = np.linspace(lo, hi, bins + 1)
-    # 0 <= a - lo <= width, so the guess lies in [0, bins] up to rounding
-    idx = ((a - lo) * (bins / width)).astype(np.intp)
-    np.minimum(idx, bins - 1, out=idx)
-    upper = np.append(edges[1:-1], np.inf)  # the last bin holds its right edge
-    missed = a < edges[idx]
-    missed |= a >= upper[idx]
-    if missed.any():
-        idx[missed] = np.minimum(np.searchsorted(edges, a[missed], side="right") - 1, bins - 1)
+    g = a - lo  # 0 <= a - lo <= width, so the guess lies in [0, bins] up to rounding
+    g *= bins / width
+    idx = g.astype(np.intp)
+    g -= idx  # the fractional part, exactly
+    margin = 64 * 2.0**-53 * bins * (1.0 + max(abs(lo), abs(hi)) / width)
+    near = np.flatnonzero((g <= margin) | (g >= 1.0 - margin))
+    guess = idx[near]
+    idx[near] = np.minimum(guess, bins - 1)  # hi may be guessed as bins
+    if margin < 0.5:  # keep the samples near an edge between two bins
+        near = near[(guess + (g[near] > 0.5)) % bins != 0]
+    if near.size:
+        edges = np.linspace(lo, hi, bins + 1)
+        idx[near] = np.minimum(np.searchsorted(edges, a[near], side="right") - 1, bins - 1)
     return idx
 
 
@@ -237,13 +245,20 @@ def _binned_pair(cx: np.ndarray, cy: np.ndarray, bins: int) -> float:
     cells = np.multiply(cx, bins, dtype=np.intp)
     cells += cy
     counts = np.bincount(cells, minlength=bins * bins)
-    p = counts.reshape(bins, bins) / cells.size
-    px = p.sum(axis=1)
-    py = p.sum(axis=0)
-    # the occupied cells in C order: the sum runs over the same terms as over the full table
-    nz = np.flatnonzero(counts)
-    pn = p.ravel()[nz]
-    return float((pn * np.log2(pn / (px[nz // bins] * py[nz % bins]))).sum())
+    # the occupied cells in C order, and a table that holds the same values:
+    # the marginals and the sum run over the same terms as over the full table
+    nz = np.flatnonzero(counts != 0)
+    pn = counts[nz] / cells.size
+    p = np.zeros((bins, bins))
+    np.put(p, nz, pn)
+    row, col = np.divmod(nz, bins)
+    return float((pn * np.log2(pn / (p.sum(axis=1)[row] * p.sum(axis=0)[col]))).sum())
+
+
+def _entropy_bits(counts: np.ndarray) -> float:
+    """Plug-in entropy in bits of a table of counts."""
+    p = counts[counts != 0] / counts.sum()
+    return float(-(p * np.log2(p)).sum())
 
 
 def _strict_range_counts(a: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -297,6 +312,7 @@ class PreparedColumns:
         self.cfg = cfg
         self._kept = {id(a): (a, None) for a in kept}
         self._last = (None, None)
+        self._ceilings: dict[int, float] = {}
 
     def keep(self, a: np.ndarray) -> None:
         if id(a) not in self._kept:
@@ -321,6 +337,18 @@ class PreparedColumns:
         if py is None:
             py = self._prepare(ya, "y")
         return px, py
+
+    def ceiling(self, a) -> float:
+        """The most bits any column can share with ``a``: under ``binned`` the
+        plug-in entropy of its bins (taken once for a kept array), else inf."""
+        if self.cfg.method != "binned":
+            return math.inf
+        bits = self._ceilings.get(id(a))
+        if bits is None:
+            bits = _entropy_bits(np.bincount(self.pair(a, a)[0]))  # prepares a unless held
+            if id(a) in self._kept:
+                self._ceilings[id(a)] = bits
+        return bits
 
     def _held(self, a):
         # a kept array is alive, so no other object has its id
@@ -404,8 +432,7 @@ def _binned_joint(cols: list[np.ndarray], y: np.ndarray, bins: int) -> float:
         # only the occupied cells are counted (a dense table has bins**width
         # of them); np.unique returns them sorted, i.e. in C order
         flat = np.ravel_multi_index(idx, (bins,) * len(idx))
-        nz = np.unique(flat, return_counts=True)[1] / float(idx[0].size)
-        return float(-(nz * np.log2(nz)).sum())
+        return _entropy_bits(np.unique(flat, return_counts=True)[1])
 
     bx = [_bin_index(a, bins) for a in cols]
     by = [_bin_index(y, bins)]

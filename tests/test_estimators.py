@@ -312,6 +312,64 @@ class TestBinKernel:
 
         assert estimate(wide) == estimate(unit)
 
+    @staticmethod
+    def _numpy_bins(x, bins):
+        edges = np.linspace(x.min(), x.max(), bins + 1)
+        return np.minimum(np.searchsorted(edges, x, side="right") - 1, bins - 1)
+
+    @staticmethod
+    def _searchsorted_needles(monkeypatch):
+        # the number of samples each searchsorted call places
+        real, needles = np.searchsorted, []
+
+        def spy(a, v, *args, **kwargs):
+            needles.append(np.size(v))
+            return real(a, v, *args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", spy)
+        return needles
+
+    @pytest.mark.parametrize("scale", [0, -700, 700])
+    @pytest.mark.parametrize("bins, spread", [(2, 1e-9), (128, 1e-7), (2048, 1e-6)])
+    def test_offset_narrow_spread_places_every_sample_exactly(self, bins, spread, scale, monkeypatch):
+        # bins * max(|lo|, |hi|) / width is at least 1.5e14 here, which puts the
+        # margin above 1/2: no guess is kept
+        rng = np.random.default_rng([17, bins])
+        x = np.ldexp(1e6 + spread * rng.standard_normal(20_000), scale)
+        y = rng.standard_normal(x.size)
+        want = self._numpy_bins(x, bins)
+        needles = self._searchsorted_needles(monkeypatch)
+        assert np.array_equal(_bin_index(x, bins), want)
+        assert needles == [x.size]
+        monkeypatch.undo()
+        want, _, _ = np.histogram2d(x, y, bins=bins)
+        assert np.array_equal(self._counts2d(x, y, bins), want)
+        assert np.array_equal(self._counts2d(y, x, bins), want.T)
+
+    @pytest.mark.parametrize("bins", [2, 128, 2048])
+    def test_samples_one_and_two_ulps_either_side_of_the_edges(self, bins):
+        rng = np.random.default_rng([19, bins])
+        for lo, hi in ((-3.1, 7.3), (0.1, 0.7), (-1e-3, 5.0), (1e6, 1e6 + 3.0)):
+            edges = np.linspace(lo, hi, bins + 1)
+            near = [edges]
+            for ulps in (1, 2):
+                for toward in (-np.inf, np.inf):
+                    moved = edges
+                    for _ in range(ulps):
+                        moved = np.nextafter(moved, toward)
+                    near.append(moved[(moved >= lo) & (moved <= hi)])
+            x = rng.permutation(np.concatenate(near))
+            assert np.array_equal(_bin_index(x, bins), self._numpy_bins(x, bins))
+            want, _, _ = np.histogram2d(x, x[::-1], bins=bins)
+            assert np.array_equal(self._counts2d(x, x[::-1], bins), want)
+
+    def test_a_continuous_column_is_placed_without_searchsorted(self, monkeypatch):
+        x = np.random.default_rng(23).standard_normal(50_000)
+        want = self._numpy_bins(x, 128)
+        needles = self._searchsorted_needles(monkeypatch)
+        assert np.array_equal(_bin_index(x, 128), want)
+        assert needles == []
+
 
 class TestStatisticalAccuracy:
     def test_knn_close_to_parametric_truth(self):

@@ -255,12 +255,6 @@ def _binned_pair(cx: np.ndarray, cy: np.ndarray, bins: int) -> float:
     return float((pn * np.log2(pn / (p.sum(axis=1)[row] * p.sum(axis=0)[col]))).sum())
 
 
-def _entropy_bits(counts: np.ndarray) -> float:
-    """Plug-in entropy in bits of a table of counts."""
-    p = counts[counts != 0] / counts.sum()
-    return float(-(p * np.log2(p)).sum())
-
-
 def _strict_range_counts(a: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Per point, the count of other points within a strictly smaller distance.
 
@@ -312,7 +306,6 @@ class PreparedColumns:
         self.cfg = cfg
         self._kept = {id(a): (a, None) for a in kept}
         self._last = (None, None)
-        self._ceilings: dict[int, float] = {}
 
     def keep(self, a: np.ndarray) -> None:
         if id(a) not in self._kept:
@@ -337,18 +330,6 @@ class PreparedColumns:
         if py is None:
             py = self._prepare(ya, "y")
         return px, py
-
-    def ceiling(self, a) -> float:
-        """The most bits any column can share with ``a``: under ``binned`` the
-        plug-in entropy of its bins (taken once for a kept array), else inf."""
-        if self.cfg.method != "binned":
-            return math.inf
-        bits = self._ceilings.get(id(a))
-        if bits is None:
-            bits = _entropy_bits(np.bincount(self.pair(a, a)[0]))  # prepares a unless held
-            if id(a) in self._kept:
-                self._ceilings[id(a)] = bits
-        return bits
 
     def _held(self, a):
         # a kept array is alive, so no other object has its id
@@ -432,7 +413,8 @@ def _binned_joint(cols: list[np.ndarray], y: np.ndarray, bins: int) -> float:
         # only the occupied cells are counted (a dense table has bins**width
         # of them); np.unique returns them sorted, i.e. in C order
         flat = np.ravel_multi_index(idx, (bins,) * len(idx))
-        return _entropy_bits(np.unique(flat, return_counts=True)[1])
+        nz = np.unique(flat, return_counts=True)[1] / float(idx[0].size)
+        return float(-(nz * np.log2(nz)).sum())
 
     bx = [_bin_index(a, bins) for a in cols]
     by = [_bin_index(y, bins)]

@@ -15,10 +15,7 @@ seeded per descriptor: the same inputs and seed rebuild T bit for bit.
 
 A target MI at or below epsilon is reported as a no-common-information
 signal rather than a failure: there is nothing for the construction to
-match, and minimizing callers count the pair as contributing zero.  A binned
-target at the carrier's plug-in entropy, its ceiling, fails before tuning:
-only a T whose bins copy the carrier's matches it, and the search may spend
-its whole budget looking for one.
+match, and minimizing callers count the pair as contributing zero.
 """
 from __future__ import annotations
 
@@ -50,8 +47,6 @@ _LN_V_RANGE = (math.log(_MIN_NORMAL), math.log(float(np.finfo(np.float64).max)))
 # statistical slack for chain and SCI checks: 0.02 bits at 1e5 samples, ~ N^(-1/2)
 SLACK_BITS_AT_REFERENCE = 0.02
 REFERENCE_SAMPLES = 10**5
-# plug-in sums of one entropy differ by ulps, a real shortfall below it by about 1/N bits
-_CEILING_ROUNDING_BITS = 2.0**-36
 
 
 @dataclass(frozen=True)
@@ -255,11 +250,10 @@ def _tune(
     )
 
 
-def _checked_target(bits: float, epsilon: float, ceiling: float = math.inf) -> float:
+def _checked_target(bits: float, epsilon: float) -> float:
     """The tuning target rule: a pair's MI in bits is a target unless it is
-    divergent (``ConvergenceError``), at or below epsilon (the
-    no-common-information signal), or within rounding of ``ceiling``, the
-    most any T can share with the carrier (``ConvergenceError``)."""
+    divergent (``ConvergenceError``) or at or below epsilon (the
+    no-common-information signal)."""
     if math.isinf(bits):
         raise ConvergenceError(
             "target MI is divergent (identical columns?); no finite noise "
@@ -270,11 +264,6 @@ def _checked_target(bits: float, epsilon: float, ceiling: float = math.inf) -> f
             f"target MI {bits:.6g} bits is at or below epsilon "
             f"{epsilon:.6g}; the pair shares no matchable information",
             target_bits=bits,
-        )
-    if bits >= ceiling - _CEILING_ROUNDING_BITS:
-        raise ConvergenceError(
-            f"target MI {bits:.6g} bits reaches {ceiling:.6g} bits, the most any T can "
-            "share with the carrier; only a copy of the carrier's bins could match it"
         )
     return bits
 
@@ -299,9 +288,7 @@ def build_sci(
     one, so the caller can keep that at no cost.
     """
     xi, xj = _pair(x_i, x_j)
-    columns = columns or PreparedColumns(cfg)
-    bits = mi_estimate(xi, xj, cfg, columns=columns)
-    target = _checked_target(bits, bis.epsilon, columns.ceiling(xj))
+    target = _checked_target(mi_estimate(xi, xj, cfg, columns=columns), bis.epsilon)
     v, residual, iterations, t = _tune(xj, target, cfg, bis, seed, columns)
     desc = SciDescriptor(
         base_channel=base_channel,

@@ -394,12 +394,13 @@ class TestUnreachableTarget:
         assert rep.levels[3].bits > 0
 
 
-class TestEntropyCeiling:
-    """Under binned, a target at the carrier's plug-in entropy is refused before tuning."""
+class TestBinEdgeChannels:
+    """A binned run on channels whose every value lies on a bin edge."""
 
     @staticmethod
     def _coded_channels():
-        # radix-3 place values of two of three ternary symbols; a = z0 + 3 z1 and
+        # radix-3 place values of two of three ternary symbols: every value is an
+        # integer in [0, 8], on an edge of 128 equal-width bins; a = z0 + 3 z1 and
         # d = z1 + 3 z0 code each other's bins, so MI(a; d) is either one's entropy
         from hoci import ChannelMatrix
 
@@ -408,18 +409,12 @@ class TestEntropyCeiling:
         d = np.array([z[a] + 3 * z[b] for a, b in pairs], dtype=np.float64)
         return ChannelMatrix(("a", "b", "c", "d"), d).standardized()
 
-    def test_refused_pairs_cost_one_call_and_move_no_other_bit(self, monkeypatch):
-        m = self._coded_channels()
-        cfg = EstimatorConfig(method="binned", bins=128)
-        seen = _spy(monkeypatch)
-        rep = run_estimate(m, cfg, seed=0, order=4)
+    def test_levels_and_descriptors_keep_their_bits(self):
+        rep = run_estimate(self._coded_channels(), EstimatorConfig(method="binned", bins=128), seed=0, order=4)
+        # the pairs at the carrier's entropy spend their budget without closing a bracket
         assert [(e.pair, e.code) for e in rep.exclusions] == [
             (("a", "d"), "convergence"), (("d", "a"), "convergence")
         ]
-        # the target call of each refused pair, the target and tuning calls of each built one
-        assert len(seen) == len(rep.exclusions) + sum(1 + s.iterations for s in rep.sci_descriptors)
-        assert all("the most any T can share" in e.message for e in rep.exclusions)
-        # the same bits as when the two refused searches spent their 60 calls each
         assert {k: v.bits.hex() for k, v in rep.levels.items()} == {
             2: "0x1.95d05fbf3f787p+0", 3: "0x1.bae0c08990bb0p-3", 4: "0x1.da0f0c45c5b50p-2"
         }
@@ -438,28 +433,6 @@ class TestEntropyCeiling:
             (3, 1, "0x1.c74e7ec375bcfp-4", "0x1.6ae77f1fce000p-13", 5),
             (3, 2, "0x1.ca781de6c9df5p-4", "0x1.d2df505088000p-13", 5),
         ]
-        seen.clear()
-        with pytest.raises(ConvergenceError, match="the most any T can share"):
-            build_sci(m.data[0], m.data[3], cfg, seed=0)
-        assert len(seen) == 1
-
-    @pytest.mark.parametrize("below, refused", [(0.0, True), (1e-12, True), (2e-4, False), (5e-3, False)])
-    def test_a_target_within_rounding_of_the_ceiling_is_refused(self, below, refused):
-        from hoci.sci import _checked_target
-
-        ceiling = 3.1696334510986754
-        if refused:
-            with pytest.raises(ConvergenceError, match="the most any T can share"):
-                _checked_target(ceiling - below, 1e-3, ceiling)
-        else:
-            assert _checked_target(ceiling - below, 1e-3, ceiling) == ceiling - below
-
-    def test_other_estimators_have_no_ceiling(self):
-        from hoci.estimators import PreparedColumns
-
-        x = np.arange(20.0)
-        for method in ("gaussian_logdet", "knn"):
-            assert PreparedColumns(EstimatorConfig(method=method)).ceiling(x) == math.inf
 
 
 @pytest.fixture(scope="module")

@@ -46,9 +46,15 @@ def _extremes(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return reduced(np.minimum), reduced(np.maximum)
 
 
+def is_integer(value) -> bool:
+    """The one integer rule of every integer setting: an ``int`` or numpy
+    integer, and not a ``bool`` (which would be written back as true/false)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_seed(seed) -> int:
     """The one seed rule of every seeded entry point: a nonnegative integer, as ``int``."""
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    if not (is_integer(seed) and seed >= 0):
         raise ConfigurationError(f"seed must be a nonnegative integer, got {seed!r}")
     return int(seed)
 
@@ -112,7 +118,7 @@ class ChannelMatrix:
 
     def index_of(self, key: str | int) -> int:
         """Resolve a channel name or integer index."""
-        if isinstance(key, (int, np.integer)):
+        if is_integer(key):
             idx = int(key)
             if not 0 <= idx < self.n_channels:
                 raise ConfigurationError(f"channel index {idx} out of range")

@@ -8,6 +8,10 @@ Subcommands:
 * ``sci`` — tune and verify a single noise-injection variable for one pair.
 * ``lagscan`` — per-channel lag-scanned correlation against a reference.
 
+Importing this module loads what ``estimate`` runs; the ``gaussian`` and
+``discrete`` subcommands import ``hoci.gaussian`` and ``hoci.discrete``
+when they run.
+
 Conventions: channel CSVs are rows=time with a header of channel names
 (``--transpose`` accepts channels-as-rows with the name in the first cell),
 and a leading byte-order mark is not part of the first name.  A channel on
@@ -38,8 +42,8 @@ import numpy as np
 
 from . import __version__
 from .channels import ChannelMatrix, check_names
-from .discrete import ENUMERATION_CAP, verify_theorem5
 from .errors import (
+    ENUMERATION_CAP,
     CapacityError,
     ConfigurationError,
     DegenerateInputError,
@@ -48,14 +52,6 @@ from .errors import (
     ParameterDomainError,
 )
 from .estimators import EstimatorConfig
-from .gaussian import (
-    GaussianEnsembleSpec,
-    cond_mi_xi_xj_given_xk,
-    mi_x_xi,
-    mi_xi_xj,
-    r3_lower,
-    r4_lower,
-)
 from .pipeline import (
     SUPPORTED_ORDERS,
     CommonInfoReport,
@@ -386,15 +382,15 @@ def emit_report(report: CommonInfoReport, path: str) -> None:
     _write_json(doc, path)
 
 
-def _model(sigma_x2: float, sigma_n2: float, rho: float, n: int) -> GaussianEnsembleSpec | None:
-    """The model with n observations; None where it does not exist."""
+def _model(spec_type, *params):
+    """The model ``spec_type(*params)``; None where it does not exist."""
     try:
-        return GaussianEnsembleSpec(sigma_x2, sigma_n2, rho, n)
+        return spec_type(*params)
     except ParameterDomainError:
         return None
 
 
-def _on_model(quantity, spec: GaussianEnsembleSpec | None) -> float:
+def _on_model(quantity, spec) -> float:
     """``quantity`` of ``spec``; nan where the model or the quantity does not exist."""
     if spec is None:
         return math.nan
@@ -418,12 +414,22 @@ def emit_gaussian_curves(sigma_x2: float, rho_grid, sigma_n2_grid, path: str) ->
         raise CapacityError(
             f"table of {rhos.size} x {noises.size} rows exceeds cap {ENUMERATION_CAP}"
         )
+    from .gaussian import (
+        GaussianEnsembleSpec,
+        cond_mi_xi_xj_given_xk,
+        mi_x_xi,
+        mi_xi_xj,
+        r3_lower,
+        r4_lower,
+    )
+
     rows = []
     for rho in rhos:
         for sn2 in noises:
             params = (float(sigma_x2), float(sn2), float(rho))
             spec = GaussianEnsembleSpec(*params)
-            triple, quadruple = _model(*params, 3), _model(*params, 4)
+            triple = _model(GaussianEnsembleSpec, *params, 3)
+            quadruple = _model(GaussianEnsembleSpec, *params, 4)
             pairwise = mi_xi_xj(spec)
             cells = (
                 rho, sn2, mi_x_xi(spec), pairwise, _on_model(cond_mi_xi_xj_given_xk, triple),
@@ -529,6 +535,8 @@ def _cmd_discrete(args) -> int:
         pmf = [1.0 / alphabet] * alphabet
     elif len(pmf) != alphabet:
         raise ConfigurationError(f"--pmf has {len(pmf)} entries but --alphabet is {alphabet}")
+    from .discrete import verify_theorem5
+
     result = verify_theorem5(args.n, pmf)
     doc = {
         "config": {"n": args.n, "alphabet": alphabet, "pmf": pmf},

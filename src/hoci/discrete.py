@@ -25,10 +25,9 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import ChannelMatrix, check_seed
-from .errors import CapacityError, ParameterDomainError
+from .channels import ChannelMatrix, check_seed, is_integer
+from .errors import ENUMERATION_CAP, CapacityError, ParameterDomainError
 
-ENUMERATION_CAP = 10**6
 ENUMERATION_TOL = 1e-10
 PMF_TOL = 1e-12
 
@@ -68,7 +67,7 @@ class DiscreteEnsemble:
 
 def build_ensemble(n: int, base_pmf) -> DiscreteEnsemble:
     """Build the canonical ensemble: mask i has its single zero at position i."""
-    if not (isinstance(n, (int, np.integer)) and n >= 3):
+    if not (is_integer(n) and n >= 3):
         raise ParameterDomainError(f"n must be an integer >= 3, got {n}")
     p = _validate_pmf(base_pmf)
     full = (1 << n) - 1
@@ -273,7 +272,7 @@ def sample_channels(
     blurring all of them simultaneously.  A dense radix (= alphabet_size) is
     still valid and injective, just without that separation.
     """
-    if not (isinstance(num_samples, (int, np.integer)) and num_samples >= 1):
+    if not (is_integer(num_samples) and num_samples >= 1):
         raise ParameterDomainError(f"num_samples must be a positive integer, got {num_samples!r}")
     if radix is None:
         radix = RADIX_FACTOR * ensemble.alphabet_size

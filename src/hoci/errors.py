@@ -2,9 +2,12 @@
 
 Each exception carries a stable machine-readable ``code`` so the CLI can
 report errors in a parseable form and exit nonzero exactly when one is
-raised.
+raised.  ``ENUMERATION_CAP`` is the size limit behind ``CapacityError``.
 """
 from __future__ import annotations
+
+# the most states, cells, masks or rows any exact enumeration or table holds
+ENUMERATION_CAP = 10**6
 
 
 class HociError(Exception):

@@ -58,14 +58,13 @@ dependence.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .channels import UNDERFLOW_SPREAD, unit_scaled
+from .channels import UNDERFLOW_SPREAD, is_integer, unit_scaled
 from .errors import ConfigurationError, DegenerateInputError
 
 _METHODS = ("gaussian_logdet", "binned", "knn")
@@ -93,11 +92,11 @@ class EstimatorConfig:
             raise ConfigurationError(
                 f"unknown estimator {self.method!r}; choose from {_METHODS}"
             )
-        if not (isinstance(self.k, (int, np.integer)) and self.k >= 1):
+        if not (is_integer(self.k) and self.k >= 1):
             raise ConfigurationError(f"k must be an integer >= 1, got {self.k}")
-        if not (isinstance(self.bins, (int, np.integer)) and self.bins >= 2):
+        if not (is_integer(self.bins) and self.bins >= 2):
             raise ConfigurationError(f"bins must be an integer >= 2, got {self.bins}")
-        if not (isinstance(self.ts_lag, (int, np.integer)) and self.ts_lag >= 1):
+        if not (is_integer(self.ts_lag) and self.ts_lag >= 1):
             raise ConfigurationError(f"ts_lag must be an integer >= 1, got {self.ts_lag}")
 
 
@@ -141,6 +140,8 @@ def _standardize(arr: np.ndarray, name: str) -> np.ndarray:
 
 def _content_jitter(raw: np.ndarray) -> np.ndarray:
     """Deterministic tie-breaking noise derived from the column's bytes."""
+    import hashlib  # only knn reads the jitter; imported here as _ksg imports scipy
+
     h = hashlib.blake2b(raw.tobytes(), digest_size=8).digest()
     rng = np.random.default_rng(int.from_bytes(h, "little"))
     return _JITTER_SCALE * rng.standard_normal(raw.size)

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelMatrix, check_seed
-from .errors import ParameterDomainError
+from .channels import ChannelMatrix, check_seed, is_integer
+from .errors import NoCommonInformationError, ParameterDomainError
 
 _PSD_TOL = 1e-12
 
@@ -47,7 +47,7 @@ class GaussianEnsembleSpec:
             raise ParameterDomainError(f"sigma_n2 must be positive, got {self.sigma_n2}")
         if not -1.0 <= self.rho <= 1.0:
             raise ParameterDomainError(f"rho must lie in [-1, 1], got {self.rho}")
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 2):
+        if not (is_integer(self.n) and self.n >= 2):
             raise ParameterDomainError(f"n must be an integer >= 2, got {self.n}")
         # n-variable noise covariance (diag sigma_n2, off-diag rho*sigma_n2)
         # is PSD iff rho >= -1/(n-1)
@@ -206,6 +206,20 @@ def mmse_coefficients(spec: GaussianEnsembleSpec) -> MmseCoefficients:
     )
 
 
+def analytic_sci_variance(spec: GaussianEnsembleSpec) -> float:
+    """Tuned noise variance of a pair's SCI (``hoci.sci``) on this model: the
+    first-stage MMSE error variance ``mmse_coefficients(spec).sigma_eps_j2``.
+
+    Raises the no-common-information signal at delta_rho = 0, where the
+    target MI is zero and the required variance diverges.
+    """
+    if delta_quantities(spec).delta_rho == 0.0:
+        raise NoCommonInformationError(
+            "observations share no information at delta_rho = 0", target_bits=0.0
+        )
+    return mmse_coefficients(spec).sigma_eps_j2
+
+
 def sample_ensemble(spec: GaussianEnsembleSpec, num_samples: int, seed: int) -> ChannelMatrix:
     """Draw num_samples i.i.d. realizations of (X_1, ..., X_n).
 
@@ -214,7 +228,7 @@ def sample_ensemble(spec: GaussianEnsembleSpec, num_samples: int, seed: int) -> 
     eigenbasis, which stays valid on the PSD boundary rho = -1/(n-1).
     Deterministic for a fixed seed.
     """
-    if not (isinstance(num_samples, (int, np.integer)) and num_samples >= 1):
+    if not (is_integer(num_samples) and num_samples >= 1):
         raise ParameterDomainError(f"num_samples must be a positive integer, got {num_samples!r}")
     n = spec.n
     rng = np.random.default_rng(check_seed(seed))

@@ -45,7 +45,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from .channels import ChannelMatrix, check_seed
+from .channels import ChannelMatrix, check_seed, is_integer
 from .errors import (
     ConfigurationError,
     ConvergenceError,
@@ -321,9 +321,9 @@ def _mean(candidates: list[tuple[tuple[int, ...], float]]) -> float:
 
 def approx_rtilde(r2_bits: float, n_vars: int, level: int) -> float:
     """Scaling approximation ((n - level)/(n - 2)) * r2_bits."""
-    if not (isinstance(n_vars, (int, np.integer)) and n_vars > 2):
+    if not (is_integer(n_vars) and n_vars > 2):
         raise ParameterDomainError(f"n_vars must be an integer > 2, got {n_vars}")
-    if not (isinstance(level, (int, np.integer)) and 2 <= level <= n_vars):
+    if not (is_integer(level) and 2 <= level <= n_vars):
         raise ParameterDomainError(f"level must lie in [2, {n_vars}], got {level}")
     if r2_bits < 0:
         raise ParameterDomainError(f"r2_bits must be nonnegative, got {r2_bits}")

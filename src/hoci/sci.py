@@ -10,8 +10,9 @@ sample), centred and of unit variance, so under the parametric
 and v = var(x_j) / (2^(2 I) - 1) solves the tuning in closed form.  Every
 tuning starts there; ``binned`` and ``knn`` go on with a safeguarded root
 search in ln v (``_tune``).  The observation model's tuned variance has a
-population value, ``analytic_sci_variance``, used for validation.  Noise is
-seeded per descriptor: the same inputs and seed rebuild T bit for bit.
+population value, ``gaussian.analytic_sci_variance``, used for validation.
+Noise is seeded per descriptor: the same inputs and seed rebuild T bit for
+bit.
 
 A target MI at or below epsilon is reported as a no-common-information
 signal rather than a failure: there is nothing for the construction to
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelMatrix, check_seed
+from .channels import ChannelMatrix, check_seed, is_integer
 from .errors import (
     ConfigurationError,
     ConvergenceError,
@@ -33,7 +34,6 @@ from .errors import (
     ParameterDomainError,
 )
 from .estimators import EstimatorConfig, PreparedColumns, _pair, mi_estimate, mi_estimate_full
-from .gaussian import GaussianEnsembleSpec, delta_quantities, mmse_coefficients
 
 # accept only inside a bracket this narrow (hi/lo): a wide one can hold a
 # point within epsilon while the variance is still far off
@@ -59,7 +59,7 @@ class BisectionConfig:
     def __post_init__(self):
         if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
             raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
-        if not (isinstance(self.max_iterations, (int, np.integer)) and self.max_iterations >= 10):
+        if not (is_integer(self.max_iterations) and self.max_iterations >= 10):
             raise ConfigurationError(
                 f"max_iterations must be an integer >= 10, got {self.max_iterations}"
             )
@@ -112,20 +112,6 @@ def chain_slack_bits(num_samples: int) -> float:
     if num_samples < 1:
         raise ParameterDomainError("num_samples must be positive")
     return SLACK_BITS_AT_REFERENCE * math.sqrt(REFERENCE_SAMPLES / num_samples)
-
-
-def analytic_sci_variance(spec: GaussianEnsembleSpec) -> float:
-    """Tuned noise variance for the observation model: the first-stage MMSE
-    error variance ``mmse_coefficients(spec).sigma_eps_j2``.
-
-    Raises the no-common-information signal at delta_rho = 0, where the
-    target MI is zero and the required variance diverges.
-    """
-    if delta_quantities(spec).delta_rho == 0.0:
-        raise NoCommonInformationError(
-            "observations share no information at delta_rho = 0", target_bits=0.0
-        )
-    return mmse_coefficients(spec).sigma_eps_j2
 
 
 def _orthogonal_unit_noise(carrier: np.ndarray, rng: np.random.Generator) -> np.ndarray:

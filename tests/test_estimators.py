@@ -14,14 +14,17 @@ from hoci import (
     DegenerateInputError,
     EstimatorConfig,
     GaussianEnsembleSpec,
+    ParameterDomainError,
     bidirectional_te_mi,
+    build_ensemble,
     delta_quantities,
     mi_estimate,
     mi_estimate_full,
     mi_xi_xj,
+    sample_channels,
     sample_ensemble,
 )
-from hoci.channels import UNDERFLOW_SPREAD, unit_scaled
+from hoci.channels import UNDERFLOW_SPREAD, check_seed, unit_scaled
 from hoci.estimators import _bin_index, _binned_pair, _pearson
 from hoci.estimators import _binned_joint, _clamp, _joint_mi, _raw_mi
 from hoci.estimators import _content_jitter, _ksg, _prepare, _standardize, _strict_range_counts
@@ -55,6 +58,40 @@ class TestConfig:
             EstimatorConfig(bins=1)
         with pytest.raises(ConfigurationError):
             EstimatorConfig(ts_lag=0)
+
+    @pytest.mark.parametrize(
+        "call, accepted, error, message",
+        [
+            (lambda v: EstimatorConfig(method="knn", k=v), 1, ConfigurationError, "k must be"),
+            (lambda v: EstimatorConfig(ts_lag=v), 1, ConfigurationError, "ts_lag must be"),
+            (check_seed, 1, ConfigurationError, "seed must be a nonnegative integer"),
+            (
+                lambda v: sample_ensemble(GaussianEnsembleSpec(1.0, 1.0, 0.3, 3), v, seed=0),
+                40,
+                ParameterDomainError,
+                "num_samples must be a positive integer",
+            ),
+            (
+                lambda v: sample_channels(build_ensemble(3, [0.5, 0.5]), v, seed=0),
+                40,
+                ParameterDomainError,
+                "num_samples must be a positive integer",
+            ),
+            (
+                lambda v: ChannelMatrix(("a", "b"), np.eye(2, 40)).index_of(v),
+                1,
+                ConfigurationError,
+                "unknown channel",
+            ),
+        ],
+        ids=["k", "ts_lag", "check_seed", "sample_ensemble", "sample_channels", "index_of"],
+    )
+    def test_integer_settings_refuse_bool(self, call, accepted, error, message):
+        # True would pass as 1, and a config would be written back as "k": true
+        for value in (accepted, np.int64(accepted)):
+            call(value)
+        with pytest.raises(error, match=f"{message}.*True"):
+            call(True)
 
 
 class TestExactIdentities:

@@ -1,4 +1,6 @@
-"""Import boundary: scipy is loaded only when the knn estimator first runs.
+"""Import boundary: ``import hoci.cli`` loads only the modules ``hoci
+estimate`` runs.  scipy and hashlib wait for the first knn call, and
+``hoci.gaussian`` and ``hoci.discrete`` for the commands that use them.
 
 Each check runs in a fresh interpreter, because other test modules import
 scipy into the pytest process itself.
@@ -23,6 +25,9 @@ SCRIPT = textwrap.dedent(
     def scipy_modules():  # the first few, enough to name the culprit
         return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")[:3]
 
+    def loaded(*named):  # those named, and scipy's first few, loaded so far
+        return [m for m in named if m in sys.modules] + scipy_modules()
+
     path, out, mode = sys.argv[1:]
     if mode == "scipy-first":
         import scipy.spatial, scipy.special
@@ -30,14 +35,24 @@ SCRIPT = textwrap.dedent(
     from hoci.cli import main
 
     if mode == "lazy":
-        assert scipy_modules() == [], scipy_modules()
-        assert main(["estimate", "--input", path, "--estimator", "gaussian",
-                     "--order", "4", "--out", out + "/gauss.json"]) == 0
+        package = sorted(m for m in sys.modules if m.split(".")[0] == "hoci")
+        assert package == ["hoci", "hoci.channels", "hoci.cli", "hoci.errors",
+                           "hoci.estimators", "hoci.pipeline", "hoci.sci"], package
+        models, hashes = ("hoci.discrete", "hoci.gaussian"), ("hashlib", "_hashlib")
+        assert loaded(*models, *hashes) == [], loaded(*models, *hashes)
+        estimate = ["estimate", "--input", path, "--order", "4", "--estimator"]
+        assert main(estimate + ["gaussian", "--out", out + "/gauss.json"]) == 0
+        assert loaded(*models, *hashes) == [], loaded(*models, *hashes)
+        # binned draws noise, and seeding numpy.random may load hashlib itself
+        assert main(estimate + ["binned", "--out", out + "/binned.json"]) == 0
+        assert loaded(*models) == [], loaded(*models)
+        assert main(["gaussian", "--out", out + "/curves.csv"]) == 0
+        assert loaded(*models) == ["hoci.gaussian"], loaded(*models)
         assert main(["discrete", "--n", "4", "--out", out + "/discrete.json"]) == 0
-        assert scipy_modules() == [], scipy_modules()
+        assert loaded(*models) == ["hoci.discrete", "hoci.gaussian"], loaded(*models)
     assert main(["estimate", "--input", path, "--estimator", "knn", "--k", "3",
                  "--order", "3", "--out", out + "/knn-" + mode + ".json"]) == 0
-    assert "scipy.spatial" in sys.modules and "scipy.special" in sys.modules
+    assert {"scipy.spatial", "scipy.special", "hashlib"} <= set(sys.modules)
     """
 )
 

@@ -52,6 +52,13 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """The one real-number rule of every float setting: an ``int``, a
+    ``float`` or a numpy integer or float, and not a ``bool`` (which would
+    be written back as true/false)."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def check_seed(seed) -> int:
     """The one seed rule of every seeded entry point: a nonnegative integer, as ``int``."""
     if not (is_integer(seed) and seed >= 0):

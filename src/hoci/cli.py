@@ -30,10 +30,13 @@ from __future__ import annotations
 import argparse
 import codecs
 import csv
+import io
 import json
 import math
 import os
+import stat
 import sys
+import warnings
 from dataclasses import asdict
 from functools import partial
 from itertools import chain
@@ -90,6 +93,8 @@ def _parses(cell: str) -> bool:
 _BLOCK_CHARS = 1 << 20
 # how an input CSV is decoded: UTF-8, less a leading byte-order mark
 _INPUT_ENCODING = "utf-8-sig"
+# a rows file is parsed in forked parts of at least this many bytes, one per usable CPU
+_MIN_PART_BYTES = 1 << 20
 
 
 def _skipped(line: str) -> bool:
@@ -200,13 +205,24 @@ def _decode_failure(path: str, err: UnicodeDecodeError) -> str:
                 return str(err)  # the file changed since the text read
 
 
+def _load(lines, raw: bool) -> np.ndarray:
+    """``lines`` parsed by numpy: taken as read with ``raw``, else with quoted cells."""
+    return np.loadtxt(
+        lines,
+        delimiter=",",
+        quotechar=None if raw else '"',
+        comments=None,
+        ndmin=2,
+        dtype=np.float64,
+    )
+
+
 def _parse(fh, transpose: bool, raw: bool) -> tuple[list[str], np.ndarray | None]:
     """Channel names and the body of the text file ``fh`` parsed by one
     ``np.loadtxt`` call: samples by channels, or channels by samples with
     ``transpose``; None for no data lines.  A body that does not parse raises
     ValueError.  The header and first data line are found through ``_skipped``;
-    with ``raw`` (rows of a seekable file) the rest reaches loadtxt as read
-    and unquoted, and a body that does not parse so is read again."""
+    with ``raw`` (rows) the rest reaches loadtxt as read and unquoted."""
     lines = (line for line in (text.rstrip("\n") for text in fh) if not _skipped(line))
     names: list[str] = []
     if transpose:
@@ -229,25 +245,150 @@ def _parse(fh, transpose: bool, raw: bool) -> tuple[list[str], np.ndarray | None
     first = next(body, None)
     if first is None:
         return names, (None if transpose else np.empty((0, len(names))))
-    try:
-        data = np.loadtxt(
-            chain((first,), fh if raw else body),
-            delimiter=",",
-            quotechar=None if raw else '"',
-            comments=None,
-            ndmin=2,
-            dtype=np.float64,
-        )
-    except ValueError:
-        if not raw:
-            raise
-        fh.seek(0)  # a line the rule skips, a quote or a bad cell: filter every line
-        return _parse(fh, transpose, raw=False)
+    data = _load(chain((first,), fh if raw else body), raw)
     if not transpose and data.shape[1] != len(names):
         raise ValueError("row width differs from the header")
     if not np.isfinite(data).all():
         raise ValueError("non-finite cell")
     return names, data
+
+
+class _Span(io.RawIOBase):
+    """Bytes ``start`` up to ``stop`` of the open file ``fd``, read without
+    moving its offset."""
+
+    def __init__(self, fd: int, start: int, stop: int):
+        super().__init__()
+        self.fd, self.pos, self.stop = fd, start, stop
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        got = os.preadv(self.fd, [memoryview(buf)[: self.stop - self.pos]], self.pos)
+        self.pos += got
+        return got
+
+
+def _span_text(fd: int, start: int, stop: int, encoding: str):
+    """Bytes ``start`` up to ``stop`` of ``fd`` as a text file, read as ``open`` reads one."""
+    return io.TextIOWrapper(io.BufferedReader(_Span(fd, start, stop)), encoding=encoding)
+
+
+def _part_cuts(fd: int) -> list[int]:
+    """Bounds of the byte ranges the rows file ``fd`` is parsed in: one per
+    usable CPU, each at least ``_MIN_PART_BYTES``, each cut at k * size /
+    parts moved on to just after the next newline byte, which is never inside
+    a UTF-8 sequence or a CRLF pair.  One range, the whole file, for a file
+    that is not regular or a platform without ``sched_getaffinity``."""
+    st = os.fstat(fd)
+    if not stat.S_ISREG(st.st_mode) or not hasattr(os, "sched_getaffinity"):
+        return [0, st.st_size]
+    parts = min(len(os.sched_getaffinity(0)), st.st_size // _MIN_PART_BYTES)
+    cuts = [0]
+    for k in range(1, parts):
+        pos = k * st.st_size // parts
+        while (block := os.pread(fd, io.DEFAULT_BUFFER_SIZE, pos)) and b"\n" not in block:
+            pos += len(block)
+        cuts.append(pos + block.index(b"\n") + 1 if block else st.st_size)
+    return sorted({*cuts, st.st_size})
+
+
+def _fill(fd: int, array: np.ndarray) -> None:
+    """Read ``array``'s bytes from the pipe ``fd``; a short read raises ValueError."""
+    view = memoryview(array).cast("B")
+    while view:
+        got = os.readv(fd, [view])
+        if not got:
+            raise ValueError("a part ended early")
+        view = view[got:]
+
+
+def _send_part(fd: int, start: int, stop: int, pipe: int) -> None:
+    """In a forked child: parse bytes ``start`` up to ``stop`` of ``fd`` raw,
+    write the part's shape and float64 rows to ``pipe`` and exit.  A part
+    that does not parse, warns (as one without rows does) or holds a
+    non-finite cell exits with nothing written."""
+    status = 1
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            part = _load(_span_text(fd, start, stop, "utf-8"), raw=True)
+        if np.isfinite(part).all():
+            with open(pipe, "wb") as out:
+                out.write(np.array(part.shape, dtype=np.int64))
+                out.write(part)
+            status = 0
+    finally:
+        os._exit(status)  # never the parent's cleanup
+
+
+def _parse_parts(fd: int, cuts: list[int]) -> tuple[list[str], np.ndarray]:
+    """Names and body of the rows file ``fd`` in the ranges between ``cuts``:
+    a forked child parses each range after the first, this process the
+    first, through ``_parse``, and the rows are put together in file order.
+    A range that does not parse raw raises ValueError; a child that cannot
+    start, OSError.  Each child is reaped on every way out, and killed first
+    on every way out but success."""
+    pids, pipes, done = [], [], False
+    try:
+        for start, stop in zip(cuts[1:-1], cuts[2:]):
+            read_end, write_end = os.pipe()
+            pipes.append(read_end)
+            try:
+                pids.append(os.fork())
+                if not pids[-1]:  # the child: with no read end, its writes fail once this process is gone
+                    for inherited in pipes:
+                        os.close(inherited)
+                    _send_part(fd, start, stop, write_end)
+            finally:
+                os.close(write_end)  # so that a child's exit ends its pipe
+        names, head = _parse(_span_text(fd, 0, cuts[1], _INPUT_ENCODING), False, raw=True)
+        if head is None:
+            raise ValueError("no header in the first part")
+        shapes = [np.empty(2, dtype=np.int64) for _ in pipes]
+        for read_end, shape in zip(pipes, shapes):
+            _fill(read_end, shape)
+            if shape[1] != len(names):
+                raise ValueError("row width differs from the header")
+        at = len(head)
+        # grown in place where the allocator can, so no second copy of the rows is held
+        head.resize((at + sum(int(rows) for rows, _ in shapes), len(names)), refcheck=False)
+        for read_end, (rows, _) in zip(pipes, shapes):
+            _fill(read_end, head[at : at + rows])
+            at += rows
+        done = True
+        return names, head
+    finally:
+        if pids and not pids[-1]:  # a child never leaves: it would run on as this process
+            os._exit(1)
+        for read_end in pipes:
+            os.close(read_end)
+        if not done and pids:
+            from signal import SIGKILL
+
+            for pid in pids:
+                os.kill(pid, SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _parse_rows(fh) -> tuple[list[str], np.ndarray | None]:
+    """Names and body of the seekable rows file ``fh``.  The body goes to
+    loadtxt as read, in forked parts where ``_part_cuts`` finds more than one
+    range, else (or where a part cannot start) in this process.  A body that
+    does not parse so is read again with every line filtered."""
+    try:
+        cuts = _part_cuts(fh.fileno())
+        if len(cuts) > 2:
+            try:
+                return _parse_parts(fh.fileno(), cuts)
+            except OSError:  # no fork or pipe: the whole body in this process
+                pass
+        return _parse(fh, False, raw=True)
+    except ValueError:  # a line the rule skips, a quote or a bad cell: filter every line
+        fh.seek(0)
+        return _parse(fh, False, raw=False)
 
 
 def ingest_csv(path: str, transpose: bool = False) -> ChannelMatrix:
@@ -265,17 +406,28 @@ def ingest_csv(path: str, transpose: bool = False) -> ChannelMatrix:
 
     Speed and memory: a rows body goes to loadtxt straight from the file.
     That reads as the filtered body, since loadtxt drops only empty lines
-    and raises on every other line the skip rule drops.  A body holding
-    such a line, a quote or a bad cell is parsed again, filtered line by
-    line in Python (about 2.4x the time when the last line is a comment).
-    The text is never held whole: ingest holds the parsed matrix plus at
-    most one working copy of it, a traced peak of about 2.1x the matrix.
+    and raises on every other line the skip rule drops.  A regular rows
+    file is parsed in min(usable CPUs, whole MiB of the file) byte ranges
+    where that is two or more (Linux only: ``sched_getaffinity``), each
+    range after the first in a forked child; parsing is exact, so the
+    matrix is the one-process parse bit for bit (a 16 MB file: 0.38 s in
+    one process, 0.22 s in two parts).  A body holding a line the rule
+    drops, a quote or a bad cell, in any range, is parsed again, filtered
+    line by line in Python (0.78 s, or 0.61 s in two parts, when that
+    16 MB file ends in a comment); where a child cannot start, the body
+    is parsed in this process.  The text is never held whole: ingest holds the parsed matrix
+    plus at most one working copy of it, a traced peak of about 2.1x the
+    matrix; in parts, the array of this process's own range is grown in
+    place into the matrix, and each child's rows are read straight into it.
     """
     try:
         try:
             with open(path, encoding=_INPUT_ENCODING) as fh:
-                # a pipe cannot be read again: its body is filtered in its one pass
-                names, data = _parse(fh, transpose, raw=not transpose and fh.seekable())
+                if transpose or not fh.seekable():
+                    # a pipe cannot be read again: its body is filtered in its one pass
+                    names, data = _parse(fh, transpose, raw=False)
+                else:
+                    names, data = _parse_rows(fh)
         except UnicodeDecodeError:  # a ValueError, but not the body's
             raise
         except ValueError as err:

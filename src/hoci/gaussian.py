@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelMatrix, check_seed, is_integer
+from .channels import ChannelMatrix, check_seed, is_integer, is_real
 from .errors import NoCommonInformationError, ParameterDomainError
 
 _PSD_TOL = 1e-12
@@ -41,11 +41,11 @@ class GaussianEnsembleSpec:
     n: int = 2
 
     def __post_init__(self):
-        if not (self.sigma_x2 > 0 and math.isfinite(self.sigma_x2)):
+        if not (is_real(self.sigma_x2) and self.sigma_x2 > 0 and math.isfinite(self.sigma_x2)):
             raise ParameterDomainError(f"sigma_x2 must be positive, got {self.sigma_x2}")
-        if not (self.sigma_n2 > 0 and math.isfinite(self.sigma_n2)):
+        if not (is_real(self.sigma_n2) and self.sigma_n2 > 0 and math.isfinite(self.sigma_n2)):
             raise ParameterDomainError(f"sigma_n2 must be positive, got {self.sigma_n2}")
-        if not -1.0 <= self.rho <= 1.0:
+        if not (is_real(self.rho) and -1.0 <= self.rho <= 1.0):
             raise ParameterDomainError(f"rho must lie in [-1, 1], got {self.rho}")
         if not (is_integer(self.n) and self.n >= 2):
             raise ParameterDomainError(f"n must be an integer >= 2, got {self.n}")

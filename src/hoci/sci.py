@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelMatrix, check_seed, is_integer
+from .channels import ChannelMatrix, check_seed, is_integer, is_real
 from .errors import (
     ConfigurationError,
     ConvergenceError,
@@ -57,7 +57,7 @@ class BisectionConfig:
     max_iterations: int = 60
 
     def __post_init__(self):
-        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
+        if not (is_real(self.epsilon) and self.epsilon > 0 and math.isfinite(self.epsilon)):
             raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
         if not (is_integer(self.max_iterations) and self.max_iterations >= 10):
             raise ConfigurationError(

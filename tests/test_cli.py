@@ -6,8 +6,10 @@ import filecmp
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from dataclasses import asdict
@@ -36,6 +38,7 @@ from hoci import (
 )
 from hoci.cli import (
     _BLOCK_CHARS,
+    _MIN_PART_BYTES,
     CURVE_HEADER,
     LAGSCAN_HEADER,
     emit_gaussian_curves,
@@ -88,6 +91,29 @@ def stderr_code(capsys):
     return json.loads(err)["error"]
 
 
+def _use_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _no_fork():
+    pytest.fail("forked where a rows file is parsed in one part")
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def parts(monkeypatch):
+    """One usable CPU: every file is parsed in this process."""
+    _use_cpus(monkeypatch, 1)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    yield
+    _assert_no_child()
+
+
+@pytest.mark.usefixtures("parts")
 class TestIngestion:
     def test_reads_and_standardizes(self, ensemble_csv):
         m = ingest_csv(ensemble_csv)
@@ -273,6 +299,7 @@ def _cells(n_channels, n_samples=40, seed=0):
     return [[repr(float(v)) for v in row] for row in data]
 
 
+@pytest.mark.usefixtures("parts")
 class TestLoadtxtParse:
     """ingest_csv's one-pass body parse reads what the csv.reader parse read."""
 
@@ -393,6 +420,24 @@ class TestLoadtxtParse:
         path = tmp_path / "q.csv"
         path.write_text("\n".join(lines) + "\n")
         assert self._check(str(path), False).n_samples == 40
+
+    @pytest.mark.parametrize("cell, kind", [("nan", "non-finite"), ("-inf", "non-finite"), ("x", "non-numeric")])
+    def test_bad_cell_in_the_last_row(self, tmp_path, cell, kind):
+        cells = _cells(3)
+        cells[2][-1] = cell
+        path = _write_channels(tmp_path / "l.csv", self.NAMES, cells, False)
+        with pytest.raises(IngestionError, match=rf"row 41, column 'w': {kind} cell '{cell}'"):
+            ingest_csv(path)
+
+    def test_rows_wider_than_the_header_from_mid_body(self, tmp_path, parts):
+        # twelve lines of one length: split in 2 or 3 parts, the last part
+        # starts at line 7 or 9 and holds only wide rows, which parse alone
+        wide_from = 9 if parts == 3 else 7
+        lines = ["u,v,w   "] + [f"{t:02d},1,2{',3' if t >= wide_from else '  '}" for t in range(1, 12)]
+        path = tmp_path / "wide.csv"
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(IngestionError, match=f"row {wide_from + 1} has 4 cells; expected 3"):
+            ingest_csv(str(path))
 
     def test_every_row_narrower_than_header(self, tmp_path):
         path = _write_channels(tmp_path / "w.csv", ("u", "v", "w", "x"), _cells(3), False)
@@ -606,6 +651,122 @@ class TestLoadtxtParse:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * m.data.nbytes
+
+
+class _InParts:
+    """A rows file of any size parsed in 2 and in 3 forked parts."""
+
+    @pytest.fixture(params=[2, 3], ids=["2 parts", "3 parts"])
+    def parts(self, request, monkeypatch):
+        monkeypatch.setattr("hoci.cli._MIN_PART_BYTES", 1)
+        _use_cpus(monkeypatch, request.param)
+        yield request.param
+        _assert_no_child()
+
+
+class TestIngestionInParts(_InParts, TestIngestion):
+    pass
+
+
+class TestLoadtxtParseInParts(_InParts, TestLoadtxtParse):
+    def test_each_part_after_the_first_is_forked(self, tmp_path, monkeypatch, parts):
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        path = _write_channels(tmp_path / "p.csv", self.NAMES, _cells(3), False)
+        self._check(path, False)
+        assert len(forks) == parts - 1
+
+    @pytest.mark.parametrize("failing", [1, 2])
+    def test_a_part_that_cannot_start_leaves_the_parse_to_this_process(
+        self, tmp_path, monkeypatch, parts, failing
+    ):
+        # the fork that fails is the first or the second; a child already started is stopped
+        forks, fork = [], os.fork
+
+        def fork_until_failing():
+            forks.append(1)
+            if len(forks) == failing:
+                raise OSError("no process for a part")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_until_failing)
+        path = _write_channels(tmp_path / "f.csv", self.NAMES, _cells(3), False)
+        self._check(path, False)
+        assert len(forks) == min(failing, parts - 1)
+
+    def test_an_interrupted_parse_kills_and_reaps_every_child(self, tmp_path, monkeypatch, parts):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        statuses, waitpid = [], os.waitpid
+
+        def recorded_waitpid(pid, options):
+            reaped = waitpid(pid, options)
+            statuses.append(reaped[1])
+            return reaped
+
+        # each child is still at work when this process is interrupted
+        monkeypatch.setattr("hoci.cli._send_part", lambda *args: (time.sleep(60), os._exit(0)))
+        monkeypatch.setattr("hoci.cli._parse", interrupted)
+        monkeypatch.setattr(os, "waitpid", recorded_waitpid)
+        path = _write_channels(tmp_path / "i.csv", self.NAMES, _cells(3), False)
+        with pytest.raises(KeyboardInterrupt):
+            ingest_csv(path)
+        assert len(statuses) == parts - 1
+        assert all(os.WIFSIGNALED(s) and os.WTERMSIG(s) == signal.SIGKILL for s in statuses)
+
+
+@pytest.mark.parametrize("cpus, n_samples", [(1, 40_000), (4, 30_000)], ids=["one CPU", "small file"])
+def test_one_cpu_or_a_small_file_parses_in_one_part(tmp_path, monkeypatch, cpus, n_samples):
+    _use_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    path = _write_channels(tmp_path / "s.csv", ("u", "v", "w"), _cells(3, n_samples, seed=12), False)
+    # a second part would hold less than _MIN_PART_BYTES only in the small file
+    assert _MIN_PART_BYTES < os.path.getsize(path)
+    assert (os.path.getsize(path) < 2 * _MIN_PART_BYTES) == (cpus > 1)
+    assert np.array_equal(ingest_csv(path).data, _reference_ingest(path).data)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_a_child_ends_when_its_parent_dies(tmp_path):
+    # the parent is killed while its child parses; the child's rows overfill
+    # the pipe, and its write must fail rather than wait for a reader
+    path = _write_channels(tmp_path / "d.csv", ("u", "v", "w"), _cells(3, 20_000, seed=13), False)
+    script = (
+        "import os, signal, sys, time\n"
+        "import hoci.cli as cli\n"
+        "send = cli._send_part\n"
+        "def recorded(*args):\n"
+        "    open(sys.argv[2] + '.tmp', 'w').write(str(os.getpid()))\n"
+        "    os.replace(sys.argv[2] + '.tmp', sys.argv[2])\n"
+        "    send(*args)\n"
+        "def killed(*args, **kwargs):\n"
+        "    while not os.path.exists(sys.argv[2]):\n"
+        "        time.sleep(0.01)\n"
+        "    os.kill(os.getpid(), signal.SIGKILL)\n"
+        "cli._send_part = recorded\n"
+        "cli._parse = killed\n"
+        "cli._MIN_PART_BYTES = 1\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "cli.ingest_csv(sys.argv[1])\n"
+    )
+    pid_file = tmp_path / "child.pid"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", script, path, str(pid_file)], env=env, timeout=60)
+    assert proc.returncode == -signal.SIGKILL
+    child = int(pid_file.read_text())
+    deadline = time.monotonic() + 30
+    while time.monotonic() < deadline:
+        try:
+            with open(f"/proc/{child}/stat") as fh:
+                if fh.read().rsplit(")", 1)[1].split()[0] == "Z":
+                    break
+        except FileNotFoundError:
+            break
+        time.sleep(0.05)
+    else:
+        os.kill(child, signal.SIGKILL)
+        pytest.fail("the child outlived its parent")
 
 
 class TestParseGrid:

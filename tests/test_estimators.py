@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from hoci import (
+    BisectionConfig,
     ChannelMatrix,
     ConfigurationError,
     DegenerateInputError,
@@ -92,6 +93,24 @@ class TestConfig:
             call(value)
         with pytest.raises(error, match=f"{message}.*True"):
             call(True)
+
+    @pytest.mark.parametrize(
+        "call, accepted, error, message",
+        [
+            (lambda v: BisectionConfig(epsilon=v), 0.01, ConfigurationError, "epsilon must be"),
+            (lambda v: GaussianEnsembleSpec(v, 1.0, 0.3), 2.0, ParameterDomainError, "sigma_x2 must be"),
+            (lambda v: GaussianEnsembleSpec(1.0, v, 0.3), 2.0, ParameterDomainError, "sigma_n2 must be"),
+            (lambda v: GaussianEnsembleSpec(1.0, 1.0, v), 0.5, ParameterDomainError, "rho must lie"),
+        ],
+        ids=["epsilon", "sigma_x2", "sigma_n2", "rho"],
+    )
+    def test_real_settings_refuse_bool_and_text(self, call, accepted, error, message):
+        # True would pass as 1 and be written back as true; text raised a bare TypeError
+        for value in (accepted, np.float64(accepted), np.float32(accepted), 1, np.int64(1)):
+            call(value)
+        for value in (True, False, np.bool_(True), "0.1", None):
+            with pytest.raises(error, match=f"{message}.*{value}"):
+                call(value)
 
 
 class TestExactIdentities:

@@ -42,13 +42,7 @@ from .pipeline import (
     lag_max_correlation_samples,
     run_estimate,
 )
-from .sci import (
-    BisectionConfig,
-    SciDescriptor,
-    SciVerification,
-    build_sci,
-    verify_sci,
-)
+from .sci import SciDescriptor, SciVerification, build_sci, verify_sci
 
 # bound on first use, by the submodule that defines them
 _LAZY = {

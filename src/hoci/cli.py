@@ -63,7 +63,7 @@ from .pipeline import (
     lag_max_correlation_samples,
     run_estimate,
 )
-from .sci import BisectionConfig, verify_sci
+from .sci import EPSILON, MAX_ITERATIONS, verify_sci
 
 CURVE_HEADER = "rho,sigma_n2,I(X;Xi),I(Xi;Xj),I(Xi;Xj|Xk),R2,R3_lower,R4_lower"
 LAGSCAN_HEADER = "channel,lag_samples,lag_ms,abs_corr"
@@ -71,6 +71,8 @@ _ESTIMATOR_NAMES = {"gaussian": "gaussian_logdet", "knn": "knn", "binned": "binn
 # report key of each level, and the key of its witness channels
 _LEVEL_KEYS = {2: "r2", 3: "r3_lower", 4: "r4_lower"}
 _TUPLE_KEYS = {2: "pair", 3: "triple", 4: "quadruple"}
+# the tuning constants, as every report's config records them
+_BISECTION = {"epsilon": EPSILON, "max_iterations": MAX_ITERATIONS}
 
 
 # ---------------------------------------------------------------- ingestion
@@ -516,7 +518,7 @@ def emit_report(report: CommonInfoReport, path: str) -> None:
             "order": max(report.levels),
             "time_series": report.time_series,
             "estimator": asdict(report.estimator),
-            "bisection": asdict(report.bisection),
+            "bisection": _BISECTION,
         },
         "channels": list(report.channel_names),
         "num_samples": report.num_samples,
@@ -599,6 +601,21 @@ def emit_gaussian_curves(sigma_x2: float, rho_grid, sigma_n2_grid, path: str) ->
 
 # ------------------------------------------------------------ configuration
 
+def _parse_values(text: str, what: str) -> list[float]:
+    """The numbers of the list "a,b,c"; an empty or non-numeric entry is
+    refused, naming the input as ``what``."""
+    values = []
+    for piece in text.split(","):
+        piece = piece.strip()
+        if not piece:
+            raise ConfigurationError(f"{what}: empty entry")
+        try:
+            values.append(float(piece))
+        except ValueError:
+            raise ConfigurationError(f"{what}: non-numeric entry {piece!r}") from None
+    return values
+
+
 def parse_grid(text: str) -> np.ndarray:
     """Parse a sweep grid: either "a,b,c" values or "lo:hi:num[:log]"."""
     t = text.strip()
@@ -626,18 +643,7 @@ def parse_grid(text: str) -> np.ndarray:
         if scale == "lin":
             return np.linspace(lo, hi, num)
         raise ConfigurationError(f"grid {text!r}: unknown scale {scale!r}")
-    values = []
-    for piece in t.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        try:
-            values.append(float(piece))
-        except ValueError:
-            raise ConfigurationError(f"grid {text!r}: non-numeric entry {piece!r}") from None
-    if not values:
-        raise ConfigurationError(f"grid {text!r} is empty")
-    return np.array(values)
+    return np.array(_parse_values(t, f"grid {text!r}"))
 
 
 def _estimator_from_args(args, **fields) -> EstimatorConfig:
@@ -677,7 +683,7 @@ def _cmd_gaussian(args) -> int:
 
 
 def _cmd_discrete(args) -> int:
-    pmf = None if args.pmf is None else [float(p) for p in parse_grid(args.pmf)]
+    pmf = None if args.pmf is None else _parse_values(args.pmf, f"--pmf {args.pmf!r}")
     alphabet = args.alphabet if args.alphabet is not None else (2 if pmf is None else len(pmf))
     if alphabet > ENUMERATION_CAP:
         raise CapacityError(f"alphabet of {alphabet} symbols exceeds cap {ENUMERATION_CAP}")
@@ -706,7 +712,6 @@ def _cmd_estimate(args) -> int:
     report = run_estimate(
         matrix,
         _estimator_from_args(args, ts_lag=args.ts_lag),
-        BisectionConfig(),
         args.seed,
         order=args.order,
         time_series=args.time_series,
@@ -720,15 +725,15 @@ def _cmd_estimate(args) -> int:
 def _cmd_sci(args) -> int:
     matrix = ingest_csv(args.input, transpose=args.transpose)
     i, j = _parse_pair(matrix, args.pair)
-    cfg, bis = _estimator_from_args(args), BisectionConfig()
-    desc, t = _pair_sci(matrix.data, i, j, cfg, bis, args.seed)
+    cfg = _estimator_from_args(args)
+    desc, t = _pair_sci(matrix.data, i, j, cfg, args.seed)
     verification = verify_sci(t, matrix, i, j, cfg)
     doc = {
         "seed": args.seed,
         "config": {
             "pair": [matrix.names[i], matrix.names[j]],
             "estimator": asdict(cfg),
-            "bisection": asdict(bis),
+            "bisection": _BISECTION,
         },
         "channels": list(matrix.names),
         "num_samples": matrix.n_samples,

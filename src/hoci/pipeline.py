@@ -25,10 +25,11 @@ Conventions used throughout:
 * Construction seeds are derived deterministically from (run seed, i, j,
   order), so identical inputs give bit-identical reports; a
   ``gaussian_logdet`` report draws no noise and does not depend on the seed.
-* Pairs whose target MI is below the tuning resolution are "no common
-  information" signals: they are excluded from the min and recorded.  When
-  every pair is such a signal the higher-order estimate is exactly 0 --
-  undetectable pairwise common information cannot exceed the resolution.
+* Pairs whose target MI is at or below the tuning resolution, the
+  constant ``sci.EPSILON``, are "no common information" signals: they are
+  excluded from the min and recorded.  When every pair is such a signal
+  the higher-order estimate is exactly 0 -- undetectable pairwise common
+  information cannot exceed the resolution.
 * Construction failures (non-convergence) are likewise excluded and
   recorded; if every construction fails outright the run errors instead of
   silently reporting 0.
@@ -58,7 +59,6 @@ from .estimators import EstimatorConfig, PreparedColumns, bidirectional_te_mi, m
 from .estimators import _correlation, _gaussian_bits, _pair, _pearson
 from .sci import (
     SLACK_BITS_AT_REFERENCE,
-    BisectionConfig,
     SciDescriptor,
     _checked_target,
     build_sci,
@@ -121,7 +121,6 @@ class CommonInfoReport:
     rbar: dict[int, float]
     rtilde: dict[int, float]
     estimator: EstimatorConfig
-    bisection: BisectionConfig
     seed: int
     time_series: bool
     channel_names: tuple[str, ...]
@@ -157,14 +156,13 @@ def _pair_sci(
     i: int,
     j: int,
     cfg: EstimatorConfig,
-    bis: BisectionConfig,
     seed: int,
     columns: PreparedColumns | None = None,
 ) -> tuple[SciDescriptor, np.ndarray]:
     """Tune the surrogate of ordered pair (i, j): noise goes into channel j."""
     pair_seed = derive_sci_seed(seed, i, j, 2)
     return build_sci(
-        rows[i], rows[j], cfg, bis, pair_seed, base_channel=j, partner_channel=i, columns=columns
+        rows[i], rows[j], cfg, pair_seed, base_channel=j, partner_channel=i, columns=columns
     )
 
 
@@ -177,7 +175,6 @@ def _build_all_scis(
     channels: ChannelMatrix,
     rows: list[np.ndarray],
     columns: PreparedColumns,
-    bis: BisectionConfig,
     seed: int,
 ) -> tuple[dict[tuple[int, int], tuple[SciDescriptor, np.ndarray]], list[SciExclusion]]:
     """Tune one T per ordered channel pair; collect failures as exclusions
@@ -190,7 +187,7 @@ def _build_all_scis(
     exclusions: list[SciExclusion] = []
     for i, j in permutations(range(channels.n_channels), 2):
         try:
-            desc, t = _pair_sci(rows, i, j, columns.cfg, bis, seed, columns)
+            desc, t = _pair_sci(rows, i, j, columns.cfg, seed, columns)
         except (NoCommonInformationError, ConvergenceError) as err:
             exclusions.append(_exclusion(channels, i, j, err))
         except DegenerateInputError as err:
@@ -212,7 +209,7 @@ def _scan(entry_pairs, columns: PreparedColumns) -> list[tuple[tuple[int, ...], 
 
 
 def _gaussian_surrogates(
-    channels: ChannelMatrix, rows: list[np.ndarray], columns: PreparedColumns, epsilon: float
+    channels: ChannelMatrix, rows: list[np.ndarray], columns: PreparedColumns
 ) -> tuple[np.ndarray, list[tuple[int, int]], list[SciExclusion]]:
     """Squared sample correlations R^2, and the ordered pairs (i, j) whose
     tuning target, the Gaussian MI of R_ij, passes the target rule.
@@ -229,7 +226,7 @@ def _gaussian_surrogates(
     exclusions: list[SciExclusion] = []
     for i, j in permutations(range(n), 2):
         try:
-            _checked_target(_gaussian_bits(float(r[i, j])), epsilon)
+            _checked_target(_gaussian_bits(float(r[i, j])))
         except (NoCommonInformationError, ConvergenceError) as err:
             exclusions.append(_exclusion(channels, i, j, err))
         else:
@@ -411,7 +408,6 @@ def lag_max_correlation(
 def run_estimate(
     channels: ChannelMatrix,
     cfg: EstimatorConfig = EstimatorConfig(),
-    bis: BisectionConfig = BisectionConfig(),
     seed: int = 0,
     order: int = 3,
     *,
@@ -443,11 +439,11 @@ def run_estimate(
     descriptors: tuple[SciDescriptor, ...] = ()
     exclusions: list[SciExclusion] = []
     if order >= 3 and cfg.method == "gaussian_logdet":
-        rsq, pairs, exclusions = _gaussian_surrogates(channels, rows, columns, bis.epsilon)
+        rsq, pairs, exclusions = _gaussian_surrogates(channels, rows, columns)
         found, rbar[3] = _correlation_levels(rsq, pairs, order)
         minima.update(found)
     elif order >= 3:
-        built, exclusions = _build_all_scis(channels, rows, columns, bis, seed)
+        built, exclusions = _build_all_scis(channels, rows, columns, seed)
         descriptors = tuple(desc for desc, _ in built.values())
         surrogates = [(pair, t) for pair, (_, t) in built.items()]
         singles = [((k,), rows[k]) for k in range(n)]
@@ -470,7 +466,6 @@ def run_estimate(
         rbar=rbar,
         rtilde=rtilde,
         estimator=cfg,
-        bisection=bis,
         seed=seed,
         time_series=time_series,
         channel_names=channels.names,

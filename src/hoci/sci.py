@@ -14,9 +14,12 @@ population value, ``gaussian.analytic_sci_variance``, used for validation.
 Noise is seeded per descriptor: the same inputs and seed rebuild T bit for
 bit.
 
-A target MI at or below epsilon is reported as a no-common-information
-signal rather than a failure: there is nothing for the construction to
-match, and minimizing callers count the pair as contributing zero.
+The tuning tolerance ``EPSILON`` (bits) and call budget ``MAX_ITERATIONS``
+are fixed properties of the estimator, not settings of a run; a report
+records them under its ``bisection`` key.  A target MI at or below
+``EPSILON`` is reported as a no-common-information signal rather than a
+failure: there is nothing for the construction to match, and minimizing
+callers count the pair as contributing zero.
 """
 from __future__ import annotations
 
@@ -25,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelMatrix, check_seed, is_integer, is_real
+from .channels import ChannelMatrix, check_seed
 from .errors import (
-    ConfigurationError,
     ConvergenceError,
     DegenerateInputError,
     NoCommonInformationError,
@@ -47,22 +49,9 @@ _LN_V_RANGE = (math.log(_MIN_NORMAL), math.log(float(np.finfo(np.float64).max)))
 # statistical slack for chain and SCI checks: 0.02 bits at 1e5 samples, ~ N^(-1/2)
 SLACK_BITS_AT_REFERENCE = 0.02
 REFERENCE_SAMPLES = 10**5
-
-
-@dataclass(frozen=True)
-class BisectionConfig:
-    """Tuning-loop settings for the SCI noise variance."""
-
-    epsilon: float = 1e-3
-    max_iterations: int = 60
-
-    def __post_init__(self):
-        if not (is_real(self.epsilon) and self.epsilon > 0 and math.isfinite(self.epsilon)):
-            raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
-        if not (is_integer(self.max_iterations) and self.max_iterations >= 10):
-            raise ConfigurationError(
-                f"max_iterations must be an integer >= 10, got {self.max_iterations}"
-            )
+# tuning tolerance in bits, and the estimator calls one tuning may spend
+EPSILON = 1e-3
+MAX_ITERATIONS = 60
 
 
 @dataclass(frozen=True)
@@ -158,11 +147,10 @@ def _tune(
     carrier: np.ndarray,
     target: float,
     cfg: EstimatorConfig,
-    bis: BisectionConfig,
     seed: int,
     columns: PreparedColumns | None,
 ) -> tuple[float, float, int, np.ndarray]:
-    """Find v with |MI(carrier + sqrt(v) e; carrier) - target| < epsilon.
+    """Find v with |MI(carrier + sqrt(v) e; carrier) - target| < ``EPSILON``.
 
     Returns (variance, residual, iterations, T), T from the last of the
     ``iterations`` estimator calls (each given ``columns``).  The first is at
@@ -171,7 +159,7 @@ def _tune(
     Gaussian model is a line of slope -1, under Brent's safeguards: no step
     shorter than ``_PROBE``; unbracketed, none longer than ``_MAX_REACH``;
     bracketed, a bisection unless the step stays inside and is under half
-    the step before last.  A point within epsilon is probed ``_PROBE``
+    the step before last.  A point within ``EPSILON`` is probed ``_PROBE``
     across, and accepted once the bracket [lo, hi], MI(lo) >= target >
     MI(hi), has hi/lo < ``_BRACKET_REL_TOL`` (the variance, not just the
     residual, is pinned); a probe that closes the bracket off epsilon steps
@@ -190,7 +178,7 @@ def _tune(
     lo = hi = None  # (u, v, residual) of the tightest points with MI >= and < target
     pts: list[tuple[float, float]] = []  # (u, r) of the points with a finite r
     steps, probed = [math.inf, math.inf], False  # steps in u
-    for iterations in range(1, bis.max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         if not _LN_V_RANGE[0] <= u < _LN_V_RANGE[1]:
             raise ConvergenceError(
                 f"SCI tuning left the normal float64 range at v = e^{u:.6g} "
@@ -200,11 +188,11 @@ def _tune(
         t += carrier
         bits = mi_estimate(t, carrier, cfg, columns=columns)
         residual = abs(bits - target)
-        if iterations == 1 and cfg.method == "gaussian_logdet" and residual < bis.epsilon:
+        if iterations == 1 and cfg.method == "gaussian_logdet" and residual < EPSILON:
             return v, residual, iterations, t
         lo, hi = ((u, v, residual), hi) if bits >= target else (lo, (u, v, residual))
         closed = lo and hi and hi[1] < lo[1] * _BRACKET_REL_TOL
-        if closed and residual < bis.epsilon:
+        if closed and residual < EPSILON:
             return v, residual, iterations, t
         r = _y(bits) - _y(target)
         if math.isfinite(r):
@@ -212,10 +200,10 @@ def _tune(
         d = _model_root(pts, bool(lo and hi)) - u if math.isfinite(r) else math.nan
         if abs(d) < _PROBE:
             d = math.copysign(_PROBE, d)
-        probed = residual < bis.epsilon and not probed  # never two probes in a row
+        probed = residual < EPSILON and not probed  # never two probes in a row
         if probed:
             d = _PROBE if bits >= target else -_PROBE
-        elif closed and min(lo[2], hi[2]) < bis.epsilon:  # back beside the end within epsilon
+        elif closed and min(lo[2], hi[2]) < EPSILON:  # back beside the end within epsilon
             d = 0.999 * ((lo if lo[2] < hi[2] else hi)[0] - u)
         elif lo and hi:
             if not (lo[0] < u + d < hi[0] and abs(d) < 0.5 * steps[-2]):
@@ -228,27 +216,27 @@ def _tune(
         if lo and hi and not lo[1] < v < hi[1]:
             raise ConvergenceError(
                 f"SCI bracket collapsed at v={v:.6g} with residual "
-                f"{min(lo[2], hi[2]):.6g} bits >= epsilon {bis.epsilon:.6g}"
+                f"{min(lo[2], hi[2]):.6g} bits >= epsilon {EPSILON:.6g}"
             )
     raise ConvergenceError(
-        f"SCI tuning exceeded {bis.max_iterations} iterations "
+        f"SCI tuning exceeded {MAX_ITERATIONS} iterations "
         f"(target {target:.6g} bits unreachable on this data)"
     )
 
 
-def _checked_target(bits: float, epsilon: float) -> float:
+def _checked_target(bits: float) -> float:
     """The tuning target rule: a pair's MI in bits is a target unless it is
-    divergent (``ConvergenceError``) or at or below epsilon (the
+    divergent (``ConvergenceError``) or at or below ``EPSILON`` (the
     no-common-information signal)."""
     if math.isinf(bits):
         raise ConvergenceError(
             "target MI is divergent (identical columns?); no finite noise "
             "variance can match it"
         )
-    if bits <= epsilon:
+    if bits <= EPSILON:
         raise NoCommonInformationError(
             f"target MI {bits:.6g} bits is at or below epsilon "
-            f"{epsilon:.6g}; the pair shares no matchable information",
+            f"{EPSILON:.6g}; the pair shares no matchable information",
             target_bits=bits,
         )
     return bits
@@ -258,7 +246,6 @@ def build_sci(
     x_i,
     x_j,
     cfg: EstimatorConfig = EstimatorConfig(),
-    bis: BisectionConfig = BisectionConfig(),
     seed: int = 0,
     *,
     base_channel: int | None = None,
@@ -274,8 +261,8 @@ def build_sci(
     one, so the caller can keep that at no cost.
     """
     xi, xj = _pair(x_i, x_j)
-    target = _checked_target(mi_estimate(xi, xj, cfg, columns=columns), bis.epsilon)
-    v, residual, iterations, t = _tune(xj, target, cfg, bis, seed, columns)
+    target = _checked_target(mi_estimate(xi, xj, cfg, columns=columns))
+    v, residual, iterations, t = _tune(xj, target, cfg, seed, columns)
     desc = SciDescriptor(
         base_channel=base_channel,
         partner_channel=partner_channel,

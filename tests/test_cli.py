@@ -30,7 +30,6 @@ from hoci import (
     sample_ensemble,
 )
 from hoci import (
-    BisectionConfig,
     ChannelMatrix,
     CommonInfoReport,
     EstimatorConfig,
@@ -790,7 +789,7 @@ class TestParseGrid:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", " ,", "1:2", "1:2:0", "1:2:x", "0:1:5:log", "1:2:3:cubic", "a,b"],
+        ["", " ,", "1:2", "1:2:0", "1:2:x", "0:1:5:log", "1:2:3:cubic", "a,b", "1,,2", "1,2,"],
     )
     def test_rejects_malformed(self, bad):
         with pytest.raises(ConfigurationError):
@@ -937,6 +936,13 @@ class TestDiscreteCommand:
         )
         assert rc == 1
         assert stderr_code(capsys) == "configuration"
+
+    @pytest.mark.parametrize("pmf", ["0.25:0.25:4", "0.5,,0.5"], ids=["grid", "empty-entry"])
+    def test_pmf_takes_only_its_list_syntax(self, tmp_path, capsys, pmf):
+        out = tmp_path / "disc.json"
+        assert main(["discrete", "--n", "3", "--pmf", pmf, "--out", str(out)]) == 1
+        assert stderr_code(capsys) == "configuration"
+        assert not out.exists()
 
     @pytest.mark.parametrize("alphabet", ["0", "1"])
     def test_alphabet_below_two_is_parameter_domain(self, tmp_path, capsys, alphabet):
@@ -1283,6 +1289,17 @@ class TestLagscanCommand:
 
 
 class TestReportSerialization:
+    @pytest.mark.parametrize("estimator", ["gaussian", "binned"])
+    @pytest.mark.parametrize(
+        "command", [["estimate"], ["sci", "--pair", "x1,x2"]], ids=["estimate", "sci"]
+    )
+    def test_reports_record_the_tuning_constants(self, ensemble_csv, tmp_path, command, estimator):
+        out = tmp_path / "rep.json"
+        args = [*command, "--input", ensemble_csv, "--estimator", estimator, "--out", str(out)]
+        assert main(args) == 0
+        bisection = json.loads(out.read_text())["config"]["bisection"]
+        assert json.dumps(bisection) == '{"epsilon": 0.001, "max_iterations": 60}'
+
     @staticmethod
     def _report(r2_bits):
         return CommonInfoReport(
@@ -1290,7 +1307,6 @@ class TestReportSerialization:
             rbar={2: 0.5},
             rtilde={2: 0.5},
             estimator=EstimatorConfig(),
-            bisection=BisectionConfig(),
             seed=0,
             time_series=False,
             channel_names=("a", "b"),
@@ -1414,12 +1430,14 @@ class TestHelpText:
         [
             ["estimate", "--epsilon", "0.01"],
             ["estimate", "--max-iters", "5"],
+            ["sci", "--pair", "x1,x2", "--epsilon", "0.01"],
+            ["sci", "--pair", "x1,x2", "--max-iters", "10"],
             ["sci", "--pair", "x1,x2", "--ts-lag", "4"],
             ["lagscan", "--ref-channel", "x1", "--lag-min-samples", "0"],
             ["lagscan", "--ref-channel", "x1", "--lag-max-samples", "5"],
         ],
-        ids=["estimate-epsilon", "estimate-max-iters", "sci-ts-lag", "lagscan-lag-min-samples",
-             "lagscan-lag-max-samples"],
+        ids=["estimate-epsilon", "estimate-max-iters", "sci-epsilon", "sci-max-iters", "sci-ts-lag",
+             "lagscan-lag-min-samples", "lagscan-lag-max-samples"],
     )
     def test_settings_no_caller_varies_are_not_flags(self, ensemble_csv, tmp_path, capsys, argv):
         out = tmp_path / "o.json"

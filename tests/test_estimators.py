@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from hoci import (
-    BisectionConfig,
     ChannelMatrix,
     ConfigurationError,
     DegenerateInputError,
@@ -97,12 +96,11 @@ class TestConfig:
     @pytest.mark.parametrize(
         "call, accepted, error, message",
         [
-            (lambda v: BisectionConfig(epsilon=v), 0.01, ConfigurationError, "epsilon must be"),
             (lambda v: GaussianEnsembleSpec(v, 1.0, 0.3), 2.0, ParameterDomainError, "sigma_x2 must be"),
             (lambda v: GaussianEnsembleSpec(1.0, v, 0.3), 2.0, ParameterDomainError, "sigma_n2 must be"),
             (lambda v: GaussianEnsembleSpec(1.0, 1.0, v), 0.5, ParameterDomainError, "rho must lie"),
         ],
-        ids=["epsilon", "sigma_x2", "sigma_n2", "rho"],
+        ids=["sigma_x2", "sigma_n2", "rho"],
     )
     def test_real_settings_refuse_bool_and_text(self, call, accepted, error, message):
         # True would pass as 1 and be written back as true; text raised a bare TypeError

@@ -9,7 +9,7 @@ import pytest
 import hoci
 
 PUBLIC_NAMES = [
-    "AsymptoticLimits", "BisectionConfig", "CapacityError", "ChannelMatrix", "CommonInfoReport",
+    "AsymptoticLimits", "CapacityError", "ChannelMatrix", "CommonInfoReport",
     "ConfigurationError", "ConvergenceError", "DegenerateInputError", "DeltaQuantities",
     "DiscreteEnsemble", "EstimatorConfig", "GaussianEnsembleSpec", "HociError",
     "IngestionError", "LagCorrelation", "LevelEstimate", "LevelVerification", "MiEstimate",

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from hoci import (
-    BisectionConfig,
     ChannelMatrix,
     ConfigurationError,
     DegenerateInputError,
@@ -355,14 +354,9 @@ class TestRunEstimate:
             return real(x, y, cfg, columns=columns) if np.shares_memory(x, m.data) else 0.0
 
         monkeypatch.setattr(hoci.sci, "mi_estimate", never_reaches)
+        monkeypatch.setattr(hoci.sci, "MAX_ITERATIONS", 10)
         with pytest.raises(PipelineError) as exc:
-            run_estimate(
-                m,
-                EstimatorConfig(method="binned"),
-                BisectionConfig(max_iterations=10),
-                seed=0,
-                order=3,
-            )
+            run_estimate(m, EstimatorConfig(method="binned"), seed=0, order=3)
         assert exc.value.code == "pipeline"
         for i in m.names:
             for j in m.names:
@@ -900,6 +894,8 @@ class TestSurrogateTuningAtExtremeScales:
 
     @pytest.mark.parametrize("scale", [1e-150, 1e150])
     def test_knn_stays_close_to_the_unit_scale_levels(self, scale):
+        import hoci.sci
+
         # the tie-breaking jitter hashes the raw bytes, so the last digits of
         # each estimate move, and each surrogate within the tuning resolution
         cfg = EstimatorConfig(method="knn")
@@ -907,7 +903,7 @@ class TestSurrogateTuningAtExtremeScales:
         got = run_estimate(self._scaled(scale, n=3, samples=2000), cfg, order=3, seed=1)
         assert got.levels[2].bits == pytest.approx(want.levels[2].bits, abs=1e-4)
         assert got.levels[3].bits == pytest.approx(
-            want.levels[3].bits, abs=BisectionConfig().epsilon
+            want.levels[3].bits, abs=hoci.sci.EPSILON
         )
 
     @pytest.mark.parametrize("scale", [1e-160, 1e-200])

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import hoci.sci
 from hoci import (
-    BisectionConfig,
     ConfigurationError,
     ConvergenceError,
     DegenerateInputError,
@@ -55,19 +55,6 @@ class TestAnalyticVariances:
     def test_degenerate_at_unit_correlation(self):
         with pytest.raises(ParameterDomainError):
             analytic_sci_variance(GaussianEnsembleSpec(1.0, 1.0, 1.0))
-
-
-class TestBisectionConfig:
-    def test_defaults(self):
-        bis = BisectionConfig()
-        assert bis.epsilon == 1e-3
-        assert bis.max_iterations == 60
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            BisectionConfig(epsilon=0.0)
-        with pytest.raises(ConfigurationError):
-            BisectionConfig(max_iterations=9)
 
 
 class TestBuildSci:
@@ -232,7 +219,7 @@ class TestSafeguardedSearch:
         (_, target), tuning = seen[0], seen[1:]
         assert len(tuning) == desc.iterations
         assert tuning[-1][0] is t  # the accepted column is the last one evaluated
-        assert abs(tuning[-1][1] - target) == desc.residual < BisectionConfig().epsilon
+        assert abs(tuning[-1][1] - target) == desc.residual < hoci.sci.EPSILON
         v = desc.noise_variance
         assert float(np.var(t - m.data[0])) == pytest.approx(v, rel=1e-9)
         tried = [(float(np.var(x - m.data[0])), bits) for x, bits in tuning]
@@ -347,11 +334,9 @@ class TestUnreachableTarget:
     ):
         m = sample_ensemble(GaussianEnsembleSpec(1.0, 1.0, 0.3, n=3), 4000, seed=12)
         calls = _reads_above(monkeypatch, m.data, bits_above)
+        monkeypatch.setattr(hoci.sci, "MAX_ITERATIONS", max_iterations)
         with pytest.raises(ConvergenceError, match=f"exceeded {max_iterations} iterations"):
-            build_sci(
-                m.data[1], m.data[0], EstimatorConfig(method=method),
-                BisectionConfig(max_iterations=max_iterations), seed=4,
-            )
+            build_sci(m.data[1], m.data[0], EstimatorConfig(method=method), seed=4)
         assert len(calls) == max_iterations  # every call the budget allows
 
     def test_a_binary_carrier_near_its_bias_floor_is_unreachable(self):
@@ -371,21 +356,17 @@ class TestUnreachableTarget:
         # range well inside a budget of 200 calls
         m = sample_ensemble(GaussianEnsembleSpec(1.0, 1.0, 0.3, n=3), 4000, seed=12)
         calls = _reads_above(monkeypatch, m.data, bits_above)
+        monkeypatch.setattr(hoci.sci, "MAX_ITERATIONS", 200)
         with pytest.raises(ConvergenceError, match="left the normal float64 range"):
-            build_sci(
-                m.data[1], m.data[0], EstimatorConfig(method="binned"),
-                BisectionConfig(max_iterations=200), seed=4,
-            )
+            build_sci(m.data[1], m.data[0], EstimatorConfig(method="binned"), seed=4)
         assert 80 < len(calls) < 200
 
-    @pytest.mark.parametrize("bits_above, bis", [
-        (0.01, BisectionConfig()),
-        (1.0, BisectionConfig(max_iterations=200)),
-    ])
-    def test_pipeline_excludes_the_pair(self, monkeypatch, bits_above, bis):
+    @pytest.mark.parametrize("bits_above, max_iterations", [(0.01, 60), (1.0, 200)])
+    def test_pipeline_excludes_the_pair(self, monkeypatch, bits_above, max_iterations):
         m = sample_ensemble(GaussianEnsembleSpec(1.0, 1.0, 0.3, n=3), 4000, seed=12)
         _reads_above(monkeypatch, m.data, bits_above, carriers=m.data[0])
-        rep = run_estimate(m, EstimatorConfig(method="binned"), bis, seed=0, order=3)
+        monkeypatch.setattr(hoci.sci, "MAX_ITERATIONS", max_iterations)
+        rep = run_estimate(m, EstimatorConfig(method="binned"), seed=0, order=3)
         excluded = {e.pair: e for e in rep.exclusions}
         assert set(excluded) == {(m.names[1], m.names[0]), (m.names[2], m.names[0])}
         assert all(e.code == ConvergenceError.code for e in excluded.values())

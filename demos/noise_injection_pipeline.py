@@ -13,10 +13,10 @@ I(T; x_j) matches the pairwise MI(x_i; x_j), verify that T carries no more
 about any channel than the pair itself does, and read off the residual. A
 final pass on pure noise shows the no-common-information path.
 
-The build seed is derived from the run seed and the pair indices rather
-than reused directly: injected noise drawn from the same stream that
-generated the data would be correlated with the source and break the
-verification.
+The build seed is derived from the run seed and the carrier channel's name,
+as run_estimate derives it, rather than reused directly: injected noise
+drawn from the same stream that generated the data would be correlated with
+the source and break the verification.
 """
 
 import numpy as np
@@ -63,8 +63,8 @@ def full_pipeline(channels: ChannelMatrix) -> None:
 
 def one_surrogate(channels: ChannelMatrix) -> None:
     x1, x2 = channels.data[0], channels.data[1]
-    build_seed = derive_sci_seed(SEED, 0, 1, 2)
-    descriptor, t = build_sci(x1, x2, seed=build_seed, base_channel=0, partner_channel=1)
+    build_seed = derive_sci_seed(SEED, channels.names[1])
+    descriptor, t = build_sci(x1, x2, seed=build_seed, base_channel=1, partner_channel=0)
     print("single surrogate common input for the pair (x1, x2):")
     print(
         f"  tuned noise variance {descriptor.noise_variance:.3f} "

@@ -726,7 +726,7 @@ def _cmd_sci(args) -> int:
     matrix = ingest_csv(args.input, transpose=args.transpose)
     i, j = _parse_pair(matrix, args.pair)
     cfg = _estimator_from_args(args)
-    desc, t = _pair_sci(matrix.data, i, j, cfg, args.seed)
+    desc, t = _pair_sci(matrix.names, matrix.data, i, j, cfg, args.seed)
     verification = verify_sci(t, matrix, i, j, cfg)
     doc = {
         "seed": args.seed,

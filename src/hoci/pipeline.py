@@ -22,9 +22,11 @@ approximation and lag-scanned correlation for time-aligned references.
 Conventions used throughout:
 
 * One estimator config per run; every MI evaluation inside a report uses it.
-* Construction seeds are derived deterministically from (run seed, i, j,
-  order), so identical inputs give bit-identical reports; a
-  ``gaussian_logdet`` report draws no noise and does not depend on the seed.
+* Noise seeds are derived deterministically from the run seed and the
+  carrier channel's name, so identical inputs give bit-identical reports, a
+  channel's noise does not depend on its column's place, and the n - 1
+  surrogates of one carrier share one draw.  A ``gaussian_logdet`` report
+  draws no noise and does not depend on the seed.
 * Pairs whose target MI is at or below the tuning resolution, the
   constant ``sci.EPSILON``, are "no common information" signals: they are
   excluded from the min and recorded.  When every pair is such a signal
@@ -75,9 +77,12 @@ _LN2 = math.log(2.0)
 _R4_BLOCK = 2**18
 
 
-def derive_sci_seed(run_seed: int, i: int, j: int, order: int) -> int:
-    """Deterministic per-construction seed from the run seed and identity."""
-    seq = np.random.SeedSequence([check_seed(run_seed), i, j, order])
+def derive_sci_seed(run_seed: int, name: str) -> int:
+    """Seed of the noise injected into the carrier channel ``name``, from the
+    run seed and the name's UTF-8 bytes (their count first, so no two names
+    give one entropy)."""
+    data = name.encode("utf-8")
+    seq = np.random.SeedSequence([check_seed(run_seed), len(data), *data])
     return int(seq.generate_state(1, np.uint64)[0])
 
 
@@ -152,6 +157,7 @@ def _pair_value(
 
 
 def _pair_sci(
+    names: tuple[str, ...],
     rows,
     i: int,
     j: int,
@@ -159,10 +165,11 @@ def _pair_sci(
     seed: int,
     columns: PreparedColumns | None = None,
 ) -> tuple[SciDescriptor, np.ndarray]:
-    """Tune the surrogate of ordered pair (i, j): noise goes into channel j."""
-    pair_seed = derive_sci_seed(seed, i, j, 2)
+    """Tune the surrogate of ordered pair (i, j): noise goes into channel j,
+    seeded by its name."""
+    carrier_seed = derive_sci_seed(seed, names[j])
     return build_sci(
-        rows[i], rows[j], cfg, pair_seed, base_channel=j, partner_channel=i, columns=columns
+        rows[i], rows[j], cfg, carrier_seed, base_channel=j, partner_channel=i, columns=columns
     )
 
 
@@ -181,21 +188,30 @@ def _build_all_scis(
     and keep each T's preparation.  A degenerate input names its pair.
 
     Ordered pairs because the construction injects noise into the second
-    channel and is therefore asymmetric.
+    channel and is therefore asymmetric.  Tuning goes carrier by carrier, as
+    permutation order first reaches them (1, ..., n - 1, then 0), so
+    ``columns`` holds one carrier's noise at a time; the results keep
+    permutation order.
     """
+    n = channels.n_channels
     built: dict[tuple[int, int], tuple[SciDescriptor, np.ndarray]] = {}
-    exclusions: list[SciExclusion] = []
-    for i, j in permutations(range(channels.n_channels), 2):
-        try:
-            desc, t = _pair_sci(rows, i, j, columns.cfg, seed, columns)
-        except (NoCommonInformationError, ConvergenceError) as err:
-            exclusions.append(_exclusion(channels, i, j, err))
-        except DegenerateInputError as err:
-            raise _pair_error(channels, i, j, err) from err
-        else:
-            built[(i, j)] = desc, t
-            columns.keep(t)
-    return built, exclusions
+    excluded: dict[tuple[int, int], SciExclusion] = {}
+    for j in (*range(1, n), 0):
+        for i in range(n):
+            if i == j:
+                continue
+            try:
+                desc, t = _pair_sci(channels.names, rows, i, j, columns.cfg, seed, columns)
+            except (NoCommonInformationError, ConvergenceError) as err:
+                excluded[(i, j)] = _exclusion(channels, i, j, err)
+            except DegenerateInputError as err:
+                raise _pair_error(channels, i, j, err) from err
+            else:
+                built[(i, j)] = desc, t
+                columns.keep(t)
+    columns.noise = (None, None, None)  # the scans read no noise
+    # permutation order is the sorted order of the pairs
+    return dict(sorted(built.items())), [excluded[pair] for pair in sorted(excluded)]
 
 
 def _scan(entry_pairs, columns: PreparedColumns) -> list[tuple[tuple[int, ...], float]]:

@@ -11,8 +11,9 @@ and v = var(x_j) / (2^(2 I) - 1) solves the tuning in closed form.  Every
 tuning starts there; ``binned`` and ``knn`` go on with a safeguarded root
 search in ln v (``_tune``).  The observation model's tuned variance has a
 population value, ``gaussian.analytic_sci_variance``, used for validation.
-Noise is seeded per descriptor: the same inputs and seed rebuild T bit for
-bit.
+Noise is seeded per carrier: the unit noise e depends on the carrier and the
+seed alone, so the same inputs and seed rebuild T bit for bit, and a run's
+``PreparedColumns`` table holds one carrier's e for all its surrogates.
 
 The tuning tolerance ``EPSILON`` (bits) and call budget ``MAX_ITERATIONS``
 are fixed properties of the estimator, not settings of a run; a report
@@ -103,9 +104,9 @@ def chain_slack_bits(num_samples: int) -> float:
     return SLACK_BITS_AT_REFERENCE * math.sqrt(REFERENCE_SAMPLES / num_samples)
 
 
-def _orthogonal_unit_noise(carrier: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _orthogonal_unit_noise(carrier: np.ndarray, seed: int) -> np.ndarray:
     """Standard normal draw, centered, sample-orthogonal to the carrier, unit std."""
-    e = rng.standard_normal(carrier.size)
+    e = np.random.default_rng(seed).standard_normal(carrier.size)
     e -= e.mean()
     c = carrier - carrier.mean()
     e -= (float(e @ c) / float(c @ c)) * c
@@ -114,6 +115,19 @@ def _orthogonal_unit_noise(carrier: np.ndarray, rng: np.random.Generator) -> np.
     if s == 0.0:
         raise DegenerateInputError("noise degenerated to zero after orthogonalization")
     return e / s
+
+
+def _unit_noise(carrier: np.ndarray, seed: int, columns: PreparedColumns | None) -> np.ndarray:
+    """The carrier's unit noise for ``seed``, drawn once per carrier in a run:
+    ``columns`` holds the last carrier's, and only that one."""
+    if columns is None:
+        return _orthogonal_unit_noise(carrier, seed)
+    held, held_seed, e = columns.noise
+    if held is not carrier or held_seed != seed:
+        columns.noise = (None, None, None)  # the last carrier's noise is freed first
+        e = _orthogonal_unit_noise(carrier, seed)
+        columns.noise = (carrier, seed, e)
+    return e
 
 
 def _y(bits: float) -> float:
@@ -166,13 +180,13 @@ def _tune(
     back beside the point.  A search whose v leaves the normal float64 range
     fails as unreachable, like one that spends its budget.
     """
-    rng = np.random.default_rng(check_seed(seed))
+    seed = check_seed(seed)
     with np.errstate(over="ignore"):  # refused below
         var = float(carrier.var())
     # a subnormal variance has lost digits and would make subnormal noise
     if not _MIN_NORMAL <= var < math.inf:
         raise DegenerateInputError(f"carrier variance {var:.6g} is not a normal float64")
-    e = _orthogonal_unit_noise(carrier, rng)
+    e = _unit_noise(carrier, seed, columns)
     v = var / math.expm1(2.0 * target * _LN2)
     u = math.log(v)
     lo = hi = None  # (u, v, residual) of the tightest points with MI >= and < target

@@ -412,6 +412,21 @@ class TestLoadtxtParse:
         assert message in json.loads(err[0])["message"]
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_byte_rows_file_fails_with_one_json_line(self, tmp_path, capsys):
+        # no header line at all, unlike the empty bodies above
+        path = tmp_path / "zero.csv"
+        path.write_bytes(b"")
+        with pytest.raises(IngestionError, match="contains no data rows"):
+            ingest_csv(str(path))
+        out = tmp_path / "out.json"
+        assert main(["estimate", "--input", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        message = f"{path} contains no data rows"
+        assert json.loads(err[0]) == {"error": "ingestion", "message": message}
+        assert not out.exists()
+
     def test_quoted_cell_across_a_line_break(self, tmp_path):
         # loadtxt reads a quoted cell on past its line break, as csv.reader does
         lines = ["u,v"] + [",".join(col) for col in zip(*_cells(2))]

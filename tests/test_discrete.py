@@ -2,6 +2,9 @@
 level-by-level verification, and channel sampling."""
 
 import math
+from functools import reduce
+from itertools import combinations
+from operator import and_
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from hoci import (
     sample_channels,
     verify_theorem5,
 )
-from hoci.discrete import _codes, _next_level, _outcome_table
+from hoci.discrete import ENUMERATION_TOL, _codes, _next_level, _outcome_table
 
 H_QUARTER = 0.8112781244591328  # H(1/4, 3/4)
 LOG2_3 = 1.584962500721156
@@ -216,6 +219,61 @@ class TestVerification:
         with pytest.raises(CapacityError):
             verify_theorem5(23, UNIFORM3)
 
+
+def _binary_pmf_with_entropy(bits):
+    """(p, 1 - p) with H(p) = ``bits``, p in (0, 1/2], by bisection."""
+    lo, hi = 0.0, 0.5
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return (mid, 1.0 - mid)
+        lo, hi = (mid, hi) if exact_entropy((mid, 1.0 - mid)) < bits else (lo, mid)
+
+
+class TestRestrictedConstruction:
+    """The first four channels of an N-channel construction: each dropped
+    symbol is common to every kept channel, so any l kept channels share
+    (N - l) H(Z) bits.  With H(Z) = 2/(N - 2), R2 is 2 bits at every N while
+    R3 and R4 move: R3 carries what R2 does not."""
+
+    KEPT = 4
+
+    @staticmethod
+    def _levels(ens, mi):
+        # level l: an original kept mask against the AND of l - 1 other kept masks
+        kept = ens.membership_masks[: TestRestrictedConstruction.KEPT]
+        levels = {}
+        for ell in (2, 3, 4):
+            values = []
+            for group in combinations(kept, ell):
+                for b in group:
+                    a = reduce(and_, (m for m in group if m != b))
+                    values.append(mi(ens, a, b))
+            levels[ell] = min(values)
+        return levels
+
+    @pytest.mark.parametrize(
+        "big_n, expected", [(5, (2.0, 4 / 3, 2 / 3)), (6, (2.0, 1.5, 1.0))]
+    )
+    def test_levels_by_shortcut_and_enumeration(self, big_n, expected):
+        ens = build_ensemble(big_n, _binary_pmf_with_entropy(2.0 / (big_n - 2)))
+        h = ens.entropy_bits
+        assert h == pytest.approx(2.0 / (big_n - 2), abs=1e-15)
+        shortcut = self._levels(ens, mask_mi)
+        enumerated = self._levels(ens, enumerate_mask_mi)
+        for ell in (2, 3, 4):
+            assert shortcut[ell] == (big_n - ell) * h
+            assert abs(enumerated[ell] - (big_n - ell) * h) <= ENUMERATION_TOL
+        assert [shortcut[ell] for ell in (2, 3, 4)] == pytest.approx(expected, abs=1e-12)
+
+    def test_equal_r2_with_r3_apart(self):
+        five, six = (
+            self._levels(build_ensemble(n, _binary_pmf_with_entropy(2.0 / (n - 2))), mask_mi)
+            for n in (5, 6)
+        )
+        assert five[2] == pytest.approx(six[2], abs=1e-12)
+        assert six[3] - five[3] == pytest.approx(1 / 6, abs=1e-12)
+        assert six[4] - five[4] == pytest.approx(1 / 3, abs=1e-12)
 
 class TestSampling:
     def test_deterministic(self):

@@ -62,13 +62,15 @@ def independent_report(independent3):
 
 class TestSeedsAndSlack:
     def test_seed_derivation_is_deterministic_and_distinct(self):
-        a = derive_sci_seed(7, 0, 1, 2)
-        assert a == derive_sci_seed(7, 0, 1, 2)
+        a = derive_sci_seed(7, "x1")
+        assert a == derive_sci_seed(7, "x1")
+        # a trailing NUL byte, which a padded entropy word would read as
+        # absent, still names another channel
         others = {
-            derive_sci_seed(7, 1, 0, 2),
-            derive_sci_seed(7, 0, 2, 2),
-            derive_sci_seed(7, 0, 1, 3),
-            derive_sci_seed(8, 0, 1, 2),
+            derive_sci_seed(7, "x2"),
+            derive_sci_seed(7, "x1\0"),
+            derive_sci_seed(7, "é"),
+            derive_sci_seed(8, "x1"),
         }
         assert a not in others
         assert len(others) == 4

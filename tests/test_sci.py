@@ -1,7 +1,10 @@
 """Noise-injection construction: analytic variances, the safeguarded tuner,
 and the defining-inequality verifier."""
 
+import json
 import math
+from dataclasses import asdict
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from hoci import (
     sample_ensemble,
     verify_sci,
 )
+from hoci.cli import ingest_csv, main
 
 
 # mean tuning calls per surrogate that the search aims for (bisection took 12
@@ -397,23 +401,108 @@ class TestBinEdgeChannels:
             (("a", "d"), "convergence"), (("d", "a"), "convergence")
         ]
         assert {k: v.bits.hex() for k, v in rep.levels.items()} == {
-            2: "0x1.95d05fbf3f787p+0", 3: "0x1.bae0c08990bb0p-3", 4: "0x1.da0f0c45c5b50p-2"
+            2: "0x1.95d05fbf3f787p+0", 3: "0x1.bc28e1e418d6ap-3", 4: "0x1.b962b2efc2926p-2"
         }
         assert [
             (s.partner_channel, s.base_channel, s.noise_variance.hex(), s.residual.hex(), s.iterations)
             for s in rep.sci_descriptors
         ] == [
-            (0, 1, "0x1.c9783daeada02p-4", "0x1.5e7ac2e2c0000p-13", 5),
-            (0, 2, "0x1.c94ef7523242bp-4", "0x1.255e3b5734000p-14", 5),
-            (1, 0, "0x1.c8500cab65b2dp-4", "0x1.1a9dc92084800p-11", 5),
-            (1, 2, "0x1.c8d68c2ec810ep-4", "0x1.c3222d6f0d000p-12", 5),
-            (1, 3, "0x1.c8d07fa67928ap-4", "0x1.137d6d8d59800p-11", 5),
-            (2, 0, "0x1.c92b2460a1830p-4", "0x1.2ff4e58e86000p-12", 5),
-            (2, 1, "0x1.c8447f81d6040p-4", "0x1.3bb1f6a12c000p-14", 5),
-            (2, 3, "0x1.c89ca5b0e6f07p-4", "0x1.c082d47c80000p-18", 5),
-            (3, 1, "0x1.c74e7ec375bcfp-4", "0x1.6ae77f1fce000p-13", 5),
-            (3, 2, "0x1.ca781de6c9df5p-4", "0x1.d2df505088000p-13", 5),
+            (0, 1, "0x1.ce9578afb881cp-4", "0x1.95a0fc8ddb000p-12", 5),
+            (0, 2, "0x1.ca114bbfc88edp-4", "0x1.0272527a2e000p-12", 5),
+            (1, 0, "0x1.cb2c80347c1fap-4", "0x1.ca1680f566800p-11", 5),
+            (1, 2, "0x1.ca151c04fae7fp-4", "0x1.542bafcf9d000p-12", 5),
+            (1, 3, "0x1.cac6572ef406ep-4", "0x1.c36961cb32000p-11", 5),
+            (2, 0, "0x1.cb37ae12917d2p-4", "0x1.b5fb74e5b4000p-11", 5),
+            (2, 1, "0x1.ce8cffe8d69dcp-4", "0x1.8ef81e2922000p-12", 5),
+            (2, 3, "0x1.cac26220ae322p-4", "0x1.e352cce487000p-11", 5),
+            (3, 1, "0x1.ce9578afb881cp-4", "0x1.95a0fc8ddb000p-12", 5),
+            (3, 2, "0x1.ca114bbfc88f8p-4", "0x1.0272527a2d000p-12", 5),
         ]
+
+
+def _knn_channels():
+    return sample_ensemble(GaussianEnsembleSpec(1.0, 1.0, 0.3, n=4), 2000, seed=2)
+
+
+_CARRIER_CASES = [
+    pytest.param(
+        TestBinEdgeChannels._coded_channels, EstimatorConfig(method="binned", bins=128), id="binned"
+    ),
+    pytest.param(_knn_channels, EstimatorConfig(method="knn"), id="knn"),
+]
+
+
+class TestCarrierNoise:
+    """Every surrogate injected into one carrier shares its noise, drawn once
+    per run from the run seed and the carrier's name."""
+
+    @pytest.mark.parametrize("channels, cfg", _CARRIER_CASES)
+    def test_one_noise_draw_per_carrier(self, monkeypatch, channels, cfg):
+        m = channels()
+        draws = []
+        draw = hoci.sci._orthogonal_unit_noise
+
+        def counted(carrier, *args):
+            draws.append(next(j for j, row in enumerate(m.data) if np.array_equal(row, carrier)))
+            return draw(carrier, *args)
+
+        monkeypatch.setattr(hoci.sci, "_orthogonal_unit_noise", counted)
+        rep = run_estimate(m, cfg, seed=0, order=3)
+        # n draws, not one per ordered pair; carriers in the order permutation
+        # order first reaches them
+        assert draws == [1, 2, 3, 0]
+        seeds = {}
+        for d in rep.sci_descriptors:
+            seeds.setdefault(d.base_channel, set()).add(d.seed)
+        assert sorted(seeds) == [0, 1, 2, 3]
+        assert all(len(s) == 1 for s in seeds.values())
+        assert len(set().union(*seeds.values())) == 4
+
+    @pytest.mark.parametrize("channels, cfg", _CARRIER_CASES)
+    def test_column_order_moves_no_surrogate(self, channels, cfg):
+        m = channels()
+        perm = [2, 0, 3, 1]
+        shuffled = type(m)(tuple(m.names[p] for p in perm), m.data[perm])
+
+        def surrogates(rep, names):
+            return {
+                (names[d.partner_channel], names[d.base_channel]): (
+                    d.seed, d.noise_variance.hex(), d.residual.hex(), d.iterations
+                )
+                for d in rep.sci_descriptors
+            }
+
+        want = run_estimate(m, cfg, seed=3, order=3)
+        got = run_estimate(shuffled, cfg, seed=3, order=3)
+        assert len(want.sci_descriptors) >= 10
+        assert surrogates(got, shuffled.names) == surrogates(want, m.names)
+        excluded = [{(e.pair, e.code) for e in rep.exclusions} for rep in (got, want)]
+        assert excluded[0] == excluded[1]
+        assert got.levels[3].bits.hex() == want.levels[3].bits.hex()
+
+    def test_sci_command_reproduces_every_descriptor(self, tmp_path, capsys):
+        m = TestBinEdgeChannels._coded_channels()
+        path = tmp_path / "coded.csv"
+        rows = [",".join(map(repr, row)) for row in m.data.T.tolist()]
+        path.write_text("\n".join([",".join(m.names), *rows]) + "\n")
+        cfg = EstimatorConfig(method="binned", bins=128)
+        rep = run_estimate(ingest_csv(str(path)), cfg, seed=0, order=4)
+        descriptors = {(d.partner_channel, d.base_channel): asdict(d) for d in rep.sci_descriptors}
+        excluded = {e.pair: e for e in rep.exclusions}
+        assert len(descriptors) + len(excluded) == 12
+        out = tmp_path / "sci.json"
+        for i, j in permutations(range(4), 2):
+            pair = (m.names[i], m.names[j])
+            argv = ["sci", "--input", str(path), "--pair", ",".join(pair), "--estimator", "binned",
+                    "--bins", "128", "--seed", "0", "--out", str(out)]
+            capsys.readouterr()
+            if pair in excluded:
+                assert main(argv) == 1
+                err = json.loads(capsys.readouterr().err.splitlines()[-1])
+                assert err == {"error": excluded[pair].code, "message": excluded[pair].message}
+            else:
+                assert main(argv) == 0
+                assert json.loads(out.read_text())["descriptor"] == descriptors[(i, j)]
 
 
 @pytest.fixture(scope="module")

@@ -39,7 +39,6 @@ from .pipeline import (
     chain_slack_bits,
     derive_sci_seed,
     lag_max_correlation,
-    lag_max_correlation_samples,
     run_estimate,
 )
 from .sci import SciDescriptor, SciVerification, build_sci, verify_sci

@@ -57,10 +57,11 @@ from .errors import (
 from .estimators import EstimatorConfig
 from .pipeline import (
     SUPPORTED_ORDERS,
+    _LAG_WINDOW_S,
     CommonInfoReport,
     _lag_range_samples,
     _pair_sci,
-    lag_max_correlation_samples,
+    lag_max_correlation,
     run_estimate,
 )
 from .sci import EPSILON, MAX_ITERATIONS, verify_sci
@@ -762,7 +763,8 @@ def _cmd_lagscan(args) -> int:
     rate = args.sample_rate_hz
     if rate is None:  # the library's rule would name its parameter and speak of seconds
         raise ConfigurationError("lagscan needs --sample-rate-hz to place its millisecond window")
-    lag_min, lag_max = _lag_range_samples(args.lag_min_ms / 1000.0, args.lag_max_ms / 1000.0, rate)
+    window_s = (args.lag_min_ms / 1000.0, args.lag_max_ms / 1000.0)
+    lag_min, lag_max = _lag_range_samples(*window_s, rate)
     meta = {
         "ref_channel": matrix.names[ref],
         "lag_range_samples": f"{lag_min},{lag_max}",
@@ -772,11 +774,9 @@ def _cmd_lagscan(args) -> int:
     for g in range(matrix.n_channels):
         if g == ref:
             continue
-        res = lag_max_correlation_samples(matrix.data[ref], matrix.data[g], lag_min, lag_max)
-        lag_ms = res.lag_samples / rate * 1000.0
-        rows.append(
-            f"{matrix.names[g]},{res.lag_samples},{_csv_num(lag_ms)},{_csv_num(res.abs_corr)}"
-        )
+        res = lag_max_correlation(matrix.data[ref], matrix.data[g], *window_s, rate)
+        lag_ms = _csv_num(res.lag_seconds * 1000.0)
+        rows.append(f"{matrix.names[g]},{res.lag_samples},{lag_ms},{_csv_num(res.abs_corr)}")
     _write_csv(args.out, meta, LAGSCAN_HEADER, rows)
     print(f"scanned lags {lag_min}..{lag_max} samples for {matrix.n_channels - 1} channels -> {args.out}")
     return 0
@@ -872,8 +872,9 @@ def build_parser() -> argparse.ArgumentParser:
     l = subs.add_parser("lagscan", help="max |correlation| over a lag range, per channel")
     _add_io_flags(l)
     l.add_argument("--ref-channel", required=True, help="reference channel name")
-    l.add_argument("--lag-min-ms", type=float, default=190.0, help="smallest lag, ms")
-    l.add_argument("--lag-max-ms", type=float, default=300.0, help="largest lag, ms")
+    lag_min_ms, lag_max_ms = (s * 1000.0 for s in _LAG_WINDOW_S)
+    l.add_argument("--lag-min-ms", type=float, default=lag_min_ms, help="smallest lag, ms")
+    l.add_argument("--lag-max-ms", type=float, default=lag_max_ms, help="largest lag, ms")
     l.add_argument("--sample-rate-hz", type=float, default=None, help="sample rate, Hz (no default)")
     l.set_defaults(func=_cmd_lagscan)
 

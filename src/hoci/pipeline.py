@@ -48,7 +48,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from .channels import ChannelMatrix, check_seed, is_integer
+from .channels import ChannelMatrix, check_seed, is_integer, is_real
 from .errors import (
     ConfigurationError,
     ConvergenceError,
@@ -75,6 +75,8 @@ _LN2 = math.log(2.0)
 # r4 candidates read off the correlations per block of first surrogates, so a
 # block's arrays stay near 2 MiB each however many channels there are
 _R4_BLOCK = 2**18
+# the default lag window, seconds: where neural tracking of a stimulus envelope is read
+_LAG_WINDOW_S = (0.190, 0.300)
 
 
 def derive_sci_seed(run_seed: int, name: str) -> int:
@@ -107,11 +109,12 @@ class SciExclusion:
 
 @dataclass(frozen=True)
 class LagCorrelation:
-    """Best absolute correlation over a lag scan."""
+    """Best absolute correlation over a lag scan, and the lag that gives it,
+    in samples and in seconds."""
 
     abs_corr: float
     lag_samples: int
-    lag_seconds: float | None = None
+    lag_seconds: float
 
 
 @dataclass(frozen=True)
@@ -353,36 +356,16 @@ def _abs_corr(x: np.ndarray, y: np.ndarray, lag: int) -> float:
         raise DegenerateInputError(f"constant overlap at lag {lag} samples") from None
 
 
-def lag_max_correlation_samples(
-    x, y, lag_min_samples: int, lag_max_samples: int
-) -> LagCorrelation:
-    """Max of |corr(x shifted by lag, y)| over an integer lag range."""
-    xa, ya = _pair(x, y)
-    if not 0 <= lag_min_samples <= lag_max_samples:
-        raise ParameterDomainError(
-            f"need 0 <= lag_min <= lag_max, got [{lag_min_samples}, {lag_max_samples}]"
-        )
-    if xa.size - lag_max_samples < 2:
-        raise DegenerateInputError(
-            f"series of length {xa.size} too short for max lag {lag_max_samples}"
-        )
-    best = None
-    for lag in range(lag_min_samples, lag_max_samples + 1):
-        c = _abs_corr(xa, ya, lag)
-        if best is None or c > best[0]:
-            best = (c, lag)
-    return LagCorrelation(abs_corr=best[0], lag_samples=best[1])
-
-
 def _lag_range_samples(lag_min_s: float, lag_max_s: float, rate_hz: float | None) -> tuple[int, int]:
     """The one lag-window rule: integer lags whose real time lies in [lag_min_s, lag_max_s]
-    at a positive, finite ``rate_hz``; none, or a window past float64's range in samples,
-    is a domain error."""
-    if rate_hz is None or not 0 < rate_hz < math.inf:
+    at ``rate_hz``.  A rate that is not a positive, finite real number is a configuration
+    error; bounds that are not real, no lag, or a window past float64's range in samples,
+    a domain error."""
+    if not (is_real(rate_hz) and 0 < rate_hz < math.inf):
         raise ConfigurationError("a positive, finite sample_rate_hz is required for lags in seconds")
-    if not 0 <= lag_min_s <= lag_max_s:
+    if not (is_real(lag_min_s) and is_real(lag_max_s) and 0 <= lag_min_s <= lag_max_s):
         raise ParameterDomainError(
-            f"need 0 <= lag_min_s <= lag_max_s, got [{lag_min_s}, {lag_max_s}]"
+            f"need 0 <= lag_min_s <= lag_max_s, got [{lag_min_s!r}, {lag_max_s!r}]"
         )
     if not math.isfinite(lag_max_s * rate_hz):
         raise ParameterDomainError(
@@ -403,22 +386,22 @@ def _lag_range_samples(lag_min_s: float, lag_max_s: float, rate_hz: float | None
 def lag_max_correlation(
     x,
     y,
-    lag_min_s: float = 0.190,
-    lag_max_s: float = 0.300,
+    lag_min_s: float = _LAG_WINDOW_S[0],
+    lag_max_s: float = _LAG_WINDOW_S[1],
     sample_rate_hz: float | None = None,
 ) -> LagCorrelation:
-    """Lag scan with the range given in seconds at a known sample rate.
-
-    The scanned integer lags are those whose real time lies inside
-    [lag_min_s, lag_max_s], by the rule of ``_lag_range_samples``.
-    """
+    """Max of |corr(x shifted by lag, y)| over the integer lags whose real
+    time lies in [lag_min_s, lag_max_s] at ``sample_rate_hz``, by the rule of
+    ``_lag_range_samples``; on a tie the smaller lag wins.  At 1 Hz the
+    window in seconds is the window in samples."""
     lag_min, lag_max = _lag_range_samples(lag_min_s, lag_max_s, sample_rate_hz)
-    res = lag_max_correlation_samples(x, y, lag_min, lag_max)
-    return LagCorrelation(
-        abs_corr=res.abs_corr,
-        lag_samples=res.lag_samples,
-        lag_seconds=res.lag_samples / sample_rate_hz,
-    )
+    xa, ya = _pair(x, y)
+    if xa.size - lag_max < 2:
+        raise DegenerateInputError(f"series of length {xa.size} too short for max lag {lag_max}")
+    corr = [_abs_corr(xa, ya, lag) for lag in range(lag_min, lag_max + 1)]
+    best = max(corr)
+    lag = lag_min + corr.index(best)  # the first maximum
+    return LagCorrelation(best, lag, lag / sample_rate_hz)
 
 
 def run_estimate(
@@ -434,7 +417,7 @@ def run_estimate(
     Order 2 reports the pairwise minimum and average only; order 3 adds the
     third-order bound (needs >= 3 channels), order 4 the fourth (>= 4).
     """
-    if order not in SUPPORTED_ORDERS:
+    if not (is_integer(order) and order in SUPPORTED_ORDERS):
         raise ConfigurationError(f"order must be 2, 3, or 4, got {order}")
     if channels.n_channels < order:
         raise ParameterDomainError(

@@ -23,6 +23,7 @@ from hoci import (
     GaussianEnsembleSpec,
     IngestionError,
     cond_mi_xi_xj_given_xk,
+    lag_max_correlation,
     mi_xi_xj,
     r3_lower,
     r4_lower,
@@ -40,6 +41,7 @@ from hoci.cli import (
     _MIN_PART_BYTES,
     CURVE_HEADER,
     LAGSCAN_HEADER,
+    _csv_num,
     emit_gaussian_curves,
     emit_report,
     ingest_csv,
@@ -1248,6 +1250,30 @@ class TestLagscanCommand:
         assert float(rows["resp"][2]) == pytest.approx(250.0)
         assert float(rows["resp"][3]) > 0.9
         assert float(rows["noise"][3]) < 0.1
+
+    @pytest.mark.parametrize(
+        "rate, window_ms, flags",
+        [
+            ("100", (190.0, 300.0), []),
+            ("333.3", (10.0, 400.0), ["--lag-min-ms", "10", "--lag-max-ms", "400"]),
+        ],
+        ids=["default-window", "off-grid-rate"],
+    )
+    def test_rows_are_the_library_scan(self, lag_csv, tmp_path, rate, window_ms, flags):
+        out = tmp_path / "scan.csv"
+        argv = ["lagscan", "--input", lag_csv, "--ref-channel", "stim", "--sample-rate-hz", rate]
+        assert main([*argv, *flags, "--out", str(out)]) == 0
+        matrix = ingest_csv(lag_csv)
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        rows = [l.split(",") for l in lines[1:]]
+        assert [name for name, *_ in rows] == ["resp", "noise"]
+        lag_min_s, lag_max_s = (ms / 1000 for ms in window_ms)
+        for name, lag_samples, lag_ms, abs_corr in rows:
+            channel = matrix.data[matrix.names.index(name)]
+            res = lag_max_correlation(matrix.data[0], channel, lag_min_s, lag_max_s, float(rate))
+            assert int(lag_samples) == res.lag_samples
+            assert lag_ms == _csv_num(res.lag_seconds * 1000.0)
+            assert abs_corr == _csv_num(res.abs_corr)
 
     def test_ms_window_requires_rate(self, lag_csv, tmp_path, capsys):
         out = tmp_path / "scan.csv"

@@ -11,8 +11,10 @@ import pytest
 
 from hoci import (
     CapacityError,
+    ChannelMatrix,
     ConfigurationError,
     DegenerateInputError,
+    EstimatorConfig,
     ParameterDomainError,
     all_level_masks,
     build_ensemble,
@@ -20,6 +22,7 @@ from hoci import (
     enumerate_mask_mi,
     exact_entropy,
     mask_mi,
+    run_estimate,
     sample_channels,
     verify_theorem5,
 )
@@ -274,6 +277,21 @@ class TestRestrictedConstruction:
         assert five[2] == pytest.approx(six[2], abs=1e-12)
         assert six[3] - five[3] == pytest.approx(1 / 6, abs=1e-12)
         assert six[4] - five[4] == pytest.approx(1 / 3, abs=1e-12)
+
+    # twice the largest error of knn's r2 and r3 over run seeds 0-9 at these
+    # inputs (0.043 and 0.074 bits, both at N=6), rounded up
+    KNN_TOL_BITS = 0.15
+
+    @pytest.mark.parametrize("big_n", [4, 5, 6])
+    def test_knn_reads_the_exact_r2_and_r3(self, big_n):
+        ens = build_ensemble(big_n, _binary_pmf_with_entropy(2.0 / (big_n - 2)))
+        full = sample_channels(ens, 5_000, seed=1)
+        kept = ChannelMatrix(full.names[: self.KEPT], full.data[: self.KEPT])
+        rep = run_estimate(kept, EstimatorConfig(method="knn"), seed=0, order=3)
+        assert rep.levels[2].bits == pytest.approx(2.0, abs=self.KNN_TOL_BITS)
+        assert rep.levels[3].bits == pytest.approx(
+            (big_n - 3) * ens.entropy_bits, abs=self.KNN_TOL_BITS
+        )
 
 class TestSampling:
     def test_deterministic(self):

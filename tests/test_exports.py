@@ -18,10 +18,10 @@ PUBLIC_NAMES = [
     "analytic_sci_variance", "approx_rtilde", "asymptotic_limits", "bidirectional_te_mi",
     "build_ensemble", "build_sci", "build_t_level", "chain_slack_bits",
     "cond_mi_xi_xj_given_xk", "delta_quantities", "derive_sci_seed", "enumerate_mask_mi",
-    "exact_entropy", "interaction_information", "lag_max_correlation",
-    "lag_max_correlation_samples", "mask_mi", "mi_estimate", "mi_estimate_full", "mi_x_xi",
-    "mi_xi_xj", "mmse_coefficients", "r3_lower", "r4_lower", "run_estimate", "sample_channels",
-    "sample_ensemble", "verify_sci", "verify_theorem5",
+    "exact_entropy", "interaction_information", "lag_max_correlation", "mask_mi",
+    "mi_estimate", "mi_estimate_full", "mi_x_xi", "mi_xi_xj", "mmse_coefficients", "r3_lower",
+    "r4_lower", "run_estimate", "sample_channels", "sample_ensemble", "verify_sci",
+    "verify_theorem5",
 ]
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))

@@ -23,7 +23,6 @@ from hoci import (
     chain_slack_bits,
     derive_sci_seed,
     lag_max_correlation,
-    lag_max_correlation_samples,
     mi_estimate,
     mi_xi_xj,
     r3_lower,
@@ -213,14 +212,14 @@ class TestLagScan:
         y = np.roll(x, 50) + 0.3 * np.random.default_rng(6).standard_normal(10_000)
         inside = lag_max_correlation(x, y, sample_rate_hz=100.0)
         assert inside.abs_corr <= 0.05
-        wide = lag_max_correlation_samples(x, y, 40, 60)
+        wide = lag_max_correlation(x, y, 40, 60, sample_rate_hz=1.0)
         assert wide.lag_samples == 50
         assert wide.abs_corr > 0.9
 
     def test_sample_variant_prefers_smaller_lag_on_tie(self):
         x = np.ones(100)
         x[::2] = -1.0  # period-2 series: every lag correlates perfectly
-        res = lag_max_correlation_samples(x, x, 2, 6)
+        res = lag_max_correlation(x, x, 2, 6, sample_rate_hz=1.0)
         assert res.lag_samples == 2
         assert res.abs_corr == 1.0  # clipped, so the tie is exact
 
@@ -233,9 +232,24 @@ class TestLagScan:
         with pytest.raises(ParameterDomainError):
             lag_max_correlation(x, x, 0.191, 0.199, sample_rate_hz=10.0)
         with pytest.raises(ParameterDomainError):
-            lag_max_correlation_samples(x, x, 5, 4)
+            lag_max_correlation(x, x, 5, 4, sample_rate_hz=1.0)
         with pytest.raises(DegenerateInputError):
-            lag_max_correlation_samples(x, x, 0, 999)
+            lag_max_correlation(x, x, 0, 999, sample_rate_hz=1.0)
+
+    @pytest.mark.parametrize(
+        "window, rate, error",
+        [
+            ((False, True), 100.0, ParameterDomainError),
+            ((0.190, 0.300), True, ConfigurationError),
+            ((0.190, 0.300), "100", ConfigurationError),
+            (("0.1", 0.300), 100.0, ParameterDomainError),
+        ],
+        ids=["bool-window", "bool-rate", "str-rate", "str-bound"],
+    )
+    def test_a_window_or_rate_that_is_not_real_is_refused(self, window, rate, error):
+        x = np.random.default_rng(0).standard_normal(1000)
+        with pytest.raises(error):
+            lag_max_correlation(x, x, *window, sample_rate_hz=rate)
 
     def test_reversed_seconds_range_is_a_domain_error(self):
         x = np.random.default_rng(0).standard_normal(1000)
@@ -269,19 +283,19 @@ class TestLagScan:
             ((np.stack([x, x]), x), "x must be a 1-D sample column"),
         ]:
             with pytest.raises(DegenerateInputError, match=message):
-                lag_max_correlation_samples(*args, 0, 3)
+                lag_max_correlation(*args, 0, 3, sample_rate_hz=1.0)
 
     def test_constant_overlap_names_the_lag(self):
         x = np.random.default_rng(0).standard_normal(100)
         y = np.concatenate([np.ones(10), x[10:]])
         with pytest.raises(DegenerateInputError, match="constant overlap at lag 90 samples"):
-            lag_max_correlation_samples(y, x, 88, 90)
+            lag_max_correlation(y, x, 88, 90, sample_rate_hz=1.0)
 
     def test_overflowing_scale_keeps_the_unit_scale_lag(self):
         rng = np.random.default_rng(0)
         x, y = rng.standard_normal((2, 1000))
-        got = lag_max_correlation_samples(x * 1e160, y * 1e160, 0, 3)
-        want = lag_max_correlation_samples(x, y, 0, 3)
+        got = lag_max_correlation(x * 1e160, y * 1e160, 0, 3, sample_rate_hz=1.0)
+        want = lag_max_correlation(x, y, 0, 3, sample_rate_hz=1.0)
         assert got.lag_samples == want.lag_samples
         assert got.abs_corr == pytest.approx(want.abs_corr, abs=1e-12)
 
@@ -344,6 +358,14 @@ class TestRunEstimate:
             run_estimate(independent3, order=4)
         with pytest.raises(ConfigurationError):
             run_estimate(gaussian4, seed=-2)
+
+    @pytest.mark.parametrize("order", [True, 3.0, np.float64(4.0)], ids=repr)
+    def test_an_order_that_is_not_an_integer_is_refused(self, gaussian4, order):
+        with pytest.raises(ConfigurationError, match="order must be 2, 3, or 4, got"):
+            run_estimate(gaussian4, order=order)
+
+    def test_a_numpy_integer_order_is_accepted(self, gaussian4, report4):
+        assert run_estimate(gaussian4, seed=0, order=np.int64(4)).levels == report4.levels
 
     def test_every_construction_failing_raises(self, monkeypatch):
         import hoci.sci
@@ -823,9 +845,9 @@ class TestPowerOfTwoScale:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             data = scaled.standardized().data
-            lag = lag_max_correlation_samples(scaled.data[0], scaled.data[1], 0, 5)
+            lag = lag_max_correlation(scaled.data[0], scaled.data[1], 0, 5, sample_rate_hz=1.0)
         assert np.array_equal(data, unit4.standardized().data)
-        assert lag == lag_max_correlation_samples(unit4.data[0], unit4.data[1], 0, 5)
+        assert lag == lag_max_correlation(unit4.data[0], unit4.data[1], 0, 5, sample_rate_hz=1.0)
 
 
 class TestPreparedColumns:

@@ -1,9 +1,9 @@
 """Multichannel sample container shared by the sampling, estimation, and IO layers.
 
 Channel names are validated here, in ``check_names``, for every producer:
-``ChannelMatrix`` calls it on construction, and CSV ingest calls it on the
-header before any cell is parsed.  Seeds are validated here too, in
-``check_seed``, for the samplers, surrogate tuning, the pipeline and the CLI.
+``ChannelMatrix`` calls it on construction, CSV ingest with its own
+position labels.  Seeds are validated here too, in ``check_seed``, for
+the samplers, surrogate tuning, the pipeline and the CLI.
 """
 from __future__ import annotations
 
@@ -67,11 +67,13 @@ def check_seed(seed) -> int:
 
 
 def check_names(names, where: str = "row") -> None:
-    """Reject empty and repeated channel names, naming their 1-based positions.
+    """Reject non-text, empty and repeated channel names, naming their 1-based positions.
 
     ``where`` labels a position in the message ("row", "column").
     """
     for pos, name in enumerate(names, start=1):
+        if not isinstance(name, str):
+            raise DegenerateInputError(f"{where} {pos} has a channel name that is not text: {name!r}")
         if not name:
             raise DegenerateInputError(f"{where} {pos} has an empty channel name")
     seen: dict[str, int] = {}

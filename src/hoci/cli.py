@@ -163,8 +163,8 @@ def _bad_cell(num: int, line: str, names, width: int, transpose: bool) -> str | 
 
 
 def _raise_bad_input(path: str, transpose: bool) -> None:
-    """Read the file again and raise what failed its parse: a bad channel
-    name first, then the first ragged row or bad cell in file order.  The
+    """Read the file again and raise what failed its parse or the matrix: a
+    bad channel name first, then the first ragged row or bad cell.  The
     file is read to its end, so an undecodable byte anywhere still raises.
     A file that reads empty the second time, as a pipe does, raises nothing."""
     names, width, found = [], None, None
@@ -221,11 +221,11 @@ def _load(lines, raw: bool) -> np.ndarray:
 
 
 def _parse(fh, transpose: bool, raw: bool) -> tuple[list[str], np.ndarray | None]:
-    """Channel names and the body of the text file ``fh`` parsed by one
-    ``np.loadtxt`` call: samples by channels, or channels by samples with
-    ``transpose``; None for no data lines.  A body that does not parse raises
-    ValueError.  The header and first data line are found through ``_skipped``;
-    with ``raw`` (rows) the rest reaches loadtxt as read and unquoted."""
+    """Channel names and the unchecked body of the text file ``fh``, parsed
+    by one ``np.loadtxt`` call: samples by channels, or channels by samples
+    with ``transpose``; None for no data lines.  A body that does not parse
+    raises ValueError.  The header and first data line are found through
+    ``_skipped``; with ``raw`` (rows) the rest reaches loadtxt as read, unquoted."""
     lines = (line for line in (text.rstrip("\n") for text in fh) if not _skipped(line))
     names: list[str] = []
     if transpose:
@@ -248,12 +248,7 @@ def _parse(fh, transpose: bool, raw: bool) -> tuple[list[str], np.ndarray | None
     first = next(body, None)
     if first is None:
         return names, (None if transpose else np.empty((0, len(names))))
-    data = _load(chain((first,), fh if raw else body), raw)
-    if not transpose and data.shape[1] != len(names):
-        raise ValueError("row width differs from the header")
-    if not np.isfinite(data).all():
-        raise ValueError("non-finite cell")
-    return names, data
+    return names, _load(chain((first,), fh if raw else body), raw)
 
 
 class _Span(io.RawIOBase):
@@ -310,29 +305,27 @@ def _fill(fd: int, array: np.ndarray) -> None:
 def _send_part(fd: int, start: int, stop: int, pipe: int) -> None:
     """In a forked child: parse bytes ``start`` up to ``stop`` of ``fd`` raw,
     write the part's shape and float64 rows to ``pipe`` and exit.  A part
-    that does not parse, warns (as one without rows does) or holds a
-    non-finite cell exits with nothing written."""
-    status = 1
+    that does not parse or warns (as one without rows does) exits with
+    nothing written."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             part = _load(_span_text(fd, start, stop, "utf-8"), raw=True)
-        if np.isfinite(part).all():
-            with open(pipe, "wb") as out:
-                out.write(np.array(part.shape, dtype=np.int64))
-                out.write(part)
-            status = 0
-    finally:
-        os._exit(status)  # never the parent's cleanup
+        with open(pipe, "wb") as out:
+            out.write(np.array(part.shape, dtype=np.int64))
+            out.write(part)
+    except BaseException:
+        os._exit(1)  # never the parent's cleanup
+    os._exit(0)
 
 
 def _parse_parts(fd: int, cuts: list[int]) -> tuple[list[str], np.ndarray]:
     """Names and body of the rows file ``fd`` in the ranges between ``cuts``:
     a forked child parses each range after the first, this process the
     first, through ``_parse``, and the rows are put together in file order.
-    A range that does not parse raw raises ValueError; a child that cannot
-    start, OSError.  Each child is reaped on every way out, and killed first
-    on every way out but success."""
+    A range that does not parse raw or is not as wide as the header raises
+    ValueError; a child that cannot start, OSError.  Each child is reaped on
+    every way out, and killed first on every way out but success."""
     pids, pipes, done = [], [], False
     try:
         for start, stop in zip(cuts[1:-1], cuts[2:]):
@@ -352,8 +345,8 @@ def _parse_parts(fd: int, cuts: list[int]) -> tuple[list[str], np.ndarray]:
         shapes = [np.empty(2, dtype=np.int64) for _ in pipes]
         for read_end, shape in zip(pipes, shapes):
             _fill(read_end, shape)
-            if shape[1] != len(names):
-                raise ValueError("row width differs from the header")
+        if any(width != len(names) for _, width in [head.shape, *shapes]):
+            raise ValueError("row width differs from the header")
         at = len(head)
         # grown in place where the allocator can, so no second copy of the rows is held
         head.resize((at + sum(int(rows) for rows, _ in shapes), len(names)), refcheck=False)
@@ -380,7 +373,7 @@ def _parse_rows(fh) -> tuple[list[str], np.ndarray | None]:
     """Names and body of the seekable rows file ``fh``.  The body goes to
     loadtxt as read, in forked parts where ``_part_cuts`` finds more than one
     range, else (or where a part cannot start) in this process.  A body that
-    does not parse so is read again with every line filtered."""
+    does not parse or fit together so is read again with every line filtered."""
     try:
         cuts = _part_cuts(fh.fileno())
         if len(cuts) > 2:
@@ -403,9 +396,9 @@ def ingest_csv(path: str, transpose: bool = False) -> ChannelMatrix:
     data (``_skipped``) are skipped.  The header is split with
     ``csv.reader``; the whole body goes through one ``np.loadtxt`` call, so
     numbers follow numpy's syntax (no digit-group underscores, ASCII digits
-    only).  All shape and value problems raise an ingestion error naming the
-    offending row and column; a bad channel name is named first.  An
-    undecodable byte is named by its offset in the file.
+    only).  ``ChannelMatrix`` judges names, width and values; a body that
+    fails it or the parse is read again, to name a bad name first, then the
+    offending row and column.  An undecodable byte gives its file offset.
 
     Speed and memory: a rows body goes to loadtxt straight from the file.
     That reads as the filtered body, since loadtxt drops only empty lines
@@ -415,14 +408,15 @@ def ingest_csv(path: str, transpose: bool = False) -> ChannelMatrix:
     range after the first in a forked child; parsing is exact, so the
     matrix is the one-process parse bit for bit (a 16 MB file: 0.38 s in
     one process, 0.22 s in two parts).  A body holding a line the rule
-    drops, a quote or a bad cell, in any range, is parsed again, filtered
-    line by line in Python (0.78 s, or 0.61 s in two parts, when that
+    drops, a quote or a non-numeric cell, in any range, is parsed again,
+    filtered line by line in Python (0.78 s, or 0.61 s in two parts, when that
     16 MB file ends in a comment); where a child cannot start, the body
     is parsed in this process.  The text is never held whole: ingest holds the parsed matrix
     plus at most one working copy of it, a traced peak of about 2.1x the
     matrix; in parts, the array of this process's own range is grown in
     place into the matrix, and each child's rows are read straight into it.
     """
+    names = None
     try:
         try:
             with open(path, encoding=_INPUT_ENCODING) as fh:
@@ -431,18 +425,19 @@ def ingest_csv(path: str, transpose: bool = False) -> ChannelMatrix:
                     names, data = _parse(fh, transpose, raw=False)
                 else:
                     names, data = _parse_rows(fh)
-        except UnicodeDecodeError:  # a ValueError, but not the body's
+            if data is None:
+                raise IngestionError(f"{path} contains no data rows")
+            # both orientations hand over the same layout (each time step
+            # contiguous), so they standardize to the same bits
+            data = np.asfortranarray(data) if transpose else data.T
+            matrix = ChannelMatrix(names=tuple(names), data=data)
+        except (UnicodeDecodeError, IngestionError):  # ValueErrors, but not the body's
             raise
-        except ValueError as err:
+        except ValueError as err:  # a body that does not parse, or that the matrix refuses
+            if names is not None:  # parsed names are judged without a second read
+                check_names(names, "row" if transpose else "column")
             _raise_bad_input(path, transpose)
             raise IngestionError(f"{path}: {err}") from None
-        if data is None:
-            raise IngestionError(f"{path} contains no data rows")
-        check_names(names, "row" if transpose else "column")
-        # both orientations hand over the same layout (each time step
-        # contiguous), so they standardize to the same bits
-        data = np.asfortranarray(data) if transpose else data.T
-        matrix = ChannelMatrix(names=tuple(names), data=data)
         del data  # the matrix holds its own copy
         return matrix.standardized()
     except UnicodeDecodeError as err:

@@ -81,7 +81,7 @@ def build_ensemble(n: int, base_pmf) -> DiscreteEnsemble:
 
 
 def _check_mask(ensemble: DiscreteEnsemble, mask: int) -> int:
-    if not 0 <= mask < (1 << ensemble.n):
+    if not (is_integer(mask) and 0 <= mask < (1 << ensemble.n)):
         raise ParameterDomainError(f"mask {mask} is not a length-{ensemble.n} bit-string")
     return int(mask)
 
@@ -171,7 +171,7 @@ def build_t_level(ensemble: DiscreteEnsemble, level: int) -> frozenset[int]:
     l-1.  For the canonical ensemble this yields all weight-(n-l) masks,
     C(n, n-l) of them.
     """
-    if not 1 <= level <= ensemble.n - 1:
+    if not (is_integer(level) and 1 <= level <= ensemble.n - 1):
         raise ParameterDomainError(
             f"level must lie in [1, {ensemble.n - 1}], got {level}"
         )
@@ -276,7 +276,7 @@ def sample_channels(
         raise ParameterDomainError(f"num_samples must be a positive integer, got {num_samples!r}")
     if radix is None:
         radix = RADIX_FACTOR * ensemble.alphabet_size
-    if radix < ensemble.alphabet_size:
+    if not (is_integer(radix) and radix >= ensemble.alphabet_size):
         raise ParameterDomainError(
             f"radix {radix} cannot injectively encode alphabet of size {ensemble.alphabet_size}"
         )

@@ -179,7 +179,7 @@ class AsymptoticLimits:
 
 def asymptotic_limits(rho: float) -> AsymptoticLimits:
     """The two limit values above for a given pairwise noise correlation."""
-    if not -1.0 <= rho <= 1.0:
+    if not (is_real(rho) and -1.0 <= rho <= 1.0):
         raise ParameterDomainError(f"rho must lie in [-1, 1], got {rho}")
     if abs(rho) == 1.0:
         return AsymptoticLimits(math.inf, math.inf)

@@ -83,6 +83,8 @@ def derive_sci_seed(run_seed: int, name: str) -> int:
     """Seed of the noise injected into the carrier channel ``name``, from the
     run seed and the name's UTF-8 bytes (their count first, so no two names
     give one entropy)."""
+    if not isinstance(name, str):
+        raise ConfigurationError(f"channel name must be text, got {name!r}")
     data = name.encode("utf-8")
     seq = np.random.SeedSequence([check_seed(run_seed), len(data), *data])
     return int(seq.generate_state(1, np.uint64)[0])
@@ -341,7 +343,7 @@ def approx_rtilde(r2_bits: float, n_vars: int, level: int) -> float:
         raise ParameterDomainError(f"n_vars must be an integer > 2, got {n_vars}")
     if not (is_integer(level) and 2 <= level <= n_vars):
         raise ParameterDomainError(f"level must lie in [2, {n_vars}], got {level}")
-    if r2_bits < 0:
+    if not (is_real(r2_bits) and r2_bits >= 0):
         raise ParameterDomainError(f"r2_bits must be nonnegative, got {r2_bits}")
     coeff = (n_vars - level) / (n_vars - 2)
     if coeff == 0.0:

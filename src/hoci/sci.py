@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelMatrix, check_seed
+from .channels import ChannelMatrix, check_seed, is_integer
 from .errors import (
     ConvergenceError,
     DegenerateInputError,
@@ -99,7 +99,7 @@ class SciVerification:
 
 def chain_slack_bits(num_samples: int) -> float:
     """Statistical slack for ordering checks between estimated levels."""
-    if num_samples < 1:
+    if not (is_integer(num_samples) and num_samples >= 1):
         raise ParameterDomainError("num_samples must be positive")
     return SLACK_BITS_AT_REFERENCE * math.sqrt(REFERENCE_SAMPLES / num_samples)
 

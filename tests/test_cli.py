@@ -42,6 +42,7 @@ from hoci.cli import (
     CURVE_HEADER,
     LAGSCAN_HEADER,
     _csv_num,
+    _parse,
     emit_gaussian_curves,
     emit_report,
     ingest_csv,
@@ -445,6 +446,48 @@ class TestLoadtxtParse:
         with pytest.raises(IngestionError, match=rf"row 41, column 'w': {kind} cell '{cell}'"):
             ingest_csv(path)
 
+    @staticmethod
+    def _record_parses(monkeypatch) -> list[bool]:
+        """The ``raw`` flag of every ``_parse`` call in this process."""
+        calls = []
+
+        def recorded(fh, transpose, raw):
+            calls.append(raw)
+            return _parse(fh, transpose, raw)
+
+        monkeypatch.setattr("hoci.cli._parse", recorded)
+        return calls
+
+    def test_a_non_finite_cell_in_the_last_range_is_not_parsed_again(self, tmp_path, monkeypatch):
+        # the matrix refuses the parsed body and the re-read names the cell,
+        # so no range is parsed a second time with every line filtered
+        cells = _cells(3)
+        cells[1][-1] = "inf"
+        path = _write_channels(tmp_path / "i.csv", self.NAMES, cells, False)
+        calls = self._record_parses(monkeypatch)
+        with pytest.raises(IngestionError, match=r"row 41, column 'v': non-finite cell 'inf'"):
+            ingest_csv(path)
+        assert False not in calls
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_a_bad_name_over_a_parsed_body_is_not_read_again(self, tmp_path, monkeypatch, transpose):
+        path = _write_channels(tmp_path / "d.csv", ("u", "u", "w"), _cells(3), transpose)
+        monkeypatch.setattr("hoci.cli._raise_bad_input", lambda *args: pytest.fail("read again"))
+        where = "rows" if transpose else "columns"
+        with pytest.raises(IngestionError, match=rf"duplicate channel name 'u' \({where} 1 and 2\)"):
+            ingest_csv(path, transpose=transpose)
+
+    def test_rows_wider_than_the_header_are_named(self, tmp_path, monkeypatch, parts):
+        # in one part the matrix refuses the parsed body; in parts, putting
+        # the rows together does, and the body is parsed once more, filtered
+        lines = ["u,v,w"] + [f"{t},1,2,3" for t in range(40)]
+        path = tmp_path / "wide.csv"
+        path.write_text("".join(line + "\n" for line in lines))
+        calls = self._record_parses(monkeypatch)
+        with pytest.raises(IngestionError, match="row 2 has 4 cells; expected 3"):
+            ingest_csv(str(path))
+        assert calls.count(False) == (0 if parts is None else 1)
+
     def test_rows_wider_than_the_header_from_mid_body(self, tmp_path, parts):
         # twelve lines of one length: split in 2 or 3 parts, the last part
         # starts at line 7 or 9 and holds only wide rows, which parse alone
@@ -638,6 +681,30 @@ class TestLoadtxtParse:
         # the file itself is read again, and its bad cell named
         assert main(["estimate", "--input", path, *flags, "--out", str(out)]) == 1
         assert "non-numeric cell 'x'" in json.loads(capsys.readouterr().err)["message"]
+
+    # bodies the matrix refuses; a pipe reads empty the second time, so
+    # that refusal is the message
+    MATRIX_REFUSALS = {
+        "non-finite": (
+            [f"{t},{t % 3}" for t in range(39)] + ["39,inf"],
+            "channel data contains non-finite entries",
+        ),
+        "wide rows": ([f"{t},{t % 3},1" for t in range(40)], "2 names for 3 channel rows"),
+    }
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("body", MATRIX_REFUSALS)
+    def test_pipe_refused_by_the_matrix(self, body):
+        rows, message = self.MATRIX_REFUSALS[body]
+        text = "".join(line + "\n" for line in ["a,b", *rows]).encode()
+        read_end, write_end = os.pipe()
+        try:
+            assert os.write(write_end, text) == len(text)  # within the pipe's buffer
+            os.close(write_end)
+            with pytest.raises(IngestionError, match=f"^/dev/fd/{read_end}: {message}$"):
+                ingest_csv(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
 
     def test_memory_is_a_small_multiple_of_the_matrix(self, tmp_path):
         # a few megabytes of CSV; numpy reports its buffers to tracemalloc

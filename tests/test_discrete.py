@@ -104,6 +104,23 @@ class TestMaskMi:
         with pytest.raises(ParameterDomainError):
             mask_mi(ens, -1, 1)
 
+    def test_discrete_settings_pass_the_integer_rule(self):
+        ens = build_ensemble(3, UNIFORM2)
+        for mask in (1.5, True):
+            for mi in (mask_mi, enumerate_mask_mi):
+                with pytest.raises(ParameterDomainError, match="is not a length-3 bit-string"):
+                    mi(ens, mask, 7)
+        for level in (2.0, True):
+            with pytest.raises(ParameterDomainError, match="level must lie in"):
+                build_t_level(ens, level)
+        for radix in (2.5, math.nan):
+            with pytest.raises(ParameterDomainError, match="cannot injectively encode"):
+                sample_channels(ens, 100, 1, radix=radix)
+        # numpy integers pass
+        assert mask_mi(ens, np.int64(3), 7) == enumerate_mask_mi(ens, np.int64(3), 7) == 2.0
+        assert build_t_level(ens, np.int64(2)) == build_t_level(ens, 2)
+        assert sample_channels(ens, 100, 1, radix=np.int64(8)).n_samples == 100
+
 
 class TestEnumerationOracle:
     """The joint-pmf enumeration must reproduce the weight shortcut."""

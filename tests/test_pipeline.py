@@ -18,6 +18,7 @@ from hoci import (
     ParameterDomainError,
     PipelineError,
     approx_rtilde,
+    asymptotic_limits,
     bidirectional_te_mi,
     build_ensemble,
     chain_slack_bits,
@@ -79,6 +80,10 @@ class TestSeedsAndSlack:
         assert chain_slack_bits(100_000) == 0.02
         assert chain_slack_bits(25_000) == 0.04
         assert chain_slack_bits(10_000) == pytest.approx(0.02 * math.sqrt(10))
+
+    def test_a_channel_name_that_is_not_text_has_no_seed(self):
+        with pytest.raises(ConfigurationError, match="channel name must be text, got 5"):
+            derive_sci_seed(0, 5)
 
     def test_slack_needs_a_sample(self):
         with pytest.raises(ParameterDomainError, match="num_samples must be positive"):
@@ -190,6 +195,22 @@ class TestAveragesAndScaling:
             approx_rtilde(1.0, 4, 5)
         with pytest.raises(ParameterDomainError):
             approx_rtilde(-0.1, 4, 2)
+
+    def test_closed_form_and_slack_settings_pass_the_real_or_integer_rule(self):
+        for rho in (True, "0.3", math.nan):
+            with pytest.raises(ParameterDomainError, match="rho must lie in"):
+                asymptotic_limits(rho)
+        for r2_bits in (True, "1.0", math.nan):
+            with pytest.raises(ParameterDomainError, match="r2_bits must be nonnegative"):
+                approx_rtilde(r2_bits, 4, 3)
+        for num_samples in (True, 1.5, 100_000.0, math.nan):
+            with pytest.raises(ParameterDomainError, match="num_samples must be positive"):
+                chain_slack_bits(num_samples)
+        # numpy numbers pass, and a divergent r2 keeps its exact zero at level n
+        assert asymptotic_limits(np.float64(0.6)) == asymptotic_limits(0.6)
+        assert approx_rtilde(np.float64(2.0), 4, 3) == approx_rtilde(2, 4, 3) == 1.0
+        assert approx_rtilde(math.inf, 4, 4) == 0.0
+        assert chain_slack_bits(np.int64(100_000)) == 0.02
 
 
 class TestLagScan:
@@ -654,6 +675,14 @@ class TestChannelMatrix:
     def test_unusable_data_is_degenerate(self, names, data, message):
         with pytest.raises(DegenerateInputError, match=message):
             ChannelMatrix(names=names, data=data)
+
+    @pytest.mark.parametrize("names, pos", [((1, 2, 3), 1), (("a", b"b", "c"), 2)], ids=["int", "bytes"])
+    def test_names_that_are_not_text_are_refused(self, names, pos):
+        data = np.random.default_rng(4).standard_normal((3, 40))
+        with pytest.raises(DegenerateInputError, match=f"row {pos} has a channel name that is not text"):
+            ChannelMatrix(names=names, data=data)
+        # a numpy string is a str
+        assert ChannelMatrix(names=tuple(np.array(["a", "b", "c"])), data=data).names == ("a", "b", "c")
 
     def test_index_of_refuses_unknown_names_and_outside_indices(self):
         m = ChannelMatrix(names=("a", "b"), data=np.random.default_rng(3).standard_normal((2, 40)))

@@ -98,6 +98,14 @@ class ChannelMatrix:
     def __post_init__(self):
         self._own(np.array(self.data, dtype=np.float64, copy=True))
 
+    @classmethod
+    def _adopt(cls, names, arr: np.ndarray) -> "ChannelMatrix":
+        """The matrix over ``arr``, in its layout, without the public constructor's copy."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "names", names)
+        matrix._own(arr)
+        return matrix
+
     def _own(self, arr: np.ndarray) -> None:
         """Check ``arr``, a float64 array that no caller holds, and keep it read-only."""
         if arr.ndim != 2:
@@ -142,17 +150,14 @@ class ChannelMatrix:
 
         The mean and std are reduced in the stored memory order (the
         constructor keeps the caller's layout, and the last bits of a sum
-        follow it).  The extremes, which are exact in any order, are reduced
-        by ``_extremes``: sample-major data in blocks of ``_EXTREMES_BLOCK``
-        samples, so that no reduction runs an inner loop as short as the
-        channel count.  Only the result is written row by row, so
-        that every estimator call reads a contiguous channel.  Elementwise
-        arithmetic rounds alike in any layout, so the result is written in
-        C order directly, and the new matrix takes it without a copy: besides
-        this matrix, standardizing holds one working copy of it at a time
-        (the deviations, then the result), two while channels are
-        rescaled.  A channel whose deviation is not a finite float64 at or
-        above ``UNDERFLOW_SPREAD`` is reduced after ``unit_scaled``'s exact
+        follow it); the extremes, exact in any order, by ``_extremes``.  The
+        result is written in C order directly, so that every estimator call
+        reads a contiguous channel (elementwise arithmetic rounds alike in
+        any layout), and the new matrix adopts it: besides this matrix,
+        standardizing holds one working copy at a time (the deviations inside
+        ``std``, then the result), two while channels are rescaled.  A
+        channel whose deviation is not a finite float64 at or above
+        ``UNDERFLOW_SPREAD`` is reduced after ``unit_scaled``'s exact
         power-of-two rescaling, which moves no bit of the result.  A constant
         channel (its min equals its max, even where the mean rounds off the
         value) cannot be standardized and raises.
@@ -173,8 +178,4 @@ class ChannelMatrix:
             stds = data.std(axis=1)
         out = np.subtract(data, data.mean(axis=1)[:, None], order="C")
         out /= stds[:, None]
-        # the result is private: the matrix takes it without the constructor's copy
-        matrix = object.__new__(ChannelMatrix)
-        object.__setattr__(matrix, "names", self.names)
-        matrix._own(out)
-        return matrix
+        return ChannelMatrix._adopt(self.names, out)

@@ -92,7 +92,7 @@ def _parses(cell: str) -> bool:
     return True
 
 
-# bytes read per block while a decode failure is located
+# the size of a block read while a decode failure (bytes) or a bad line (characters) is located
 _BLOCK_CHARS = 1 << 20
 # how an input CSV is decoded: UTF-8, less a leading byte-order mark
 _INPUT_ENCODING = "utf-8-sig"
@@ -138,15 +138,11 @@ def _split_name(line: str) -> tuple[str, str]:
 
 
 def _bad_cell(num: int, line: str, names, width: int, transpose: bool) -> str | None:
-    """What is wrong with data line ``num``: a ragged row or its first bad
-    cell, None for a good line.
-
-    The line is split with ``csv.reader``; a transposed line loses its name
-    cell, which is already the last of ``names``.
-    """
+    """What is wrong with data line ``num``, split with ``csv.reader``: a
+    ragged row or its first bad cell, None for a good line.  A transposed
+    line's first cell is its name, and ``names`` is not read."""
     cells = next(csv.reader([line]))
-    if transpose:
-        cells = cells[1:]
+    name = cells.pop(0).strip() if transpose else None
     if len(cells) != width:
         unit = "samples" if transpose else "cells"
         return f"row {num} has {len(cells)} {unit}; expected {width}"
@@ -157,17 +153,32 @@ def _bad_cell(num: int, line: str, names, width: int, transpose: bool) -> str | 
             kind = "non-finite"
         else:
             continue
-        name = names[-1] if transpose else names[col]
-        return f"row {num}, column {name!r}: {kind} cell {cell.strip()!r}"
+        label = name if transpose else names[col]
+        return f"row {num}, column {label!r}: {kind} cell {cell.strip()!r}"
     return None
+
+
+def _first_bad(block, names, width: int, transpose: bool) -> str | None:
+    """``_bad_cell``'s fault for the first bad line of ``block``, (number, line) pairs;
+    a block that numpy parses into one finite row of ``width`` per line is not split."""
+    texts = [_split_name(line)[1] if transpose else line for _, line in block]
+    if all(texts):  # loadtxt drops an empty line
+        try:
+            rows = _load(texts, raw=False)
+            if rows.shape == (len(texts), width) and np.isfinite(rows).all():
+                return None
+        except ValueError:
+            pass
+    return next(filter(None, (_bad_cell(*row, names, width, transpose) for row in block)), None)
 
 
 def _raise_bad_input(path: str, transpose: bool) -> None:
     """Read the file again and raise what failed its parse or the matrix: a
-    bad channel name first, then the first ragged row or bad cell.  The
-    file is read to its end, so an undecodable byte anywhere still raises.
-    A file that reads empty the second time, as a pipe does, raises nothing."""
-    names, width, found = [], None, None
+    bad channel name first, then the first ragged row or bad cell, sought
+    in blocks of ``_BLOCK_CHARS`` characters.  The file is read to its end,
+    so an undecodable byte anywhere still raises.  A file that reads empty
+    the second time, as a pipe does, raises nothing."""
+    names, width, found, block, size = [], None, None, [], 0
     with open(path, encoding=_INPUT_ENCODING) as fh:
         lines = enumerate((line.rstrip("\n") for line in fh), 1)
         rows = ((num, line) for num, line in lines if not _skipped(line))
@@ -183,7 +194,12 @@ def _raise_bad_input(path: str, transpose: bool) -> None:
                 if width is None:  # the first row's sample count
                     width = len(next(csv.reader([line]))) - 1
             if found is None:
-                found = _bad_cell(num, line, names, width, transpose)
+                block.append((num, line))
+                size += len(line)
+                if size >= _BLOCK_CHARS:
+                    found, block, size = _first_bad(block, names, width, transpose), [], 0
+    if found is None and block:
+        found = _first_bad(block, names, width, transpose)
     check_names(names, "row" if transpose else "column")
     if found is not None:
         raise IngestionError(found)
@@ -400,21 +416,20 @@ def ingest_csv(path: str, transpose: bool = False) -> ChannelMatrix:
     fails it or the parse is read again, to name a bad name first, then the
     offending row and column.  An undecodable byte gives its file offset.
 
-    Speed and memory: a rows body goes to loadtxt straight from the file.
-    That reads as the filtered body, since loadtxt drops only empty lines
-    and raises on every other line the skip rule drops.  A regular rows
-    file is parsed in min(usable CPUs, whole MiB of the file) byte ranges
-    where that is two or more (Linux only: ``sched_getaffinity``), each
-    range after the first in a forked child; parsing is exact, so the
-    matrix is the one-process parse bit for bit (a 16 MB file: 0.38 s in
-    one process, 0.22 s in two parts).  A body holding a line the rule
-    drops, a quote or a non-numeric cell, in any range, is parsed again,
-    filtered line by line in Python (0.78 s, or 0.61 s in two parts, when that
-    16 MB file ends in a comment); where a child cannot start, the body
-    is parsed in this process.  The text is never held whole: ingest holds the parsed matrix
-    plus at most one working copy of it, a traced peak of about 2.1x the
-    matrix; in parts, the array of this process's own range is grown in
-    place into the matrix, and each child's rows are read straight into it.
+    Speed and memory: a rows body goes to loadtxt straight from the file,
+    which reads as the filtered body: loadtxt drops only empty lines and
+    raises on every other line the skip rule drops.  A regular rows file is
+    parsed in min(usable CPUs, whole MiB of the file) byte ranges where that
+    is two or more (Linux only: ``sched_getaffinity``), each range after the
+    first in a forked child, bit for bit as in one process; this process's
+    rows are grown in place into the matrix, and each child's are read
+    straight into it.  A body holding a line the rule drops, a quote or a
+    non-numeric cell is parsed again, filtered line by line; where a child
+    cannot start, in this process.  The text is never held whole, and the
+    matrix adopts the parsed array (a transposed body after one copy into
+    sample-major order), so past the parse ingest holds the matrix plus at
+    most one working copy: a traced peak of about 2.1x the matrix, 2.8x in
+    loadtxt for a transposed file.
     """
     names = None
     try:
@@ -427,10 +442,10 @@ def ingest_csv(path: str, transpose: bool = False) -> ChannelMatrix:
                     names, data = _parse_rows(fh)
             if data is None:
                 raise IngestionError(f"{path} contains no data rows")
-            # both orientations hand over the same layout (each time step
-            # contiguous), so they standardize to the same bits
+            # both orientations hand over the same layout (each time step contiguous),
+            # so they standardize to the same bits; only this function holds the array
             data = np.asfortranarray(data) if transpose else data.T
-            matrix = ChannelMatrix(names=tuple(names), data=data)
+            matrix = ChannelMatrix._adopt(names, data)
         except (UnicodeDecodeError, IngestionError):  # ValueErrors, but not the body's
             raise
         except ValueError as err:  # a body that does not parse, or that the matrix refuses
@@ -438,7 +453,6 @@ def ingest_csv(path: str, transpose: bool = False) -> ChannelMatrix:
                 check_names(names, "row" if transpose else "column")
             _raise_bad_input(path, transpose)
             raise IngestionError(f"{path}: {err}") from None
-        del data  # the matrix holds its own copy
         return matrix.standardized()
     except UnicodeDecodeError as err:
         raise IngestionError(f"cannot read {path}: {_decode_failure(path, err)}") from err

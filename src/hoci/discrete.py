@@ -290,7 +290,7 @@ def sample_channels(
             enc += z[t] * float(radix) ** pos
         rows.append(enc)
     names = tuple(f"x{i + 1}" for i in range(ensemble.n))
-    return ChannelMatrix(names=names, data=np.array(rows))
+    return ChannelMatrix._adopt(names, np.array(rows))
 
 
 def all_level_masks(n: int, level: int) -> frozenset[int]:

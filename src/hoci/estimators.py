@@ -8,38 +8,32 @@ Three methods, selected by :class:`EstimatorConfig`:
 * ``binned`` — equal-width histogram plug-in.  Each column is binned over
   its own [min, max] with numpy's histogram edge rule (``bins + 1`` linspace
   edges, the right edge in the last bin, a constant column widened by +-0.5):
-  one fused scale guesses each bin, and only a sample whose guess lies within
-  the margin 64u*bins*(1 + max(|lo|, |hi|)/width) of an edge between two
-  bins, over twice what rounding moves guess and edge (``_bin_index``), is
-  placed by ``searchsorted``.  A pairwise call counts its cells with one
-  ``np.bincount`` and divides only the occupied ones; the counts equal
-  ``np.histogram2d``/``np.histogramdd``'s exactly.  That table is
-  dense, so a pairwise ``bins`` above 2048 is refused up front.  A block (the
-  lag-embedded time-series path) bins each column the same way and counts
-  only its occupied cells, with ``np.unique``, so its memory follows the
-  sample count, not bins**width; the cell codes must still fit numpy's index
-  type, so a grid of more than intp-max cells is a configuration error.
-  Only suitable for low dimensions; the plug-in bias grows with the number
-  of occupied cells.
+  one fused scale guesses each bin, and only a guess within ``_bin_index``'s
+  rounding margin of an edge between two bins is placed by ``searchsorted``.
+  A pairwise call counts its cells with one ``np.bincount`` and divides only
+  the occupied ones; the counts equal ``np.histogram2d``/``np.histogramdd``'s
+  exactly.  That table is dense, so a pairwise ``bins`` above 2048 is
+  refused up front.  A block (the lag-embedded time-series path) bins each
+  column the same way and counts only its occupied cells, with
+  ``np.unique``, so its memory follows the sample count, not bins**width;
+  the cell codes must still fit numpy's index type, so a grid of more than
+  intp-max cells is a configuration error.  Only suitable for low
+  dimensions; the plug-in bias grows with the number of occupied cells.
 * ``knn`` — the KSG k-nearest-neighbor estimator (max-norm neighborhoods,
   digamma neighbor-count correction) for non-Gaussian data.  One kernel
   serves a pair and a block; it alone imports scipy, on its first call.
 
 ``mi_estimate`` takes a column or a samples-by-columns block, and every
-column passes ``_column``'s one check.  Every kernel reads prepared columns:
-``_prepare`` keeps what its method's kernel reads of a validated column --
-the column (rescaled, if the scale rule below applies), its centring offset
-``x.sum()/x.size`` and centred norm for ``gaussian_logdet``, the bin indices
-for ``binned``, the standardized, jittered values for ``knn``.  A pair is
-prepared per call unless the caller passes a :class:`PreparedColumns` table;
-``run_estimate`` makes one per run, so each channel row and accepted
-surrogate is prepared once however many calls read it, and no bit moves.
-The table holds a kept column's bin indices as ``uint16`` (a pairwise call
-refuses more than 2048 bins); a tuning candidate, which is never kept, stays
-in the kernel's ``intp`` form.  A block (the time-series
-lag windows, as views) reads no table; each column is checked and prepared
-as a pair's, though ``binned`` bins up to any intp-indexable grid.  A column
-whose min equals its max is constant, even where its mean rounds off.
+column passes ``_column``'s one check.  Every kernel reads what ``_prepare``
+keeps of a validated column: for ``gaussian_logdet`` the centred column
+``x - x.sum()/x.size`` and its norm (after the scale rule below, where it
+applies), for ``binned`` the bin indices, for ``knn`` the standardized,
+jittered values.  A pair is prepared per call unless the caller passes a
+:class:`PreparedColumns` table, as ``run_estimate`` does once per run; no
+bit moves.  A block (the time-series lag windows, as views) reads no
+table; each column is checked and prepared as a pair's, though ``binned``
+bins up to any intp-indexable grid.  A column whose min equals its max is
+constant, even where its mean rounds off.
 
 All estimates are in bits and nonnegative: a negative raw estimate (or -0.0)
 is clamped to +0.0.  One scale rule covers every column statistic a kernel
@@ -147,17 +141,10 @@ def _content_jitter(raw: np.ndarray) -> np.ndarray:
     return _JITTER_SCALE * rng.standard_normal(raw.size)
 
 
-def _jittered(a: np.ndarray, name: str) -> np.ndarray:
-    """A column as the KSG kernel reads it: standardized, plus tie-breaking jitter."""
-    return _standardize(a, name) + _content_jitter(a)
-
-
 class _Centred(NamedTuple):
-    """A column as the correlation reads it: ``values - offset`` is the centred
-    column, ``norm`` its norm."""
+    """A column as the correlation reads it: ``values`` centred, ``norm`` their norm."""
 
     values: np.ndarray
-    offset: float
     norm: float
 
 
@@ -165,25 +152,22 @@ def _centred(x: np.ndarray) -> _Centred:
     if x.min() == x.max():  # constant, even where the mean rounds off the value
         raise DegenerateInputError("correlation undefined for a constant column")
     with np.errstate(over="ignore", invalid="ignore"):  # rescued below
-        offset = x.sum() / x.size  # the same pairwise reduction and division as mean()
-        xc = x - offset
+        # x.sum() / x.size is the same pairwise reduction and division as mean()
+        xc = x - x.sum() / x.size
         norm = float(np.sqrt(xc @ xc))
     if not UNDERFLOW_SPREAD <= norm < math.inf:
-        # a power of two moves no bit of r; scaling first keeps x - offset finite
+        # a power of two moves no bit of r; scaling first keeps the centred column finite
         x = unit_scaled(x)
-        offset = x.sum() / x.size
-        xc = x - offset
+        xc = x - x.sum() / x.size
         norm = float(np.sqrt(xc @ xc))
-    return _Centred(x, offset, norm)
+    return _Centred(xc, norm)
 
 
 def _correlation(px: _Centred, py: _Centred) -> float:
-    xc = px.values - px.offset
-    yc = py.values - py.offset
     # finite norms bound the cross product (Cauchy-Schwarz); the scalar
     # min/max clamp is np.clip's without numpy's per-call overhead, and the
     # argument order lets a NaN through, as np.clip does
-    return max(min(float((xc @ yc) / (px.norm * py.norm)), 1.0), -1.0)
+    return max(min(float((px.values @ py.values) / (px.norm * py.norm)), 1.0), -1.0)
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
@@ -287,7 +271,7 @@ def _prepare(a: np.ndarray, cfg: EstimatorConfig, name: str):
                 f"bins={cfg.bins} needs more than 2**22 pairwise cells; use <= 2048"
             )
         return _bin_index(a, cfg.bins)
-    return _jittered(a, name)
+    return _standardize(a, name) + _content_jitter(a)  # the KSG kernel's columns
 
 
 class PreparedColumns:
@@ -398,7 +382,7 @@ def _gaussian_joint(px: list[_Centred], py: _Centred) -> float:
     pair's correlation rule, one product of the centred columns over the norms."""
     cols = [*px, py]
     norms = [c.norm for c in cols]
-    centred = np.array([c.values - c.offset for c in cols])
+    centred = np.array([c.values for c in cols])
     full = np.clip(centred @ centred.T / np.outer(norms, norms), -1.0, 1.0)
     w = len(px)
     sign_xx, logdet_xx = np.linalg.slogdet(full[:w, :w])

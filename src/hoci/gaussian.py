@@ -239,4 +239,4 @@ def sample_ensemble(spec: GaussianEnsembleSpec, num_samples: int, seed: int) -> 
     mean = g.mean(axis=0, keepdims=True)
     noise = math.sqrt(spec.sigma_n2) * (a * (g - mean) + b * mean)
     names = tuple(f"x{i + 1}" for i in range(n))
-    return ChannelMatrix(names=names, data=x[None, :] + noise)
+    return ChannelMatrix._adopt(names, x[None, :] + noise)

@@ -957,6 +957,21 @@ class TestPreparedColumns:
         with pytest.raises(DegenerateInputError, match="length mismatch"):
             mi_estimate(x, x[:-1], KNN, columns=table)
 
+    @pytest.mark.parametrize(
+        "shift,power", [(0.0, 0), (1e8, 0), (0.0, -700), (0.0, 700)],
+        ids=["ordinary", "offset-1e8", "scaled-2^-700", "scaled-2^700"],
+    )
+    def test_a_gaussian_row_is_held_centred(self, shift, power):
+        # the prepared column is the row less its sum over its size, bit for bit,
+        # after unit_scaled where the centred norm is out of range; the norm is its own
+        row = np.ldexp(np.random.default_rng(31).standard_normal(1000) + shift, power)
+        other = np.random.default_rng(32).standard_normal(1000)
+        prepared, _ = PreparedColumns(GAUSSIAN, (row, other)).pair(row, other)
+        unit = row if power == 0 else unit_scaled(row)
+        centred = unit - unit.sum() / unit.size
+        assert prepared.values.tobytes() == centred.tobytes()
+        assert prepared.norm == float(np.sqrt(centred @ centred))
+
     def test_a_table_serves_one_config(self):
         x, y = _prepared_cases()["random"]
         with pytest.raises(ConfigurationError, match="another estimator config"):

@@ -257,6 +257,32 @@ class TestSafeguardedSearch:
         assert len(calls) == 12 and not rep.exclusions
         assert sum(calls) / len(calls) <= CALLS_PER_SURROGATE
 
+    @pytest.mark.parametrize(
+        "method",
+        [
+            pytest.param(
+                "binned",
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="74/12 = 6.17 calls: the last approach step re-estimates beside "
+                    "a measured bracket end instead of accepting it",
+                ),
+            ),
+            "knn",
+        ],
+    )
+    def test_few_calls_per_surrogate_on_the_parity_input(self, tmp_path, method):
+        # the CI step's input and run: the seeded parity rows.csv, run seed 0, order 3
+        g = np.random.default_rng(7)
+        d = g.standard_normal((4, 2000)) + g.standard_normal(2000)
+        lines = ["# seeded parity input", "a,b,c,d", *(",".join(map(repr, s)) for s in d.T.tolist())]
+        path = tmp_path / "rows.csv"
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        rep = run_estimate(ingest_csv(str(path)), EstimatorConfig(method=method), seed=0, order=3)
+        calls = [desc.iterations for desc in rep.sci_descriptors]
+        assert calls and all(desc.residual < hoci.sci.EPSILON for desc in rep.sci_descriptors)
+        assert sum(calls) / len(calls) <= CALLS_PER_SURROGATE, calls
+
     def test_a_stepped_estimator_is_not_accepted(self, monkeypatch):
         # MI read in 0.01-bit steps that straddle the target never comes within
         # epsilon of it: the search must fail, not accept a point off the target

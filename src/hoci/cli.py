@@ -1,4 +1,4 @@
-"""Command-line interface and file IO: CSV channels in, JSON/CSV results out.
+"""Command-line interface: argument parsing, the subcommands and the writers.
 
 Subcommands:
 
@@ -12,31 +12,24 @@ Importing this module loads what ``estimate`` runs; the ``gaussian`` and
 ``discrete`` subcommands import ``hoci.gaussian`` and ``hoci.discrete``
 when they run.
 
-Conventions: channel CSVs are rows=time with a header of channel names
-(``--transpose`` accepts channels-as-rows with the name in the first cell),
-and a leading byte-order mark is not part of the first name.  A channel on
-the command line (``--pair``, ``--ref-channel``) is its name, never an
-index.  ``lagscan`` takes its window in milliseconds at ``--sample-rate-hz``.
+Conventions: ``hoci.ingest`` reads the channel CSVs.  A channel on the
+command line (``--pair``, ``--ref-channel``) is its name, never an index.
+``lagscan`` takes its window in milliseconds at ``--sample-rate-hz``.
 Divergent values are written as ``"inf"`` in CSV and as ``{"divergent":
 true}`` objects in JSON; every output embeds the resolved configuration and
 seed, and contains no timestamps, so identical runs produce byte-identical
 files.  Errors exit nonzero with a machine-readable ``{"error": code,
-"message": ...}`` line on stderr.  A run is set by its command line and
-its input alone: the seed is ``--seed`` (default 0), and every file is read
-and written as UTF-8 whatever the locale.
+"message": ...}`` line on stderr.  A run is set by its command line and its
+input alone: the seed is ``--seed`` (default 0), and every file is written
+as UTF-8 whatever the locale.
 """
 from __future__ import annotations
 
 import argparse
-import codecs
-import csv
-import io
 import json
 import math
 import os
-import stat
 import sys
-import warnings
 from dataclasses import asdict
 from functools import partial
 from itertools import chain
@@ -44,17 +37,16 @@ from itertools import chain
 import numpy as np
 
 from . import __version__
-from .channels import ChannelMatrix, check_names
+from .channels import ChannelMatrix
 from .errors import (
     ENUMERATION_CAP,
     CapacityError,
     ConfigurationError,
-    DegenerateInputError,
     HociError,
-    IngestionError,
     ParameterDomainError,
 )
 from .estimators import EstimatorConfig
+from .ingest import ingest_csv
 from .pipeline import (
     SUPPORTED_ORDERS,
     _LAG_WINDOW_S,
@@ -74,392 +66,6 @@ _LEVEL_KEYS = {2: "r2", 3: "r3_lower", 4: "r4_lower"}
 _TUPLE_KEYS = {2: "pair", 3: "triple", 4: "quadruple"}
 # the tuning constants, as every report's config records them
 _BISECTION = {"epsilon": EPSILON, "max_iterations": MAX_ITERATIONS}
-
-
-# ---------------------------------------------------------------- ingestion
-
-def _parses(cell: str) -> bool:
-    """Whether numpy's text parser reads ``cell`` as a float: Python's float
-    syntax on ASCII text, without digit-group underscores, after stripping
-    whitespace."""
-    text = cell.strip()
-    if not text.isascii() or "_" in text:
-        return False
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
-
-
-# the size of a block read while a decode failure (bytes) or a bad line (characters) is located
-_BLOCK_CHARS = 1 << 20
-# how an input CSV is decoded: UTF-8, less a leading byte-order mark
-_INPUT_ENCODING = "utf-8-sig"
-# a rows file is parsed in forked parts of at least this many bytes, one per usable CPU
-_MIN_PART_BYTES = 1 << 20
-
-
-def _skipped(line: str) -> bool:
-    """Whether a line holds no data.
-
-    Skipped: blank lines, lines whose cells are all whitespace, and lines
-    whose first cell, quoted or not, starts with ``#`` after whitespace.  Only
-    a line that opens with a quote or a comma is split with ``csv.reader``.
-    """
-    head = line.lstrip()[:1]
-    if head in ("", "#"):
-        return True
-    if head in ',"':
-        cells = next(csv.reader([line]))
-        return cells[0].lstrip().startswith("#") or all(not c.strip() for c in cells)
-    return False
-
-
-def _header_names(line: str) -> list[str]:
-    return [c.strip() for c in next(csv.reader([line]))]
-
-
-def _split_name(line: str) -> tuple[str, str]:
-    """Split a transposed line into its first cell, as ``csv.reader`` reads
-    it, and the text of the cells after it."""
-    if not line.startswith('"'):
-        name, _, rest = line.partition(",")
-        return name, rest
-    # a quoted name runs to its closing quote ("" is an escaped quote) and
-    # then to the next comma
-    q = 0
-    while (q := line.find('"', q + 1)) >= 0 and line.startswith('"', q + 1):
-        q += 1
-    stop = line.find(",", q + 1) if q >= 0 else -1
-    if stop < 0:
-        stop = len(line)
-    return next(csv.reader([line[:stop]]))[0], line[stop + 1 :]
-
-
-def _bad_cell(num: int, line: str, names, width: int, transpose: bool) -> str | None:
-    """What is wrong with data line ``num``, split with ``csv.reader``: a
-    ragged row or its first bad cell, None for a good line.  A transposed
-    line's first cell is its name, and ``names`` is not read."""
-    cells = next(csv.reader([line]))
-    name = cells.pop(0).strip() if transpose else None
-    if len(cells) != width:
-        unit = "samples" if transpose else "cells"
-        return f"row {num} has {len(cells)} {unit}; expected {width}"
-    for col, cell in enumerate(cells):
-        if not _parses(cell):
-            kind = "non-numeric"
-        elif not math.isfinite(float(cell)):
-            kind = "non-finite"
-        else:
-            continue
-        label = name if transpose else names[col]
-        return f"row {num}, column {label!r}: {kind} cell {cell.strip()!r}"
-    return None
-
-
-def _first_bad(block, names, width: int, transpose: bool) -> str | None:
-    """``_bad_cell``'s fault for the first bad line of ``block``, (number, line) pairs;
-    a block that numpy parses into one finite row of ``width`` per line is not split."""
-    texts = [_split_name(line)[1] if transpose else line for _, line in block]
-    if all(texts):  # loadtxt drops an empty line
-        try:
-            rows = _load(texts, raw=False)
-            if rows.shape == (len(texts), width) and np.isfinite(rows).all():
-                return None
-        except ValueError:
-            pass
-    return next(filter(None, (_bad_cell(*row, names, width, transpose) for row in block)), None)
-
-
-def _raise_bad_input(path: str, transpose: bool) -> None:
-    """Read the file again and raise what failed its parse or the matrix: a
-    bad channel name first, then the first ragged row or bad cell, sought
-    in blocks of ``_BLOCK_CHARS`` characters.  The file is read to its end,
-    so an undecodable byte anywhere still raises.  A file that reads empty
-    the second time, as a pipe does, raises nothing."""
-    names, width, found, block, size = [], None, None, [], 0
-    with open(path, encoding=_INPUT_ENCODING) as fh:
-        lines = enumerate((line.rstrip("\n") for line in fh), 1)
-        rows = ((num, line) for num, line in lines if not _skipped(line))
-        if not transpose:
-            header = next(rows, None)
-            if header is None:
-                return
-            names = _header_names(header[1])
-            width = len(names)
-        for num, line in rows:
-            if transpose:
-                names.append(_split_name(line)[0].strip())
-                if width is None:  # the first row's sample count
-                    width = len(next(csv.reader([line]))) - 1
-            if found is None:
-                block.append((num, line))
-                size += len(line)
-                if size >= _BLOCK_CHARS:
-                    found, block, size = _first_bad(block, names, width, transpose), [], 0
-    if found is None and block:
-        found = _first_bad(block, names, width, transpose)
-    check_names(names, "row" if transpose else "column")
-    if found is not None:
-        raise IngestionError(found)
-
-
-def _decode_failure(path: str, err: UnicodeDecodeError) -> str:
-    """``err``'s message with the position counted in the file, not in the
-    text reader's read block: the file is decoded again, in binary."""
-    decoder = codecs.getincrementaldecoder(err.encoding)()
-    with open(path, "rb") as fh:
-        while True:
-            base = fh.tell() - len(decoder.getstate()[0])  # where the bytes decoded next start
-            block = fh.read(_BLOCK_CHARS)
-            try:
-                decoder.decode(block, final=not block)
-            except UnicodeDecodeError as bad:
-                start, stop = base + bad.start, base + bad.end - 1
-                what = f"byte 0x{bad.object[bad.start]:02x}" if start == stop else "bytes"
-                where = start if start == stop else f"{start}-{stop}"
-                return f"'{bad.encoding}' codec can't decode {what} in position {where}: {bad.reason}"
-            if not block:
-                return str(err)  # the file changed since the text read
-
-
-def _load(lines, raw: bool) -> np.ndarray:
-    """``lines`` parsed by numpy: taken as read with ``raw``, else with quoted cells."""
-    return np.loadtxt(
-        lines,
-        delimiter=",",
-        quotechar=None if raw else '"',
-        comments=None,
-        ndmin=2,
-        dtype=np.float64,
-    )
-
-
-def _parse(fh, transpose: bool, raw: bool) -> tuple[list[str], np.ndarray | None]:
-    """Channel names and the unchecked body of the text file ``fh``, parsed
-    by one ``np.loadtxt`` call: samples by channels, or channels by samples
-    with ``transpose``; None for no data lines.  A body that does not parse
-    raises ValueError.  The header and first data line are found through
-    ``_skipped``; with ``raw`` (rows) the rest reaches loadtxt as read, unquoted."""
-    lines = (line for line in (text.rstrip("\n") for text in fh) if not _skipped(line))
-    names: list[str] = []
-    if transpose:
-
-        def cells():
-            for line in lines:
-                name, rest = _split_name(line)
-                names.append(name.strip())
-                if not rest:  # loadtxt would drop a line without cells
-                    raise ValueError("a row has no cells")
-                yield rest
-
-        body = cells()
-    else:
-        header = next(lines, None)
-        if header is None:
-            return names, None
-        names = _header_names(header)
-        body = lines
-    first = next(body, None)
-    if first is None:
-        return names, (None if transpose else np.empty((0, len(names))))
-    return names, _load(chain((first,), fh if raw else body), raw)
-
-
-class _Span(io.RawIOBase):
-    """Bytes ``start`` up to ``stop`` of the open file ``fd``, read without
-    moving its offset."""
-
-    def __init__(self, fd: int, start: int, stop: int):
-        super().__init__()
-        self.fd, self.pos, self.stop = fd, start, stop
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buf) -> int:
-        got = os.preadv(self.fd, [memoryview(buf)[: self.stop - self.pos]], self.pos)
-        self.pos += got
-        return got
-
-
-def _span_text(fd: int, start: int, stop: int, encoding: str):
-    """Bytes ``start`` up to ``stop`` of ``fd`` as a text file, read as ``open`` reads one."""
-    return io.TextIOWrapper(io.BufferedReader(_Span(fd, start, stop)), encoding=encoding)
-
-
-def _part_cuts(fd: int) -> list[int]:
-    """Bounds of the byte ranges the rows file ``fd`` is parsed in: one per
-    usable CPU, each at least ``_MIN_PART_BYTES``, each cut at k * size /
-    parts moved on to just after the next newline byte, which is never inside
-    a UTF-8 sequence or a CRLF pair.  One range, the whole file, for a file
-    that is not regular or a platform without ``sched_getaffinity``."""
-    st = os.fstat(fd)
-    if not stat.S_ISREG(st.st_mode) or not hasattr(os, "sched_getaffinity"):
-        return [0, st.st_size]
-    parts = min(len(os.sched_getaffinity(0)), st.st_size // _MIN_PART_BYTES)
-    cuts = [0]
-    for k in range(1, parts):
-        pos = k * st.st_size // parts
-        while (block := os.pread(fd, io.DEFAULT_BUFFER_SIZE, pos)) and b"\n" not in block:
-            pos += len(block)
-        cuts.append(pos + block.index(b"\n") + 1 if block else st.st_size)
-    return sorted({*cuts, st.st_size})
-
-
-def _fill(fd: int, array: np.ndarray) -> None:
-    """Read ``array``'s bytes from the pipe ``fd``; a short read raises ValueError."""
-    view = memoryview(array).cast("B")
-    while view:
-        got = os.readv(fd, [view])
-        if not got:
-            raise ValueError("a part ended early")
-        view = view[got:]
-
-
-def _send_part(fd: int, start: int, stop: int, pipe: int) -> None:
-    """In a forked child: parse bytes ``start`` up to ``stop`` of ``fd`` raw,
-    write the part's shape and float64 rows to ``pipe`` and exit.  A part
-    that does not parse or warns (as one without rows does) exits with
-    nothing written."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            part = _load(_span_text(fd, start, stop, "utf-8"), raw=True)
-        with open(pipe, "wb") as out:
-            out.write(np.array(part.shape, dtype=np.int64))
-            out.write(part)
-    except BaseException:
-        os._exit(1)  # never the parent's cleanup
-    os._exit(0)
-
-
-def _parse_parts(fd: int, cuts: list[int]) -> tuple[list[str], np.ndarray]:
-    """Names and body of the rows file ``fd`` in the ranges between ``cuts``:
-    a forked child parses each range after the first, this process the
-    first, through ``_parse``, and the rows are put together in file order.
-    A range that does not parse raw or is not as wide as the header raises
-    ValueError; a child that cannot start, OSError.  Each child is reaped on
-    every way out, and killed first on every way out but success."""
-    pids, pipes, done = [], [], False
-    try:
-        for start, stop in zip(cuts[1:-1], cuts[2:]):
-            read_end, write_end = os.pipe()
-            pipes.append(read_end)
-            try:
-                pids.append(os.fork())
-                if not pids[-1]:  # the child: with no read end, its writes fail once this process is gone
-                    for inherited in pipes:
-                        os.close(inherited)
-                    _send_part(fd, start, stop, write_end)
-            finally:
-                os.close(write_end)  # so that a child's exit ends its pipe
-        names, head = _parse(_span_text(fd, 0, cuts[1], _INPUT_ENCODING), False, raw=True)
-        if head is None:
-            raise ValueError("no header in the first part")
-        shapes = [np.empty(2, dtype=np.int64) for _ in pipes]
-        for read_end, shape in zip(pipes, shapes):
-            _fill(read_end, shape)
-        if any(width != len(names) for _, width in [head.shape, *shapes]):
-            raise ValueError("row width differs from the header")
-        at = len(head)
-        # grown in place where the allocator can, so no second copy of the rows is held
-        head.resize((at + sum(int(rows) for rows, _ in shapes), len(names)), refcheck=False)
-        for read_end, (rows, _) in zip(pipes, shapes):
-            _fill(read_end, head[at : at + rows])
-            at += rows
-        done = True
-        return names, head
-    finally:
-        if pids and not pids[-1]:  # a child never leaves: it would run on as this process
-            os._exit(1)
-        for read_end in pipes:
-            os.close(read_end)
-        if not done and pids:
-            from signal import SIGKILL
-
-            for pid in pids:
-                os.kill(pid, SIGKILL)
-        for pid in pids:
-            os.waitpid(pid, 0)
-
-
-def _parse_rows(fh) -> tuple[list[str], np.ndarray | None]:
-    """Names and body of the seekable rows file ``fh``.  The body goes to
-    loadtxt as read, in forked parts where ``_part_cuts`` finds more than one
-    range, else (or where a part cannot start) in this process.  A body that
-    does not parse or fit together so is read again with every line filtered."""
-    try:
-        cuts = _part_cuts(fh.fileno())
-        if len(cuts) > 2:
-            try:
-                return _parse_parts(fh.fileno(), cuts)
-            except OSError:  # no fork or pipe: the whole body in this process
-                pass
-        return _parse(fh, False, raw=True)
-    except ValueError:  # a line the rule skips, a quote or a bad cell: filter every line
-        fh.seek(0)
-        return _parse(fh, False, raw=False)
-
-
-def ingest_csv(path: str, transpose: bool = False) -> ChannelMatrix:
-    """Read a channel CSV and return the standardized matrix.
-
-    Default orientation: first row is the header of channel names, each
-    later row one time sample.  With ``transpose`` each row is one channel,
-    its name in the first cell, with no header row.  Lines that hold no
-    data (``_skipped``) are skipped.  The header is split with
-    ``csv.reader``; the whole body goes through one ``np.loadtxt`` call, so
-    numbers follow numpy's syntax (no digit-group underscores, ASCII digits
-    only).  ``ChannelMatrix`` judges names, width and values; a body that
-    fails it or the parse is read again, to name a bad name first, then the
-    offending row and column.  An undecodable byte gives its file offset.
-
-    Speed and memory: a rows body goes to loadtxt straight from the file,
-    which reads as the filtered body: loadtxt drops only empty lines and
-    raises on every other line the skip rule drops.  A regular rows file is
-    parsed in min(usable CPUs, whole MiB of the file) byte ranges where that
-    is two or more (Linux only: ``sched_getaffinity``), each range after the
-    first in a forked child, bit for bit as in one process; this process's
-    rows are grown in place into the matrix, and each child's are read
-    straight into it.  A body holding a line the rule drops, a quote or a
-    non-numeric cell is parsed again, filtered line by line; where a child
-    cannot start, in this process.  The text is never held whole, and the
-    matrix adopts the parsed array (a transposed body after one copy into
-    sample-major order), so past the parse ingest holds the matrix plus at
-    most one working copy: a traced peak of about 2.1x the matrix, 2.8x in
-    loadtxt for a transposed file.
-    """
-    names = None
-    try:
-        try:
-            with open(path, encoding=_INPUT_ENCODING) as fh:
-                if transpose or not fh.seekable():
-                    # a pipe cannot be read again: its body is filtered in its one pass
-                    names, data = _parse(fh, transpose, raw=False)
-                else:
-                    names, data = _parse_rows(fh)
-            if data is None:
-                raise IngestionError(f"{path} contains no data rows")
-            # both orientations hand over the same layout (each time step contiguous),
-            # so they standardize to the same bits; only this function holds the array
-            data = np.asfortranarray(data) if transpose else data.T
-            matrix = ChannelMatrix._adopt(names, data)
-        except (UnicodeDecodeError, IngestionError):  # ValueErrors, but not the body's
-            raise
-        except ValueError as err:  # a body that does not parse, or that the matrix refuses
-            if names is not None:  # parsed names are judged without a second read
-                check_names(names, "row" if transpose else "column")
-            _raise_bad_input(path, transpose)
-            raise IngestionError(f"{path}: {err}") from None
-        return matrix.standardized()
-    except UnicodeDecodeError as err:
-        raise IngestionError(f"cannot read {path}: {_decode_failure(path, err)}") from err
-    except OSError as err:
-        raise IngestionError(f"cannot read {path}: {err}") from err
-    except DegenerateInputError as err:
-        raise IngestionError(f"{path}: {err}") from err
 
 
 # ------------------------------------------------------------------ output

@@ -37,12 +37,9 @@ from hoci import (
     LevelEstimate,
 )
 from hoci.cli import (
-    _BLOCK_CHARS,
-    _MIN_PART_BYTES,
     CURVE_HEADER,
     LAGSCAN_HEADER,
     _csv_num,
-    _parse,
     emit_gaussian_curves,
     emit_report,
     ingest_csv,
@@ -50,6 +47,7 @@ from hoci.cli import (
     parse_grid,
 )
 from hoci.discrete import ENUMERATION_CAP
+from hoci.ingest import _BLOCK_CHARS, _MIN_PART_BYTES, _parse
 
 
 def write_csv(path, names, data):
@@ -455,7 +453,7 @@ class TestLoadtxtParse:
             calls.append(raw)
             return _parse(fh, transpose, raw)
 
-        monkeypatch.setattr("hoci.cli._parse", recorded)
+        monkeypatch.setattr("hoci.ingest._parse", recorded)
         return calls
 
     def test_a_non_finite_cell_in_the_last_range_is_not_parsed_again(self, tmp_path, monkeypatch):
@@ -472,7 +470,7 @@ class TestLoadtxtParse:
     @pytest.mark.parametrize("transpose", [False, True])
     def test_a_bad_name_over_a_parsed_body_is_not_read_again(self, tmp_path, monkeypatch, transpose):
         path = _write_channels(tmp_path / "d.csv", ("u", "u", "w"), _cells(3), transpose)
-        monkeypatch.setattr("hoci.cli._raise_bad_input", lambda *args: pytest.fail("read again"))
+        monkeypatch.setattr("hoci.ingest._raise_bad_input", lambda *args: pytest.fail("read again"))
         where = "rows" if transpose else "columns"
         with pytest.raises(IngestionError, match=rf"duplicate channel name 'u' \({where} 1 and 2\)"):
             ingest_csv(path, transpose=transpose)
@@ -611,7 +609,7 @@ class TestLoadtxtParse:
     def test_unicode_whitespace_lines_read_as_the_reference(
         self, tmp_path, monkeypatch, transpose, block_chars
     ):
-        monkeypatch.setattr("hoci.cli._BLOCK_CHARS", block_chars)
+        monkeypatch.setattr("hoci.ingest._BLOCK_CHARS", block_chars)
         kinds = self.UNICODE_SKIPPED
         cells = _cells(3, 40 if block_chars < 100 else self._samples_past(1.5, 3), seed=8)
         if transpose:  # every kind before and after every channel line
@@ -741,7 +739,7 @@ class _InParts:
 
     @pytest.fixture(params=[2, 3], ids=["2 parts", "3 parts"])
     def parts(self, request, monkeypatch):
-        monkeypatch.setattr("hoci.cli._MIN_PART_BYTES", 1)
+        monkeypatch.setattr("hoci.ingest._MIN_PART_BYTES", 1)
         _use_cpus(monkeypatch, request.param)
         yield request.param
         _assert_no_child()
@@ -789,8 +787,8 @@ class TestLoadtxtParseInParts(_InParts, TestLoadtxtParse):
             return reaped
 
         # each child is still at work when this process is interrupted
-        monkeypatch.setattr("hoci.cli._send_part", lambda *args: (time.sleep(60), os._exit(0)))
-        monkeypatch.setattr("hoci.cli._parse", interrupted)
+        monkeypatch.setattr("hoci.ingest._send_part", lambda *args: (time.sleep(60), os._exit(0)))
+        monkeypatch.setattr("hoci.ingest._parse", interrupted)
         monkeypatch.setattr(os, "waitpid", recorded_waitpid)
         path = _write_channels(tmp_path / "i.csv", self.NAMES, _cells(3), False)
         with pytest.raises(KeyboardInterrupt):
@@ -817,8 +815,8 @@ def test_a_child_ends_when_its_parent_dies(tmp_path):
     path = _write_channels(tmp_path / "d.csv", ("u", "v", "w"), _cells(3, 20_000, seed=13), False)
     script = (
         "import os, signal, sys, time\n"
-        "import hoci.cli as cli\n"
-        "send = cli._send_part\n"
+        "import hoci.ingest as ingest\n"
+        "send = ingest._send_part\n"
         "def recorded(*args):\n"
         "    open(sys.argv[2] + '.tmp', 'w').write(str(os.getpid()))\n"
         "    os.replace(sys.argv[2] + '.tmp', sys.argv[2])\n"
@@ -827,11 +825,11 @@ def test_a_child_ends_when_its_parent_dies(tmp_path):
         "    while not os.path.exists(sys.argv[2]):\n"
         "        time.sleep(0.01)\n"
         "    os.kill(os.getpid(), signal.SIGKILL)\n"
-        "cli._send_part = recorded\n"
-        "cli._parse = killed\n"
-        "cli._MIN_PART_BYTES = 1\n"
+        "ingest._send_part = recorded\n"
+        "ingest._parse = killed\n"
+        "ingest._MIN_PART_BYTES = 1\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
-        "cli.ingest_csv(sys.argv[1])\n"
+        "ingest.ingest_csv(sys.argv[1])\n"
     )
     pid_file = tmp_path / "child.pid"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -850,6 +848,148 @@ def test_a_child_ends_when_its_parent_dies(tmp_path):
     else:
         os.kill(child, signal.SIGKILL)
         pytest.fail("the child outlived its parent")
+
+
+def _pipe_main(text: bytes, argv) -> tuple[int, str]:
+    """``main(argv)`` with ``/dev/fd/N`` for a pipe holding ``text``, whose
+    writer has closed; the exit code and the pipe's path."""
+    read_end, write_end = os.pipe()
+    try:
+        assert os.write(write_end, text) == len(text)  # within the pipe's buffer
+        os.close(write_end)
+        path = f"/dev/fd/{read_end}"
+        return main([*argv, "--input", path]), path
+    finally:
+        os.close(read_end)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("transpose", [False, True])
+def test_an_undecodable_byte_in_a_pipe_is_named_without_a_second_read(tmp_path, capsys, transpose):
+    # the position is counted in the reader's block, here the pipe's first
+    _write_channels(tmp_path / "f.csv", ("a", "b"), _cells(2, 100, seed=14), transpose)
+    raw = (tmp_path / "f.csv").read_bytes()
+    cut = raw.index(b",", 1000) + 1
+    out = tmp_path / "o.json"
+    flags = ["--transpose"] if transpose else []
+    rc, path = _pipe_main(raw[:cut] + b"\xff" + raw[cut:], ["estimate", *flags, "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1
+    message = f"cannot read {path}: 'utf-8' codec can't decode byte 0xff in position {cut}: invalid start byte"
+    assert json.loads(err[0]) == {"error": "ingestion", "message": message}
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not (hasattr(os, "mkfifo") and os.path.isdir("/dev/fd")), reason="needs FIFOs")
+def test_a_fifo_with_a_bad_cell_is_read_once(tmp_path, capsys):
+    # the writer closes right after writing, so a second open of the FIFO would wait for ever
+    cells = _cells(2, 100, seed=15)
+    cells[1][-1] = "x"
+    _write_channels(tmp_path / "f.csv", ("a", "b"), cells, False)
+    text = (tmp_path / "f.csv").read_bytes()
+    fifo, out = tmp_path / "in.fifo", tmp_path / "o.json"
+    os.mkfifo(fifo)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    argv = [sys.executable, "-m", "hoci", "estimate", "--input", str(fifo), "--out", str(out)]
+    proc = subprocess.Popen(argv, stderr=subprocess.PIPE, text=True, env=env)
+    try:
+        deadline = time.monotonic() + 30
+        while True:  # a FIFO opens for writing once its reader has opened it
+            try:
+                fd = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+                break
+            except OSError:
+                assert time.monotonic() < deadline and proc.poll() is None
+                time.sleep(0.01)
+        os.set_blocking(fd, True)
+        with open(fd, "wb") as fh:
+            fh.write(text)
+        err = proc.communicate(timeout=30)[1]
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 1
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+    # the parse's own message, as for the same text through a /dev/fd pipe
+    rc, path = _pipe_main(text, ["estimate", "--out", str(out)])
+    piped = json.loads(capsys.readouterr().err)
+    assert (rc, piped["error"]) == (1, "ingestion")
+    assert json.loads(err) == {"error": "ingestion", "message": piped["message"].replace(path, str(fifo), 1)}
+
+
+@pytest.fixture(scope="module")
+def big_csvs(tmp_path_factory):
+    """The CSVs of the CI steps on multi-block and forked-part ingest: 4
+    channels of 120,000 samples in every layout, and big-lf with its last
+    cell made non-numeric (big-bad) or non-finite (big-inf)."""
+    d = tmp_path_factory.mktemp("big")
+    g = np.random.default_rng(11)
+    data = g.standard_normal((4, 120_000)) + g.standard_normal(120_000)
+    names = ["a", "b", "c", "d"]
+    rows = [",".join(map(repr, s)) for s in data.T.tolist()]
+    sprinkled = [x for t, r in enumerate(rows) for x in ((r, "# comment", "") if t % 7919 == 0 else (r,))]
+    files = {
+        "big-lf": ("\n", [",".join(names)] + rows),
+        "big-lf-tail": ("\n", [",".join(names)] + rows + ["# last line"]),
+        "big-crlf": ("\r\n", ["# seeded multi-block input", ",".join(names), ""] + sprinkled),
+        "big-cols": ("\n", [k + "," + ",".join(map(repr, r)) for k, r in zip(names, data.tolist())]),
+    }
+    for name, (newline, lines) in files.items():
+        (d / f"{name}.csv").write_bytes((newline.join(lines) + newline).encode())
+    text = (d / "big-lf.csv").read_bytes()
+    for name, cell in (("big-bad", b"x"), ("big-inf", b"inf")):
+        (d / f"{name}.csv").write_bytes(text[: text.rindex(b",")] + b"," + cell + b"\n")
+    return d
+
+
+class TestCiIngestSteps:
+    """The CI steps "Multi-block CSVs give byte-identical reports in every
+    layout" and "Rows CSVs parsed in forked parts read as on one CPU", on
+    their inputs and with their checks, in this process: two usable CPUs
+    parse a rows file in two forked parts, one CPU in one process."""
+
+    @staticmethod
+    def _estimate(capsys, monkeypatch, cpus, path, out, *flags):
+        """Exit code, stderr and forks of ``hoci estimate --order 2`` on ``cpus`` usable CPUs."""
+        _use_cpus(monkeypatch, cpus)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        rc = main(["estimate", "--order", "2", *flags, "--input", str(path), "--out", str(out)])
+        _assert_no_child()
+        return rc, capsys.readouterr().err, len(forks)
+
+    def test_multi_block_csvs_give_byte_identical_reports_in_every_layout(
+        self, big_csvs, tmp_path, monkeypatch, capsys
+    ):
+        for name in ("big-lf", "big-crlf", "big-lf-tail", "big-cols"):
+            flags = ["--transpose"] if name == "big-cols" else []
+            run = self._estimate(capsys, monkeypatch, 2, big_csvs / f"{name}.csv", tmp_path / f"{name}.json", *flags)
+            assert run[0] == 0, run
+        for name in ("big-crlf", "big-lf-tail", "big-cols"):
+            assert filecmp.cmp(tmp_path / "big-lf.json", tmp_path / f"{name}.json", shallow=False), name
+
+    @pytest.mark.parametrize("name", ["big-lf", "big-crlf", "big-lf-tail", "big-bad", "big-inf"])
+    def test_rows_csvs_parsed_in_forked_parts_read_as_on_one_cpu(
+        self, big_csvs, tmp_path, monkeypatch, capsys, name
+    ):
+        outs = {cpus: tmp_path / f"{name}-{cpus}.json" for cpus in (2, 1)}
+        parts, one_cpu = (
+            self._estimate(capsys, monkeypatch, cpus, big_csvs / f"{name}.csv", outs[cpus]) for cpus in (2, 1)
+        )
+        assert (parts[2], one_cpu[2]) == (1, 0)
+        assert parts[:2] == one_cpu[:2]
+        rc, err, _ = parts
+        if name in ("big-bad", "big-inf"):
+            cell = "non-numeric cell 'x'" if name == "big-bad" else "non-finite cell 'inf'"
+            assert rc == 1
+            assert len(err.splitlines()) == 1
+            assert cell in err
+            assert not outs[2].exists()
+        else:
+            assert rc == 0
+            assert filecmp.cmp(outs[2], outs[1], shallow=False)
 
 
 class TestParseGrid:

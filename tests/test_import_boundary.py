@@ -37,7 +37,7 @@ SCRIPT = textwrap.dedent(
     if mode == "lazy":
         package = sorted(m for m in sys.modules if m.split(".")[0] == "hoci")
         assert package == ["hoci", "hoci.channels", "hoci.cli", "hoci.errors",
-                           "hoci.estimators", "hoci.pipeline", "hoci.sci"], package
+                           "hoci.estimators", "hoci.ingest", "hoci.pipeline", "hoci.sci"], package
         models, hashes = ("hoci.discrete", "hoci.gaussian"), ("hashlib", "_hashlib")
         assert loaded(*models, *hashes) == [], loaded(*models, *hashes)
         estimate = ["estimate", "--input", path, "--order", "4", "--estimator"]

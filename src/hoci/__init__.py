@@ -35,7 +35,6 @@ from .pipeline import (
     CommonInfoReport,
     LagCorrelation,
     LevelEstimate,
-    approx_rtilde,
     chain_slack_bits,
     derive_sci_seed,
     lag_max_correlation,

@@ -66,6 +66,8 @@ _LEVEL_KEYS = {2: "r2", 3: "r3_lower", 4: "r4_lower"}
 _TUPLE_KEYS = {2: "pair", 3: "triple", 4: "quadruple"}
 # the tuning constants, as every report's config records them
 _BISECTION = {"epsilon": EPSILON, "max_iterations": MAX_ITERATIONS}
+# the source variance of the closed-form curve table
+_SIGMA_X2 = 1.0
 
 
 # ------------------------------------------------------------------ output
@@ -170,9 +172,11 @@ def _on_model(quantity, spec) -> float:
         return math.nan
 
 
-def emit_gaussian_curves(sigma_x2: float, rho_grid, sigma_n2_grid, path: str) -> int:
+def emit_gaussian_curves(rho_grid, sigma_n2_grid, path: str) -> int:
     """Write the closed-form curve table over the grid; returns the row count.
 
+    The source variance is 1: every column depends on sigma_n2 and rho only
+    through sigma_n2/sigma_x2 and rho, so the noise grid is in its units.
     Divergent cells are written as "inf"; a cell whose model does not exist
     (the triple columns below rho = -1/2, R4_lower below -1/3) as "nan".
     """
@@ -196,7 +200,7 @@ def emit_gaussian_curves(sigma_x2: float, rho_grid, sigma_n2_grid, path: str) ->
     rows = []
     for rho in rhos:
         for sn2 in noises:
-            params = (float(sigma_x2), float(sn2), float(rho))
+            params = (_SIGMA_X2, float(sn2), float(rho))
             spec = GaussianEnsembleSpec(*params)
             triple = _model(GaussianEnsembleSpec, *params, 3)
             quadruple = _model(GaussianEnsembleSpec, *params, 4)
@@ -207,7 +211,7 @@ def emit_gaussian_curves(sigma_x2: float, rho_grid, sigma_n2_grid, path: str) ->
             )
             rows.append(",".join(_csv_num(c) for c in cells))
     meta = {
-        "sigma_x2": _csv_num(sigma_x2),
+        "sigma_x2": _csv_num(_SIGMA_X2),
         "rho_grid": ",".join(_csv_num(r) for r in rhos),
         "sigma_n2_grid": ",".join(_csv_num(s) for s in noises),
     }
@@ -263,9 +267,7 @@ def parse_grid(text: str) -> np.ndarray:
 
 
 def _estimator_from_args(args, **fields) -> EstimatorConfig:
-    return EstimatorConfig(
-        method=_ESTIMATOR_NAMES[args.estimator], k=args.k, bins=args.bins, **fields
-    )
+    return EstimatorConfig(method=_ESTIMATOR_NAMES[args.estimator], bins=args.bins, **fields)
 
 
 def _channel(matrix: ChannelMatrix, token: str) -> int:
@@ -291,9 +293,7 @@ def _parse_pair(matrix: ChannelMatrix, text: str) -> tuple[int, int]:
 # ------------------------------------------------------------- subcommands
 
 def _cmd_gaussian(args) -> int:
-    rows = emit_gaussian_curves(
-        args.sigma_x2, parse_grid(args.rho_grid), parse_grid(args.sigma_n2_grid), args.out
-    )
+    rows = emit_gaussian_curves(parse_grid(args.rho_grid), parse_grid(args.sigma_n2_grid), args.out)
     print(f"wrote {rows} closed-form rows to {args.out}")
     return 0
 
@@ -427,7 +427,6 @@ def _add_estimator_flags(sub) -> None:
         default="gaussian",
         help="MI estimator",
     )
-    sub.add_argument("--k", type=int, default=EstimatorConfig.k, help="neighbor count (knn)")
     sub.add_argument("--bins", type=int, default=EstimatorConfig.bins, help="bins per axis (binned)")
     sub.add_argument("--seed", type=int, default=0, help="run seed")
 
@@ -447,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     g = subs.add_parser("gaussian", help="closed-form curve table over (rho, sigma_n2)")
-    g.add_argument("--sigma-x2", type=float, default=1.0, help="source variance")
     g.add_argument(
         "--sigma-n2-grid", default="5", help="noise variance grid: 'a,b,c' or lo:hi:num[:log]"
     )

@@ -19,9 +19,10 @@ Three methods, selected by :class:`EstimatorConfig`:
   the cell codes must still fit numpy's index type, so a grid of more than
   intp-max cells is a configuration error.  Only suitable for low
   dimensions; the plug-in bias grows with the number of occupied cells.
-* ``knn`` — the KSG k-nearest-neighbor estimator (max-norm neighborhoods,
-  digamma neighbor-count correction) for non-Gaussian data.  One kernel
-  serves a pair and a block; it alone imports scipy, on its first call.
+* ``knn`` — the KSG k-nearest-neighbor estimator at k = 4 (max-norm
+  neighborhoods, digamma neighbor-count correction) for non-Gaussian data.
+  One kernel serves a pair and a block; it alone imports scipy, on its
+  first call.
 
 ``mi_estimate`` takes a column or a samples-by-columns block, and every
 column passes ``_column``'s one check.  Every kernel reads what ``_prepare``
@@ -53,7 +54,7 @@ dependence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -74,10 +75,11 @@ MIN_LENGTH = 10
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Estimator selection plus the method-specific settings."""
+    """Estimator selection plus the method-specific settings.  ``k``, the
+    knn neighbor count, is fixed at 4 and recorded with the settings."""
 
     method: str = "gaussian_logdet"
-    k: int = 4
+    k: int = field(default=4, init=False)
     bins: int = 16
     ts_lag: int = 3
 
@@ -86,8 +88,6 @@ class EstimatorConfig:
             raise ConfigurationError(
                 f"unknown estimator {self.method!r}; choose from {_METHODS}"
             )
-        if not (is_integer(self.k) and self.k >= 1):
-            raise ConfigurationError(f"k must be an integer >= 1, got {self.k}")
         if not (is_integer(self.bins) and self.bins >= 2):
             raise ConfigurationError(f"bins must be an integer >= 2, got {self.bins}")
         if not (is_integer(self.ts_lag) and self.ts_lag >= 1):
@@ -118,6 +118,15 @@ def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     ya = _column(y, "y")
     if xa.size != ya.size:
         raise DegenerateInputError(f"length mismatch: {xa.size} vs {ya.size}")
+    return xa, ya
+
+
+def _lagged_pair(x, y, lag: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The pair, checked as ``_pair`` does, whose overlap at a lag of ``lag``
+    samples keeps the estimators' MIN_LENGTH; ``what`` names the lag."""
+    xa, ya = _pair(x, y)
+    if xa.size - lag < MIN_LENGTH:
+        raise DegenerateInputError(f"series of length {xa.size} too short for {what}")
     return xa, ya
 
 
@@ -414,9 +423,7 @@ def _ksg(cols: list[np.ndarray], ys: np.ndarray, k: int) -> float:
     from scipy.spatial import cKDTree
     from scipy.special import digamma
 
-    n = ys.size
-    if k >= n:
-        raise DegenerateInputError(f"k={k} must be smaller than the sample count {n}")
+    n = ys.size  # every column has passed _column: n >= MIN_LENGTH > cfg.k
     pts = np.column_stack([*cols, ys])
     # the query is exact, so threads could change no bit; they bought no time
     dist, _ = cKDTree(pts).query(pts, k=k + 1, p=np.inf, workers=1)
@@ -464,12 +471,8 @@ def _joint_mi(cols: list[np.ndarray], y, cfg: EstimatorConfig) -> float:
 
 def bidirectional_te_mi(x, y, cfg: EstimatorConfig = EstimatorConfig()) -> float:
     """I(X_past; Y_now) + I(Y_past; X_now) over a ts_lag embedding, in bits."""
-    xa, ya = _pair(x, y)
     lag = cfg.ts_lag
-    if xa.size <= lag + 1:
-        raise DegenerateInputError(
-            f"series of length {xa.size} too short for ts_lag={lag}"
-        )
+    xa, ya = _lagged_pair(x, y, lag, f"ts_lag={lag}")
 
     def past_on_now(a: np.ndarray, b: np.ndarray) -> float:
         # rows t = lag..N-1: the windows a[t-lag], ..., a[t-1] against b[t]

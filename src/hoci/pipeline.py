@@ -16,8 +16,8 @@ its r3 candidate is -1/2 log2(1 - R_ij^2 R_jk^2) and its r4 candidate
 -1/2 log2(1 - R_ij^2 R_jm^2 R_km^2).  Those are the sampled construction's
 values once its noise is orthogonal to every channel and every other noise,
 so the run samples no surrogate, lists no descriptor, and makes no estimator
-call past the pairs.  The module also provides the closed-form scaling
-approximation and lag-scanned correlation for time-aligned references.
+call past the pairs.  The module also provides the lag-scanned correlation
+for time-aligned references.
 
 Conventions used throughout:
 
@@ -58,7 +58,7 @@ from .errors import (
     PipelineError,
 )
 from .estimators import EstimatorConfig, PreparedColumns, bidirectional_te_mi, mi_estimate
-from .estimators import _correlation, _gaussian_bits, _pair, _pearson
+from .estimators import _correlation, _gaussian_bits, _lagged_pair, _pearson
 from .sci import (
     SLACK_BITS_AT_REFERENCE,
     SciDescriptor,
@@ -337,20 +337,6 @@ def _mean(candidates: list[tuple[tuple[int, ...], float]]) -> float:
     return float(sum(v for _, v in candidates) / len(candidates)) if candidates else 0.0
 
 
-def approx_rtilde(r2_bits: float, n_vars: int, level: int) -> float:
-    """Scaling approximation ((n - level)/(n - 2)) * r2_bits."""
-    if not (is_integer(n_vars) and n_vars > 2):
-        raise ParameterDomainError(f"n_vars must be an integer > 2, got {n_vars}")
-    if not (is_integer(level) and 2 <= level <= n_vars):
-        raise ParameterDomainError(f"level must lie in [2, {n_vars}], got {level}")
-    if not (is_real(r2_bits) and r2_bits >= 0):
-        raise ParameterDomainError(f"r2_bits must be nonnegative, got {r2_bits}")
-    coeff = (n_vars - level) / (n_vars - 2)
-    if coeff == 0.0:
-        return 0.0  # exact zero even for divergent r2_bits
-    return coeff * r2_bits
-
-
 def _abs_corr(x: np.ndarray, y: np.ndarray, lag: int) -> float:
     try:
         return abs(_pearson(x[: x.size - lag], y[lag:]))
@@ -397,9 +383,7 @@ def lag_max_correlation(
     ``_lag_range_samples``; on a tie the smaller lag wins.  At 1 Hz the
     window in seconds is the window in samples."""
     lag_min, lag_max = _lag_range_samples(lag_min_s, lag_max_s, sample_rate_hz)
-    xa, ya = _pair(x, y)
-    if xa.size - lag_max < 2:
-        raise DegenerateInputError(f"series of length {xa.size} too short for max lag {lag_max}")
+    xa, ya = _lagged_pair(x, y, lag_max, f"max lag {lag_max}")
     corr = [_abs_corr(xa, ya, lag) for lag in range(lag_min, lag_max + 1)]
     best = max(corr)
     lag = lag_min + corr.index(best)  # the first maximum
@@ -418,6 +402,8 @@ def run_estimate(
 
     Order 2 reports the pairwise minimum and average only; order 3 adds the
     third-order bound (needs >= 3 channels), order 4 the fourth (>= 4).
+    With n > 2 channels each level also gets rtilde, the scaling
+    approximation ((n - level)/(n - 2)) r2.
     """
     if not (is_integer(order) and order in SUPPORTED_ORDERS):
         raise ConfigurationError(f"order must be 2, 3, or 4, got {order}")
@@ -457,7 +443,9 @@ def run_estimate(
         for lvl, best in minima.items()
     }
 
-    rtilde = {lvl: approx_rtilde(levels[2].bits, n, lvl) for lvl in levels} if n > 2 else {}
+    # exactly 0 at lvl = n, even for a divergent r2
+    r2 = levels[2].bits
+    rtilde = {lvl: (n - lvl) / (n - 2) * r2 if lvl < n else 0.0 for lvl in levels} if n > 2 else {}
 
     slack = chain_slack_bits(channels.n_samples)
     ok = all(levels[lvl].bits <= levels[lvl - 1].bits + slack for lvl in levels if lvl > 2)

@@ -992,6 +992,79 @@ class TestCiIngestSteps:
             assert filecmp.cmp(outs[2], outs[1], shallow=False)
 
 
+class TestCiReportSteps:
+    """The CI steps "Gaussian levels do not depend on column order", "binned
+    reports on values at bin edges match across orientations and reruns",
+    "Reports do not depend on a power-of-two input scale" and "A byte-order
+    mark is not part of the first channel name", on their inputs and with
+    their checks, in this process."""
+
+    @staticmethod
+    def _estimate(path, out, *flags):
+        assert main(["estimate", *flags, "--input", str(path), "--out", str(out)]) == 0
+        return out
+
+    def test_gaussian_levels_do_not_depend_on_column_order(self, parity_input, tmp_path):
+        # gaussian_logdet reads every level off the sample correlations and draws no noise
+        with open(parity_input.rows, newline="") as fh:
+            rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+        permuted = tmp_path / "permuted.csv"
+        with open(permuted, "w", newline="") as fh:
+            csv.writer(fh).writerows([r[2], r[0], r[3], r[1]] for r in rows)
+        levels = []
+        for path in (parity_input.rows, permuted):
+            doc = json.loads(self._estimate(path, tmp_path / "order.json", "--order", "4").read_text())
+            # each level: its bits and its witness channel set (pair, triple or quadruple)
+            levels.append({
+                key: (doc[key]["bits"], {c for f, v in doc[key].items() if f != "bits" for c in v})
+                for key in ("r2", "r3_lower", "r4_lower")
+            })
+        assert levels[0] == levels[1], levels
+
+    def test_binned_reports_on_values_at_bin_edges_match_across_orientations_and_reruns(self, tmp_path):
+        # three ternary base symbols; each channel is the radix-3 place value of two of them,
+        # so every value is an integer in [0, 8] and lies on an edge of 128 equal-width bins
+        z = np.random.default_rng(13).integers(0, 3, size=(3, 20_000))
+        d = np.array([z[a] + 3 * z[b] for a, b in ((0, 1), (1, 2), (2, 0), (1, 0))])
+        names = ["a", "b", "c", "d"]
+        rows, cols = tmp_path / "edges-rows.csv", tmp_path / "edges-cols.csv"
+        rows.write_text("\n".join([",".join(names)] + [",".join(map(str, s)) for s in d.T.tolist()]) + "\n")
+        cols.write_text("\n".join(k + "," + ",".join(map(str, r)) for k, r in zip(names, d.tolist())) + "\n")
+        flags = ["--estimator", "binned", "--bins", "128", "--order", "4"]
+        report = self._estimate(rows, tmp_path / "edges-rows.json", *flags)
+        transposed = self._estimate(cols, tmp_path / "edges-cols.json", "--transpose", *flags)
+        rerun = self._estimate(rows, tmp_path / "edges-rerun.json", *flags)
+        assert filecmp.cmp(report, transposed, shallow=False)
+        assert filecmp.cmp(report, rerun, shallow=False)
+        # a and d code each other's bins: their targets, the carrier's entropy, are the only ones
+        # the search does not reach
+        ex = json.loads(report.read_text())["exclusions"]
+        assert [(e["pair"], e["code"]) for e in ex] == [(["a", "d"], "convergence"), (["d", "a"], "convergence")], ex
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--estimator", "gaussian"], ["--estimator", "binned"], ["--estimator", "knn"], ["--time-series"]],
+        ids=["gaussian", "binned", "knn", "time-series"],
+    )
+    def test_reports_do_not_depend_on_a_power_of_two_input_scale(self, parity_input, tmp_path, flags):
+        # every column statistic out of float64's range is taken again on the column times a power of two
+        reports = {}
+        for k in (0, -700, 540, 700):
+            path = tmp_path / f"scaled{k}.csv"
+            scaled = np.ldexp(parity_input.data, k).T.tolist()
+            path.write_text("\n".join(["a,b,c,d"] + [",".join(map(repr, s)) for s in scaled]) + "\n")
+            reports[k] = self._estimate(path, tmp_path / f"scaled{k}.json", "--order", "3", *flags)
+        for k in (-700, 540, 700):
+            assert filecmp.cmp(reports[0], reports[k], shallow=False), k
+
+    def test_a_byte_order_mark_is_not_part_of_the_first_channel_name(self, parity_input, tmp_path):
+        # a spreadsheet's "CSV UTF-8" export opens the file with U+FEFF
+        bom = tmp_path / "rows-bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + parity_input.rows.read_bytes())
+        plain = self._estimate(parity_input.rows, tmp_path / "plain3.json", "--order", "3")
+        assert filecmp.cmp(plain, self._estimate(bom, tmp_path / "bom3.json", "--order", "3"), shallow=False)
+
+
 class TestParseGrid:
     def test_value_list(self):
         assert parse_grid("1, 2,3").tolist() == [1.0, 2.0, 3.0]
@@ -1032,7 +1105,6 @@ class TestGaussianCommand:
         rc = main(
             [
                 "gaussian",
-                "--sigma-x2", "1.0",
                 "--sigma-n2-grid", "1,5",
                 "--rho-grid", "0:0.5:3",
                 "--out", str(out),
@@ -1056,7 +1128,6 @@ class TestGaussianCommand:
         main(
             [
                 "gaussian",
-                "--sigma-x2", "1.0",
                 "--sigma-n2-grid", "1",
                 "--rho-grid", "0,1",
                 "--out", str(out),
@@ -1072,8 +1143,7 @@ class TestGaussianCommand:
         main(
             [
                 "gaussian",
-                "--sigma-x2", "0.1",
-                "--sigma-n2-grid", "1000",
+                "--sigma-n2-grid", "10000",
                 "--rho-grid", "-0.9",
                 "--out", str(out),
             ]
@@ -1121,7 +1191,7 @@ class TestGaussianCommand:
     def test_empty_grid_is_a_configuration_error(self, tmp_path):
         out = tmp_path / "curves.csv"
         with pytest.raises(ConfigurationError, match="non-empty rho and sigma_n2 grids"):
-            emit_gaussian_curves(1.0, [], [1.0], str(out))
+            emit_gaussian_curves([], [1.0], str(out))
         assert not out.exists()
 
 
@@ -1336,7 +1406,6 @@ class TestEstimateCommand:
                 "estimate",
                 "--input", ensemble_csv,
                 "--estimator", "knn",
-                "--k", "3",
                 "--order", "2",
                 "--out", str(out),
             ]
@@ -1344,7 +1413,7 @@ class TestEstimateCommand:
         assert rc == 0
         doc = json.loads(out.read_text())
         assert doc["config"]["estimator"]["method"] == "knn"
-        assert doc["config"]["estimator"]["k"] == 3
+        assert doc["config"]["estimator"]["k"] == 4
 
     def test_independent_channels_zero_bound(self, independent_csv, tmp_path):
         out = tmp_path / "z.json"
@@ -1518,6 +1587,16 @@ class TestLagscanCommand:
         assert stderr_code(capsys) == "configuration"
         assert not out.exists()
 
+    def test_a_window_that_leaves_fewer_than_ten_samples_is_refused(self, tmp_path, capsys):
+        # two independent 32-sample channels: lag 30 leaves two samples, and any two correlate perfectly
+        path = write_csv(tmp_path / "short.csv", ("stim", "eeg"), np.random.default_rng(3).standard_normal((2, 32)))
+        out = tmp_path / "scan.csv"
+        rc = main(["lagscan", "--input", path, "--ref-channel", "stim", "--sample-rate-hz", "100", "--out", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "degenerate_input", "message": "series of length 32 too short for max lag 30"}
+        assert not out.exists()
+
     def test_infinite_rate_rejected_in_ms_mode(self, lag_csv, tmp_path, capsys):
         out = tmp_path / "scan.csv"
         rc = main(
@@ -1597,7 +1676,6 @@ class TestErrorReporting:
         rc = main(
             [
                 "gaussian",
-                "--sigma-x2", "1",
                 "--sigma-n2-grid", "x,y",
                 "--rho-grid", "0",
                 "--out", str(tmp_path / "o.csv"),
@@ -1671,7 +1749,7 @@ class TestHelpText:
             assert "number of variables (default: 4)" in text
         else:
             assert "run seed (default: 0) --order" in text
-            assert "neighbor count (knn) (default: 4)" in text
+            assert "bins per axis (binned) (default: 16)" in text
 
     @pytest.mark.parametrize(
         "argv",
@@ -1683,14 +1761,19 @@ class TestHelpText:
             ["sci", "--pair", "x1,x2", "--ts-lag", "4"],
             ["lagscan", "--ref-channel", "x1", "--lag-min-samples", "0"],
             ["lagscan", "--ref-channel", "x1", "--lag-max-samples", "5"],
+            ["estimate", "--k", "3"],
+            ["sci", "--pair", "x1,x2", "--k", "3"],
+            ["gaussian", "--sigma-x2", "1"],
         ],
         ids=["estimate-epsilon", "estimate-max-iters", "sci-epsilon", "sci-max-iters", "sci-ts-lag",
-             "lagscan-lag-min-samples", "lagscan-lag-max-samples"],
+             "lagscan-lag-min-samples", "lagscan-lag-max-samples", "estimate-k", "sci-k",
+             "gaussian-sigma-x2"],
     )
     def test_settings_no_caller_varies_are_not_flags(self, ensemble_csv, tmp_path, capsys, argv):
         out = tmp_path / "o.json"
+        needs_input = argv[0] != "gaussian"
         with pytest.raises(SystemExit) as exc:
-            main([*argv, "--input", ensemble_csv, "--out", str(out)])
+            main([*argv, *(["--input", ensemble_csv] if needs_input else []), "--out", str(out)])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
         assert not out.exists()
@@ -1702,7 +1785,6 @@ class TestModuleEntryPoint:
             [
                 sys.executable, "-m", "hoci",
                 "gaussian",
-                "--sigma-x2", "1",
                 "--sigma-n2-grid", "1",
                 "--rho-grid", "0,0.5",
                 "--out", str(out),

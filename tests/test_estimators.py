@@ -4,6 +4,7 @@ synthetic data with known ground truth, and estimator-level invariants."""
 import math
 import tracemalloc
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from hoci.estimators import _content_jitter, _ksg, _prepare, _standardize, _stri
 from hoci.estimators import PreparedColumns
 
 GAUSSIAN = EstimatorConfig()
-KNN = EstimatorConfig(method="knn", k=4)
+KNN = EstimatorConfig(method="knn")
 BINNED = EstimatorConfig(method="binned", bins=16)
 
 
@@ -49,11 +50,15 @@ class TestConfig:
         assert cfg.bins == 16
         assert cfg.ts_lag == 3
 
+    def test_the_neighbor_count_is_not_a_setting(self):
+        with pytest.raises(TypeError, match="'k'"):
+            EstimatorConfig(method="knn", k=3)
+        # a config still records it, in its place among the settings
+        assert asdict(EstimatorConfig(method="knn")) == {"method": "knn", "k": 4, "bins": 16, "ts_lag": 3}
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             EstimatorConfig(method="kernel")
-        with pytest.raises(ConfigurationError):
-            EstimatorConfig(k=0)
         with pytest.raises(ConfigurationError):
             EstimatorConfig(bins=1)
         with pytest.raises(ConfigurationError):
@@ -62,7 +67,6 @@ class TestConfig:
     @pytest.mark.parametrize(
         "call, accepted, error, message",
         [
-            (lambda v: EstimatorConfig(method="knn", k=v), 1, ConfigurationError, "k must be"),
             (lambda v: EstimatorConfig(ts_lag=v), 1, ConfigurationError, "ts_lag must be"),
             (check_seed, 1, ConfigurationError, "seed must be a nonnegative integer"),
             (
@@ -84,10 +88,10 @@ class TestConfig:
                 "unknown channel",
             ),
         ],
-        ids=["k", "ts_lag", "check_seed", "sample_ensemble", "sample_channels", "index_of"],
+        ids=["ts_lag", "check_seed", "sample_ensemble", "sample_channels", "index_of"],
     )
     def test_integer_settings_refuse_bool(self, call, accepted, error, message):
-        # True would pass as 1, and a config would be written back as "k": true
+        # True would pass as 1, and a config would be written back as "ts_lag": true
         for value in (accepted, np.int64(accepted)):
             call(value)
         with pytest.raises(error, match=f"{message}.*True"):
@@ -584,12 +588,6 @@ class TestInputValidation:
         with pytest.raises(DegenerateInputError):
             mi_estimate(x, x, GAUSSIAN)
 
-    def test_knn_needs_more_samples_than_neighbors(self):
-        x = np.random.default_rng(0).standard_normal(12)
-        y = np.random.default_rng(1).standard_normal(12)
-        with pytest.raises(DegenerateInputError):
-            mi_estimate(x, y, EstimatorConfig(method="knn", k=12))
-
 
 def _shared_pair(n, seed):
     rng = np.random.default_rng(seed)
@@ -807,7 +805,7 @@ def _knn_joint_reference(xb: np.ndarray, y: np.ndarray, k: int) -> float:
 
 def _ksg_mi(xb, y, k):
     """KSG I(xb; y) in bits of an unprepared block, through the prepared-column kernel."""
-    cfg = EstimatorConfig(method="knn", k=k)
+    cfg = EstimatorConfig(method="knn")
     return _ksg([_prepare(c, cfg, "x") for c in xb.T], _prepare(y, cfg, "y"), k)
 
 
@@ -848,7 +846,7 @@ class TestOneKnnKernel:
 
     def test_public_calls_reach_the_kernel(self):
         xb, y, k = _knn_case(_KNN_CASES.index((3, 4, False, False)))
-        cfg = EstimatorConfig(method="knn", k=k)
+        cfg = EstimatorConfig(method="knn")
         assert mi_estimate(xb[:, 0], y, cfg) == _clamp(_knn_mi_reference(xb[:, 0], y, k))
         assert mi_estimate(xb, y, cfg) == _clamp(_knn_joint_reference(xb, y, k))
 
@@ -1162,10 +1160,13 @@ class TestGaussianBlockReadsPreparedColumns:
 
     @pytest.mark.parametrize("cfg", [GAUSSIAN, BINNED, KNN], ids=lambda c: c.method)
     def test_short_windows_are_refused(self, cfg):
-        # N=12 and ts_lag=3 leave 9 rows per window
+        # N=12 and ts_lag=3 leave 9 rows per window; every lag that leaves
+        # fewer than 10 is refused by the one lag rule, with one message
         x, y = _lagged_pair(12, 0)
-        with pytest.raises(DegenerateInputError, match="has 9 samples; need >= 10"):
-            bidirectional_te_mi(x, y, EstimatorConfig(method=cfg.method, ts_lag=3))
+        assert bidirectional_te_mi(x, y, EstimatorConfig(method=cfg.method, ts_lag=2)) >= 0.0
+        for n, lag in ((12, 3), (12, 10), (12, 11), (10, 1)):
+            with pytest.raises(DegenerateInputError, match=f"^series of length {n} too short for ts_lag={lag}$"):
+                bidirectional_te_mi(x[:n], y[:n], EstimatorConfig(method=cfg.method, ts_lag=lag))
 
     @pytest.mark.parametrize("cfg", [GAUSSIAN, BINNED, KNN], ids=lambda c: c.method)
     def test_no_runtime_warning_escapes(self, cfg):

@@ -15,7 +15,7 @@ PUBLIC_NAMES = [
     "IngestionError", "LagCorrelation", "LevelEstimate", "LevelVerification", "MiEstimate",
     "MmseCoefficients", "NoCommonInformationError", "ParameterDomainError", "PipelineError",
     "SciDescriptor", "SciVerification", "Theorem5Verification", "all_level_masks",
-    "analytic_sci_variance", "approx_rtilde", "asymptotic_limits", "bidirectional_te_mi",
+    "analytic_sci_variance", "asymptotic_limits", "bidirectional_te_mi",
     "build_ensemble", "build_sci", "build_t_level", "chain_slack_bits",
     "cond_mi_xi_xj_given_xk", "delta_quantities", "derive_sci_seed", "enumerate_mask_mi",
     "exact_entropy", "interaction_information", "lag_max_correlation", "mask_mi",

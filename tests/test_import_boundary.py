@@ -50,7 +50,7 @@ SCRIPT = textwrap.dedent(
         assert loaded(*models) == ["hoci.gaussian"], loaded(*models)
         assert main(["discrete", "--n", "4", "--out", out + "/discrete.json"]) == 0
         assert loaded(*models) == ["hoci.discrete", "hoci.gaussian"], loaded(*models)
-    assert main(["estimate", "--input", path, "--estimator", "knn", "--k", "3",
+    assert main(["estimate", "--input", path, "--estimator", "knn",
                  "--order", "3", "--out", out + "/knn-" + mode + ".json"]) == 0
     assert {"scipy.spatial", "scipy.special", "hashlib"} <= set(sys.modules)
     """

@@ -17,7 +17,6 @@ from hoci import (
     GaussianEnsembleSpec,
     ParameterDomainError,
     PipelineError,
-    approx_rtilde,
     asymptotic_limits,
     bidirectional_te_mi,
     build_ensemble,
@@ -179,37 +178,32 @@ class TestAveragesAndScaling:
     def test_rbar_level3_zero_for_independent(self, independent_report):
         assert independent_report.rbar[3] == 0.0
 
-    def test_rtilde_scaling_values(self):
-        assert approx_rtilde(2.0, 4, 2) == 2.0
-        assert approx_rtilde(2.0, 4, 3) == 1.0
-        assert approx_rtilde(2.0, 4, 4) == 0.0
-        assert approx_rtilde(math.inf, 4, 4) == 0.0  # exact zero coefficient wins
-        assert approx_rtilde(0.9, 5, 3) == pytest.approx(0.6)
+    def test_rtilde_scales_r2(self, report4):
+        r2 = report4.levels[2].bits
+        assert report4.rtilde == {2: r2, 3: r2 / 2, 4: 0.0}
+        m = sample_ensemble(GaussianEnsembleSpec(1.0, 1.0, 0.3, n=5), 2000, seed=4)
+        rep = run_estimate(m, order=3)
+        assert rep.rtilde == {2: rep.levels[2].bits, 3: 2 / 3 * rep.levels[2].bits}
 
-    def test_rtilde_validation(self):
-        with pytest.raises(ParameterDomainError):
-            approx_rtilde(1.0, 2, 2)
-        with pytest.raises(ParameterDomainError):
-            approx_rtilde(1.0, 4, 1)
-        with pytest.raises(ParameterDomainError):
-            approx_rtilde(1.0, 4, 5)
-        with pytest.raises(ParameterDomainError):
-            approx_rtilde(-0.1, 4, 2)
+    def test_rtilde_is_exactly_zero_at_level_n_for_a_divergent_r2(self):
+        # each channel is the last one a sample later: every lag-embedded pair
+        # diverges, while the plain white-noise correlations behind r3 and r4 are null
+        x = np.random.default_rng(3).standard_normal(2000)
+        m = ChannelMatrix(("a", "b", "c", "d"), np.array([np.roll(x, lag) for lag in range(4)]))
+        rep = run_estimate(m, order=4, time_series=True)
+        assert math.isinf(rep.levels[2].bits)
+        assert (rep.levels[3].bits, rep.levels[4].bits) == (0.0, 0.0)
+        assert rep.rtilde == {2: math.inf, 3: math.inf, 4: 0.0}
 
     def test_closed_form_and_slack_settings_pass_the_real_or_integer_rule(self):
         for rho in (True, "0.3", math.nan):
             with pytest.raises(ParameterDomainError, match="rho must lie in"):
                 asymptotic_limits(rho)
-        for r2_bits in (True, "1.0", math.nan):
-            with pytest.raises(ParameterDomainError, match="r2_bits must be nonnegative"):
-                approx_rtilde(r2_bits, 4, 3)
         for num_samples in (True, 1.5, 100_000.0, math.nan):
             with pytest.raises(ParameterDomainError, match="num_samples must be positive"):
                 chain_slack_bits(num_samples)
-        # numpy numbers pass, and a divergent r2 keeps its exact zero at level n
+        # numpy numbers pass
         assert asymptotic_limits(np.float64(0.6)) == asymptotic_limits(0.6)
-        assert approx_rtilde(np.float64(2.0), 4, 3) == approx_rtilde(2, 4, 3) == 1.0
-        assert approx_rtilde(math.inf, 4, 4) == 0.0
         assert chain_slack_bits(np.int64(100_000)) == 0.02
 
 
@@ -305,6 +299,14 @@ class TestLagScan:
         ]:
             with pytest.raises(DegenerateInputError, match=message):
                 lag_max_correlation(*args, 0, 3, sample_rate_hz=1.0)
+
+    def test_a_window_that_leaves_fewer_than_ten_samples_is_refused(self):
+        # any two samples correlate perfectly; the estimators' MIN_LENGTH holds here too
+        x, y = np.random.default_rng(3).standard_normal((2, 100))
+        assert lag_max_correlation(x, y, 90, 90, sample_rate_hz=1.0).lag_samples == 90
+        for window in ((0, 91), (0, 98), (91, 91)):
+            with pytest.raises(DegenerateInputError, match=f"^series of length 100 too short for max lag {window[1]}$"):
+                lag_max_correlation(x, y, *window, sample_rate_hz=1.0)
 
     def test_constant_overlap_names_the_lag(self):
         x = np.random.default_rng(0).standard_normal(100)

@@ -271,14 +271,9 @@ class TestSafeguardedSearch:
             "knn",
         ],
     )
-    def test_few_calls_per_surrogate_on_the_parity_input(self, tmp_path, method):
+    def test_few_calls_per_surrogate_on_the_parity_input(self, parity_input, method):
         # the CI step's input and run: the seeded parity rows.csv, run seed 0, order 3
-        g = np.random.default_rng(7)
-        d = g.standard_normal((4, 2000)) + g.standard_normal(2000)
-        lines = ["# seeded parity input", "a,b,c,d", *(",".join(map(repr, s)) for s in d.T.tolist())]
-        path = tmp_path / "rows.csv"
-        path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
-        rep = run_estimate(ingest_csv(str(path)), EstimatorConfig(method=method), seed=0, order=3)
+        rep = run_estimate(ingest_csv(str(parity_input.rows)), EstimatorConfig(method=method), seed=0, order=3)
         calls = [desc.iterations for desc in rep.sci_descriptors]
         assert calls and all(desc.residual < hoci.sci.EPSILON for desc in rep.sci_descriptors)
         assert sum(calls) / len(calls) <= CALLS_PER_SURROGATE, calls

@@ -294,14 +294,15 @@ class PreparedColumns:
     and only the last one is held, until the next is prepared: keeping the
     column that the previous call prepared (a surrogate that its last tuning
     call accepted) prepares nothing.  ``noise`` holds the last tuned
-    carrier's (carrier, seed, unit noise), for ``sci._unit_noise``.
+    carrier's (carrier, seed, unit noise, measured curve), for
+    ``sci._carrier_noise``.
     """
 
     def __init__(self, cfg: EstimatorConfig, kept=()):
         self.cfg = cfg
         self._kept = {id(a): (a, None) for a in kept}
         self._last = (None, None)
-        self.noise = (None, None, None)
+        self.noise = (None, None, None, None)
 
     def keep(self, a: np.ndarray) -> None:
         if id(a) not in self._kept:

@@ -25,8 +25,8 @@ Conventions used throughout:
 * Noise seeds are derived deterministically from the run seed and the
   carrier channel's name, so identical inputs give bit-identical reports, a
   channel's noise does not depend on its column's place, and the n - 1
-  surrogates of one carrier share one draw.  A ``gaussian_logdet`` report
-  draws no noise and does not depend on the seed.
+  surrogates of one carrier share one draw and one measured MI curve.  A
+  ``gaussian_logdet`` report draws no noise and does not depend on the seed.
 * Pairs whose target MI is at or below the tuning resolution, the
   constant ``sci.EPSILON``, are "no common information" signals: they are
   excluded from the min and recorded.  When every pair is such a signal
@@ -43,6 +43,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
@@ -161,6 +162,12 @@ def _pair_value(
         raise _pair_error(channels, a, b, err) from err
 
 
+def _partners(names: tuple[str, ...], j: int) -> list[int]:
+    """Carrier j's partners in the order their surrogates are tuned, by name,
+    so that no surrogate depends on column order."""
+    return sorted((i for i in range(len(names)) if i != j), key=names.__getitem__)
+
+
 def _pair_sci(
     names: tuple[str, ...],
     rows,
@@ -171,8 +178,19 @@ def _pair_sci(
     columns: PreparedColumns | None = None,
 ) -> tuple[SciDescriptor, np.ndarray]:
     """Tune the surrogate of ordered pair (i, j): noise goes into channel j,
-    seeded by its name."""
+    seeded by its name.  Its search goes on from the points that carrier j's
+    earlier searches measured, which ``columns`` holds.  With no table, the
+    searches a run makes before it on carrier j, those of the partners whose
+    names sort before i, are made first (at most n - 2), so the surrogate is
+    the run's bit for bit."""
     carrier_seed = derive_sci_seed(seed, names[j])
+    if columns is None:
+        rows = list(rows)
+        columns = PreparedColumns(cfg, rows)
+        partners = _partners(names, j)
+        for k in partners[: partners.index(i)]:
+            with suppress(NoCommonInformationError, ConvergenceError):  # a run excludes these
+                build_sci(rows[k], rows[j], cfg, carrier_seed, columns=columns)
     return build_sci(
         rows[i], rows[j], cfg, carrier_seed, base_channel=j, partner_channel=i, columns=columns
     )
@@ -194,17 +212,18 @@ def _build_all_scis(
 
     Ordered pairs because the construction injects noise into the second
     channel and is therefore asymmetric.  Tuning goes carrier by carrier, as
-    permutation order first reaches them (1, ..., n - 1, then 0), so
-    ``columns`` holds one carrier's noise at a time; the results keep
-    permutation order.
+    permutation order first reaches them (1, ..., n - 1, then 0), and within
+    a carrier by ``_partners``, so ``columns`` holds one carrier's noise and
+    measured curve at a time; the results keep permutation order.  Two
+    surrogates of one carrier with one variance have one T's bits, so they
+    share the first one's column.
     """
     n = channels.n_channels
     built: dict[tuple[int, int], tuple[SciDescriptor, np.ndarray]] = {}
     excluded: dict[tuple[int, int], SciExclusion] = {}
     for j in (*range(1, n), 0):
-        for i in range(n):
-            if i == j:
-                continue
+        tuned: dict[float, np.ndarray] = {}  # carrier j's T by its variance
+        for i in _partners(channels.names, j):
             try:
                 desc, t = _pair_sci(channels.names, rows, i, j, columns.cfg, seed, columns)
             except (NoCommonInformationError, ConvergenceError) as err:
@@ -212,9 +231,10 @@ def _build_all_scis(
             except DegenerateInputError as err:
                 raise _pair_error(channels, i, j, err) from err
             else:
+                t = tuned.setdefault(desc.noise_variance, t)
                 built[(i, j)] = desc, t
                 columns.keep(t)
-    columns.noise = (None, None, None)  # the scans read no noise
+    columns.noise = (None, None, None, None)  # the scans read no noise
     # permutation order is the sorted order of the pairs
     return dict(sorted(built.items())), [excluded[pair] for pair in sorted(excluded)]
 

@@ -7,13 +7,14 @@ matches the estimated MI between x_i and x_j.
 The injected noise is made exactly orthogonal to the carrier column (in
 sample), centred and of unit variance, so under the parametric
 ``gaussian_logdet`` estimator MI(T; x_j) = 1/2 log2(1 + var(x_j)/v) exactly,
-and v = var(x_j) / (2^(2 I) - 1) solves the tuning in closed form.  Every
-tuning starts there; ``binned`` and ``knn`` go on with a safeguarded root
-search in ln v (``_tune``).  The observation model's tuned variance has a
-population value, ``gaussian.analytic_sci_variance``, used for validation.
-Noise is seeded per carrier: the unit noise e depends on the carrier and the
-seed alone, so the same inputs and seed rebuild T bit for bit, and a run's
-``PreparedColumns`` table holds one carrier's e for all its surrogates.
+and v = var(x_j) / (2^(2 I) - 1) solves the tuning in closed form.  A
+carrier's first tuning starts there; ``binned`` and ``knn`` go on with a
+safeguarded root search in ln v (``_tune``).  The observation model's tuned
+variance has a population value, ``gaussian.analytic_sci_variance``, used
+for validation.  Noise is seeded per carrier: the unit noise e depends on
+the carrier and the seed alone, so the same inputs and seed rebuild T bit
+for bit, and a run's ``PreparedColumns`` table holds one carrier's e, and
+the points its searches measured, for all its surrogates.
 
 The tuning tolerance ``EPSILON`` (bits) and call budget ``MAX_ITERATIONS``
 are fixed properties of the estimator, not settings of a run; a report
@@ -117,17 +118,25 @@ def _orthogonal_unit_noise(carrier: np.ndarray, seed: int) -> np.ndarray:
     return e / s
 
 
-def _unit_noise(carrier: np.ndarray, seed: int, columns: PreparedColumns | None) -> np.ndarray:
-    """The carrier's unit noise for ``seed``, drawn once per carrier in a run:
-    ``columns`` holds the last carrier's, and only that one."""
+def _carrier_noise(
+    carrier: np.ndarray, seed: int, columns: PreparedColumns | None
+) -> tuple[np.ndarray, list[tuple[float, float, float]]]:
+    """The carrier's unit noise for ``seed`` and its measured curve, the
+    (u, v, bits) of every tuning call made on it: one noise draw and one
+    curve per carrier in a run, ``columns`` holding the last carrier's only."""
     if columns is None:
-        return _orthogonal_unit_noise(carrier, seed)
-    held, held_seed, e = columns.noise
+        return _orthogonal_unit_noise(carrier, seed), []
+    held, held_seed = columns.noise[:2]
     if held is not carrier or held_seed != seed:
-        columns.noise = (None, None, None)  # the last carrier's noise is freed first
-        e = _orthogonal_unit_noise(carrier, seed)
-        columns.noise = (carrier, seed, e)
-    return e
+        columns.noise = (None, None, None, None)  # the last carrier's noise is freed first
+        columns.noise = (carrier, seed, _orthogonal_unit_noise(carrier, seed), [])
+    return columns.noise[2:]
+
+
+def _surrogate(carrier: np.ndarray, e: np.ndarray, v: float) -> np.ndarray:
+    t = e * math.sqrt(v)  # one allocation: the same bits as carrier + sqrt(v) * e
+    t += carrier
+    return t
 
 
 def _y(bits: float) -> float:
@@ -166,19 +175,29 @@ def _tune(
 ) -> tuple[float, float, int, np.ndarray]:
     """Find v with |MI(carrier + sqrt(v) e; carrier) - target| < ``EPSILON``.
 
-    Returns (variance, residual, iterations, T), T from the last of the
-    ``iterations`` estimator calls (each given ``columns``).  The first is at
-    the closed form, which ``gaussian_logdet`` accepts on its residual alone.
-    The search runs in u = ln v against r = y(MI) - y(target), where the
-    Gaussian model is a line of slope -1, under Brent's safeguards: no step
-    shorter than ``_PROBE``; unbracketed, none longer than ``_MAX_REACH``;
-    bracketed, a bisection unless the step stays inside and is under half
-    the step before last.  A point within ``EPSILON`` is probed ``_PROBE``
-    across, and accepted once the bracket [lo, hi], MI(lo) >= target >
-    MI(hi), has hi/lo < ``_BRACKET_REL_TOL`` (the variance, not just the
-    residual, is pinned); a probe that closes the bracket off epsilon steps
-    back beside the point.  A search whose v leaves the normal float64 range
-    fails as unreachable, like one that spends its budget.
+    Returns (variance, residual, iterations, T): ``iterations`` is the
+    estimator calls this search made (each given ``columns``), and T comes
+    from the last of them, or is rebuilt bit for bit at the accepted point
+    when there was none.  The search runs in u = ln v against r = y(MI) -
+    y(target), where the Gaussian model is a line of slope -1, under Brent's
+    safeguards: no step shorter than ``_PROBE``; unbracketed, none longer
+    than ``_MAX_REACH``; bracketed, a bisection unless the step stays inside
+    and is under half the step before last.  A point within ``EPSILON`` is
+    probed ``_PROBE`` across, the probe staying out of the model, and
+    accepted once the bracket [lo, hi], MI(lo) >= target > MI(hi), has
+    hi/lo < ``_BRACKET_REL_TOL`` (the variance, not just the residual, is
+    pinned); a probe that closes the bracket off epsilon steps back beside
+    the point.  A search whose v leaves the normal float64 range fails as
+    unreachable, like one that spends its budget.
+
+    The curve v -> MI(T(v); carrier) does not depend on the target, so a
+    search goes on from the points the carrier's earlier searches measured:
+    the tightest on either side in u bracket the target unless noise
+    inverted them, the three nearest seed the model, and it resumes at the
+    nearer end.  A target they already bracket within ``EPSILON`` costs no
+    call.  With no points, and always under ``gaussian_logdet``, the first
+    call is at the closed form, which ``gaussian_logdet`` accepts on its
+    residual alone.
     """
     seed = check_seed(seed)
     with np.errstate(over="ignore"):  # refused below
@@ -186,35 +205,54 @@ def _tune(
     # a subnormal variance has lost digits and would make subnormal noise
     if not _MIN_NORMAL <= var < math.inf:
         raise DegenerateInputError(f"carrier variance {var:.6g} is not a normal float64")
-    e = _unit_noise(carrier, seed, columns)
-    v = var / math.expm1(2.0 * target * _LN2)
-    u = math.log(v)
+    e, curve = _carrier_noise(carrier, seed, columns)
     lo = hi = None  # (u, v, residual) of the tightest points with MI >= and < target
-    pts: list[tuple[float, float]] = []  # (u, r) of the points with a finite r
-    steps, probed = [math.inf, math.inf], False  # steps in u
-    for iterations in range(1, MAX_ITERATIONS + 1):
-        if not _LN_V_RANGE[0] <= u < _LN_V_RANGE[1]:
-            raise ConvergenceError(
-                f"SCI tuning left the normal float64 range at v = e^{u:.6g} "
-                f"(target {target:.6g} bits unreachable on this data)"
-            )
-        t = e * math.sqrt(v)  # one allocation: the same bits as carrier + sqrt(v) * e
-        t += carrier
-        bits = mi_estimate(t, carrier, cfg, columns=columns)
+    pts: dict[float, float] = {}  # r by u of the modelled points, newest last
+    if curve and cfg.method != "gaussian_logdet":
+        lo = max((p for p in curve if p[2] >= target), default=None)
+        hi = min((p for p in curve if p[2] < target), default=None)
+        u, v, bits = min((p for p in (lo, hi) if p), key=lambda p: abs(p[2] - target))
+        if not (lo and hi and lo[0] < hi[0]):  # one side unmeasured, or inverted by noise
+            lo = hi = None
+        lo, hi = (p and (p[0], p[1], abs(p[2] - target)) for p in (lo, hi))
+        near = sorted(curve, key=lambda p: -abs(p[2] - target))[-3:]  # nearest last
+        pts = {pu: _y(pbits) - _y(target) for pu, _, pbits in near if pbits > 0.0}
+        first = 0
+    else:
+        v = var / math.expm1(2.0 * target * _LN2)
+        u, first = math.log(v), 1
+        if cfg.method == "gaussian_logdet":
+            curve = []  # each target is solved from the closed form alone
+    steps, probed, flat = [math.inf, math.inf], False, False  # steps in u
+    for iterations in range(first, MAX_ITERATIONS + 1):
+        if iterations:
+            if not _LN_V_RANGE[0] <= u < _LN_V_RANGE[1]:
+                raise ConvergenceError(
+                    f"SCI tuning left the normal float64 range at v = e^{u:.6g} "
+                    f"(target {target:.6g} bits unreachable on this data)"
+                )
+            t = _surrogate(carrier, e, v)
+            bits = mi_estimate(t, carrier, cfg, columns=columns)
+            curve.append((u, v, bits))
         residual = abs(bits - target)
         if iterations == 1 and cfg.method == "gaussian_logdet" and residual < EPSILON:
             return v, residual, iterations, t
         lo, hi = ((u, v, residual), hi) if bits >= target else (lo, (u, v, residual))
         closed = lo and hi and hi[1] < lo[1] * _BRACKET_REL_TOL
         if closed and residual < EPSILON:
-            return v, residual, iterations, t
+            return v, residual, iterations, t if iterations else _surrogate(carrier, e, v)
         r = _y(bits) - _y(target)
-        if math.isfinite(r):
-            pts.append((u, r))
-        d = _model_root(pts, bool(lo and hi)) - u if math.isfinite(r) else math.nan
+        modelled = not probed  # a probe stays out of the model
+        if modelled and math.isfinite(r):
+            pts[u] = r
+        model = list(pts.items())[-3:]
+        d = _model_root(model, bool(lo and hi)) - u if math.isfinite(r) else math.nan
         if abs(d) < _PROBE:
             d = math.copysign(_PROBE, d)
-        probed = residual < EPSILON and not probed  # never two probes in a row
+        # probe across a point within epsilon, but not across a probe, nor again
+        # along an unbracketed run of such points, where the MI lies flat
+        probed = residual < EPSILON and modelled and (bool(lo and hi) or not flat)
+        flat = residual < EPSILON if modelled else flat
         if probed:
             d = _PROBE if bits >= target else -_PROBE
         elif closed and min(lo[2], hi[2]) < EPSILON:  # back beside the end within epsilon

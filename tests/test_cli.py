@@ -995,6 +995,7 @@ class TestCiIngestSteps:
 class TestCiReportSteps:
     """The CI steps "Gaussian levels do not depend on column order", "binned
     reports on values at bin edges match across orientations and reruns",
+    "sci and lagscan reports match across orientations and reruns",
     "Reports do not depend on a power-of-two input scale" and "A byte-order
     mark is not part of the first channel name", on their inputs and with
     their checks, in this process."""
@@ -1040,6 +1041,34 @@ class TestCiReportSteps:
         # the search does not reach
         ex = json.loads(report.read_text())["exclusions"]
         assert [(e["pair"], e["code"]) for e in ex] == [(["a", "d"], "convergence"), (["d", "a"], "convergence")], ex
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            *(["sci", "--pair", "a,b", "--estimator", est] for est in ("gaussian", "binned", "knn")),
+            *(
+                ["lagscan", "--ref-channel", "a", *window.split()]
+                for window in (
+                    "--sample-rate-hz 1000 --lag-min-ms 0 --lag-max-ms 5",
+                    "--sample-rate-hz 100",
+                    "--sample-rate-hz 333.3 --lag-min-ms 10 --lag-max-ms 400",
+                )
+            ),
+        ],
+        ids=["sci-gaussian", "sci-binned", "sci-knn", "lagscan-1000", "lagscan-100", "lagscan-333.3"],
+    )
+    def test_sci_and_lagscan_reports_match_across_orientations_and_reruns(self, parity_input, tmp_path, args):
+        # the step's cols.csv: the comment line, then one line per channel, CRLF line ends
+        channels = zip("abcd", parity_input.data.tolist())
+        lines = ["# seeded parity input", *(k + "," + ",".join(map(repr, r)) for k, r in channels)]
+        cols = tmp_path / "cols.csv"
+        cols.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        outs = [tmp_path / f"{run}.out" for run in ("rows", "cols", "rerun")]
+        inputs = ((parity_input.rows, []), (cols, ["--transpose"]), (parity_input.rows, []))
+        for (path, flags), out in zip(inputs, outs):
+            assert main([*args, *flags, "--input", str(path), "--out", str(out)]) == 0
+        assert filecmp.cmp(outs[0], outs[1], shallow=False)
+        assert filecmp.cmp(outs[0], outs[2], shallow=False)
 
     @pytest.mark.parametrize(
         "flags",

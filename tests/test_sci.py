@@ -212,6 +212,24 @@ def _spy(monkeypatch, step=None):
     return seen
 
 
+def _in_closed_bracket(v, tried, target):
+    """Whether v lies in a bracket [lo, hi] of the tried (variance, bits)
+    points, MI(lo) >= target > MI(hi), with hi/lo < 1.005."""
+    lo = max((w for w, bits in tried if bits >= target and w <= v * (1 + 1e-9)), default=0.0)
+    hi = min((w for w, bits in tried if bits < target and w >= v * (1 - 1e-9)), default=math.inf)
+    return hi / lo < 1.005
+
+
+def _flat_above_target():
+    # a two-valued carrier and its partner: the binned MI lies within epsilon
+    # just above the target from v ~ 140 to v ~ 7,400, then crosses it
+    g = np.random.default_rng([2, 48, 3])
+    c = g.integers(0, 2, 4000).astype(float)
+    p = np.where(g.random(4000) < 0.96, g.integers(0, 2, 4000), c).astype(float)
+    p += 0.01 * g.standard_normal(4000)
+    return p, c
+
+
 class TestSafeguardedSearch:
     """binned and knn tune by a bracketed root search from the closed form."""
 
@@ -235,15 +253,9 @@ class TestSafeguardedSearch:
     @pytest.mark.parametrize(
         "cfg, channels",
         [
-            pytest.param(
+            (
                 EstimatorConfig(method="binned", bins=128),
                 lambda: sample_channels(build_ensemble(4, (0.5, 0.5)), 50_000, seed=1),
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="about 6.3 calls: the binned MI of the discrete construction is "
-                    "flat at its target, so the last approach step often lands a few "
-                    "epsilon off and needs one more call",
-                ),
             ),
             (
                 EstimatorConfig(method="knn"),
@@ -257,20 +269,7 @@ class TestSafeguardedSearch:
         assert len(calls) == 12 and not rep.exclusions
         assert sum(calls) / len(calls) <= CALLS_PER_SURROGATE
 
-    @pytest.mark.parametrize(
-        "method",
-        [
-            pytest.param(
-                "binned",
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="74/12 = 6.17 calls: the last approach step re-estimates beside "
-                    "a measured bracket end instead of accepting it",
-                ),
-            ),
-            "knn",
-        ],
-    )
+    @pytest.mark.parametrize("method", ["binned", "knn"])
     def test_few_calls_per_surrogate_on_the_parity_input(self, parity_input, method):
         # the CI step's input and run: the seeded parity rows.csv, run seed 0, order 3
         rep = run_estimate(ingest_csv(str(parity_input.rows)), EstimatorConfig(method=method), seed=0, order=3)
@@ -316,6 +315,19 @@ class TestSafeguardedSearch:
         assert desc.noise_variance == pytest.approx(tried[2], rel=1e-9)
         assert v0 < tried[2] < 1.00001 * v0
         assert desc.residual == pytest.approx(0.0005)
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, 6, 7, 13, 17])
+    def test_a_flat_run_within_epsilon_is_not_crawled(self, monkeypatch, seed):
+        # a probe across every point of the run, or a secant through a point and
+        # its probe, would walk ln v in noise-sized steps
+        p, c = _flat_above_target()
+        seen = _spy(monkeypatch)
+        desc, t = build_sci(p, c, EstimatorConfig(method="binned"), seed=seed)
+        (_, target), tuning = seen[0], seen[1:]
+        assert len(tuning) == desc.iterations <= 25
+        assert desc.residual < hoci.sci.EPSILON
+        tried = [(float(np.var(x - c)), bits) for x, bits in tuning]
+        assert _in_closed_bracket(desc.noise_variance, tried, target)
 
 
 def _reads_above(monkeypatch, rows, bits_above, carriers=None):
@@ -422,7 +434,7 @@ class TestBinEdgeChannels:
             (("a", "d"), "convergence"), (("d", "a"), "convergence")
         ]
         assert {k: v.bits.hex() for k, v in rep.levels.items()} == {
-            2: "0x1.95d05fbf3f787p+0", 3: "0x1.bc28e1e418d6ap-3", 4: "0x1.b962b2efc2926p-2"
+            2: "0x1.95d05fbf3f787p+0", 3: "0x1.bc78e8eb841e0p-3", 4: "0x1.ba2f471ce3dcep-2"
         }
         assert [
             (s.partner_channel, s.base_channel, s.noise_variance.hex(), s.residual.hex(), s.iterations)
@@ -431,13 +443,13 @@ class TestBinEdgeChannels:
             (0, 1, "0x1.ce9578afb881cp-4", "0x1.95a0fc8ddb000p-12", 5),
             (0, 2, "0x1.ca114bbfc88edp-4", "0x1.0272527a2e000p-12", 5),
             (1, 0, "0x1.cb2c80347c1fap-4", "0x1.ca1680f566800p-11", 5),
-            (1, 2, "0x1.ca151c04fae7fp-4", "0x1.542bafcf9d000p-12", 5),
-            (1, 3, "0x1.cac6572ef406ep-4", "0x1.c36961cb32000p-11", 5),
-            (2, 0, "0x1.cb37ae12917d2p-4", "0x1.b5fb74e5b4000p-11", 5),
-            (2, 1, "0x1.ce8cffe8d69dcp-4", "0x1.8ef81e2922000p-12", 5),
-            (2, 3, "0x1.cac26220ae322p-4", "0x1.e352cce487000p-11", 5),
-            (3, 1, "0x1.ce9578afb881cp-4", "0x1.95a0fc8ddb000p-12", 5),
-            (3, 2, "0x1.ca114bbfc88f8p-4", "0x1.0272527a2d000p-12", 5),
+            (1, 2, "0x1.ca114bbfc88edp-4", "0x1.5eb2a19fd2000p-12", 0),
+            (1, 3, "0x1.cb928eafd14ccp-4", "0x1.04a1df1ac8000p-15", 4),
+            (2, 0, "0x1.cb2c80347c1fap-4", "0x1.b169d3068d000p-11", 0),
+            (2, 1, "0x1.ce9578afb881cp-4", "0x1.6aba0945e8000p-12", 0),
+            (2, 3, "0x1.cb9315ea9f643p-4", "0x1.55f5450900000p-17", 2),
+            (3, 1, "0x1.ce9578afb881cp-4", "0x1.95a0fc8ddb000p-12", 0),
+            (3, 2, "0x1.ca114bbfc88edp-4", "0x1.0272527a2d000p-12", 0),
         ]
 
 
@@ -524,6 +536,78 @@ class TestCarrierNoise:
             else:
                 assert main(argv) == 0
                 assert json.loads(out.read_text())["descriptor"] == descriptors[(i, j)]
+
+    def test_sci_command_reproduces_every_knn_descriptor(self, tmp_path):
+        m = _knn_channels()
+        path = tmp_path / "knn.csv"
+        rows = [",".join(map(repr, row)) for row in m.data.T.tolist()]
+        path.write_text("\n".join([",".join(m.names), *rows]) + "\n")
+        rep = run_estimate(ingest_csv(str(path)), EstimatorConfig(method="knn"), seed=0, order=3)
+        assert len(rep.sci_descriptors) == 12
+        out = tmp_path / "sci.json"
+        for d in rep.sci_descriptors:
+            pair = ",".join((m.names[d.partner_channel], m.names[d.base_channel]))
+            argv = ["sci", "--input", str(path), "--pair", pair, "--estimator", "knn", "--seed", "0",
+                    "--out", str(out)]
+            assert main(argv) == 0
+            assert json.loads(out.read_text())["descriptor"] == asdict(d)
+
+
+def _discrete_channels():
+    # discrete-o4-n4's input: the binary construction at n = 4, 5e4 samples, data seed 1
+    return sample_channels(build_ensemble(4, (0.5, 0.5)), 50_000, seed=1).standardized()
+
+
+class TestCarrierCurve:
+    """A carrier's searches share the curve v -> MI(T(v); carrier) that they
+    measure, so a target it already brackets costs no estimator call."""
+
+    def test_the_discrete_run_tunes_in_three_calls_per_surrogate(self):
+        rep = run_estimate(_discrete_channels(), EstimatorConfig(method="binned", bins=128), seed=44, order=4)
+        calls = [d.iterations for d in rep.sci_descriptors]
+        assert len(calls) == 12 and not rep.exclusions
+        assert sum(calls) <= 3 * 12, calls
+
+    def test_a_surrogate_read_off_the_curve_is_a_measured_bracket_end(self, monkeypatch):
+        import hoci.pipeline
+
+        m = _discrete_channels()
+        real = hoci.sci.mi_estimate
+        calls = []  # (x, y, bits) of every estimator call that tuning makes
+
+        def spy(x, y, cfg, columns=None):
+            calls.append((x, y, real(x, y, cfg, columns=columns)))
+            return calls[-1][2]
+
+        builds = []  # (descriptor, T, first and end index of its calls)
+        build = hoci.pipeline.build_sci
+
+        def recorded(*args, **kwargs):
+            start = len(calls)
+            desc, t = build(*args, **kwargs)
+            builds.append((desc, t, start, len(calls)))
+            return desc, t
+
+        monkeypatch.setattr(hoci.sci, "mi_estimate", spy)
+        monkeypatch.setattr(hoci.pipeline, "build_sci", recorded)
+        run_estimate(m, EstimatorConfig(method="binned", bins=128), seed=44, order=4)
+        read_off = [b for b in builds if b[0].iterations == 0]
+        assert len(read_off) >= 6
+        for desc, t, start, end in read_off:
+            carrier = m.data[desc.base_channel]
+            assert end == start + 1  # the target call alone
+            e = hoci.sci._orthogonal_unit_noise(carrier, desc.seed)
+            assert t.tobytes() == (carrier + math.sqrt(desc.noise_variance) * e).tobytes()
+            target = calls[start][2]
+            tried = [
+                (float(np.var(x - carrier)), bits)
+                for x, y, bits in calls[:start]
+                if np.shares_memory(y, carrier) and not np.shares_memory(x, m.data)
+            ]
+            assert _in_closed_bracket(desc.noise_variance, tried, target)
+            at_v = [bits for w, bits in tried if w == pytest.approx(desc.noise_variance, rel=1e-9)]
+            assert desc.residual in {abs(bits - target) for bits in at_v}
+            assert desc.residual < hoci.sci.EPSILON
 
 
 @pytest.fixture(scope="module")
